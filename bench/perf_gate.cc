@@ -319,34 +319,47 @@ simulatorSimd(Count instructions, int reps)
 }
 
 /**
- * End-to-end multi-core throughput: a two-core FCFS system driving
- * the arbitrated bus, the cost model behind every fig_mc_bus cell.
- * The rate counts instructions summed across cores, so it is
- * directly comparable to sim_baseline: the gap between the two is
- * the price of arbitration (the co-simulation windows, the grant
- * bookkeeping) plus whatever contention does to the schedule.
+ * Multi-core throughput, like for like with sim_simd: a two-core
+ * FCFS system replaying pre-built per-core materialized traces (the
+ * run-item feed every cached fig_mc_bus cell takes). The trace
+ * builds are untimed and the lane keeps the best of @p reps replays.
+ * The rate counts instructions summed across cores, so its ratio to
+ * sim_simd is the per-instruction price of arbitration (causality
+ * windows, grant bookkeeping) plus what contention does to the
+ * schedule.
  */
 GateResult
-simulatorMultiCore(Count instructions)
+simulatorMultiCore(Count instructions, int reps)
 {
     auto profile = spec92::profile("compress");
     MachineConfig machine = figures::baselineMachine();
     machine.cores = 2;
-    double start = now();
     SyntheticSource first(profile, instructions, 1);
     SyntheticSource second(profile, instructions, 2);
-    MultiCoreSystem system(machine);
-    MultiCoreResults results = system.run({&first, &second});
-    double elapsed = now() - start;
-    Count cycles = 0;
-    for (const SimResults &core : results.perCore)
-        cycles = std::max(cycles, core.cycles);
+    MaterializedTrace traces[] = {MaterializedTrace::build(first),
+                                  MaterializedTrace::build(second)};
     GateResult r;
     r.name = "sim_multicore";
     r.iterations = 2 * instructions;
-    r.seconds = elapsed;
-    r.opsPerSec = static_cast<double>(2 * instructions) / elapsed;
-    r.cyclesPerSec = static_cast<double>(cycles) / elapsed;
+    for (int rep = 0; rep < reps; ++rep) {
+        double start = now();
+        MaterializedCursor cursor0(traces[0]);
+        MaterializedCursor cursor1(traces[1]);
+        MultiCoreSystem system(machine);
+        MultiCoreResults results = system.run({&cursor0, &cursor1});
+        double elapsed = now() - start;
+        if (elapsed <= 0.0)
+            continue;
+        double rate = static_cast<double>(2 * instructions) / elapsed;
+        if (rate > r.opsPerSec) {
+            Count cycles = 0;
+            for (const SimResults &core : results.perCore)
+                cycles = std::max(cycles, core.cycles);
+            r.opsPerSec = rate;
+            r.seconds = elapsed;
+            r.cyclesPerSec = static_cast<double>(cycles) / elapsed;
+        }
+    }
     return r;
 }
 
@@ -816,13 +829,14 @@ main()
                   << "build) = " << simd.opsPerSec / plain.opsPerSec
                   << "x\n";
     }
-    results.push_back(simulatorMultiCore(sim_instructions));
+    results.push_back(
+        simulatorMultiCore(sim_instructions, smoke ? 2 : 5));
     {
-        const GateResult &plain = results[results.size() - 5];
+        const GateResult &simd = results[results.size() - 2];
         const GateResult &multi = results.back();
-        std::cout << "perf_gate: sim_multicore per-instruction cost "
-                  << "= " << plain.opsPerSec / multi.opsPerSec
-                  << "x sim_baseline\n";
+        std::cout << "perf_gate: sim_multicore per-instruction rate "
+                  << "= " << multi.opsPerSec / simd.opsPerSec
+                  << "x sim_simd\n";
     }
     results.push_back(fig03Replay(fig_instructions));
     results.push_back(traceReplay(min_seconds));

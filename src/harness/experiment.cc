@@ -338,32 +338,27 @@ runMultiCore(const BenchmarkProfile &profile,
     }
 
     if constexpr (kDebugBuild) {
-        if (options.materialize) {
-            // Shadow the cached cell with the regenerate-in-place
-            // path, like the single-core debug cross-check: replay
-            // must never change a bit of any core's results.
-            RunnerOptions uncached = options;
-            uncached.materialize = false;
-            uncached.checkpoints = false;
-            uncached.obs = {};
-            MultiCoreSystem reference_system(machine);
-            std::vector<std::unique_ptr<SyntheticSource>> generators;
-            std::vector<TraceSource *> sources;
-            for (unsigned i = 0; i < reference_system.cores(); ++i) {
-                generators.push_back(
-                    std::make_unique<SyntheticSource>(profile, length,
-                                                      seed + i));
-                sources.push_back(generators.back().get());
-            }
-            MultiCoreResults reference =
-                reference_system.run(sources, options.warmup);
-            wbsim_assert(result.perCore == reference.perCore
-                         && result.bus == reference.bus,
-                         "cached multi-core cell diverged from the "
-                         "uncached reference run (workload ",
-                         profile.name, ", machine ",
-                         machine.describe(), ")");
+        // Shadow every cell with the reference: regenerated traces
+        // fed one record per scheduling step. Neither trace replay
+        // nor private-prefix batching may change a bit of any core's
+        // results.
+        MultiCoreSystem reference_system(
+            machine, MultiCoreSystem::Schedule::PerRecord);
+        std::vector<std::unique_ptr<SyntheticSource>> generators;
+        std::vector<TraceSource *> sources;
+        for (unsigned i = 0; i < reference_system.cores(); ++i) {
+            generators.push_back(std::make_unique<SyntheticSource>(
+                profile, length, seed + i));
+            sources.push_back(generators.back().get());
         }
+        MultiCoreResults reference =
+            reference_system.run(sources, options.warmup);
+        wbsim_assert(result.perCore == reference.perCore
+                     && result.bus == reference.bus,
+                     "multi-core cell diverged from the uncached "
+                     "per-record reference run (workload ",
+                     profile.name, ", machine ", machine.describe(),
+                     ")");
     }
     return result;
 }

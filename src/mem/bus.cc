@@ -61,16 +61,16 @@ parseBusDiscipline(std::string_view name)
 }
 
 BusArbiter::BusArbiter(unsigned cores, BusDiscipline discipline)
-    : pending_(cores), stats_(cores), exhausted_(cores, false),
-      discipline_(discipline)
+    : pending_(cores), stats_(cores), discipline_(discipline)
 {
     wbsim_assert(cores >= 1, "a bus needs at least one requester");
 }
 
 void
-BusArbiter::setHooks(CoreHooks hooks)
+BusArbiter::setScheduler(BusScheduler *scheduler)
 {
-    hooks_ = std::move(hooks);
+    scheduler_ = scheduler;
+    clocks_ = scheduler != nullptr ? scheduler->clocks() : nullptr;
 }
 
 bool
@@ -132,11 +132,9 @@ BusArbiter::winner() const
     return best;
 }
 
-void
+int
 BusArbiter::advanceOthers()
 {
-    if (!hooks_.clockOf || !hooks_.stepOne)
-        return; // no scheduler: nothing can lag (unit tests, N=1)
     for (;;) {
         // Every free core must reach the instant the winning request
         // would be granted before the grant is causally safe: a
@@ -146,18 +144,18 @@ BusArbiter::advanceOthers()
         // pass may have drained the pending set entirely (including
         // this frame's own request) — nothing left to protect.
         int w = winner();
-        if (w < 0)
-            return;
+        if (w < 0 || scheduler_ == nullptr)
+            return w; // no scheduler: nothing can lag (unit tests)
         Cycle horizon =
             std::max(pending_[static_cast<unsigned>(w)].earliest,
                      free_at_);
         int lagging = -1;
         Cycle lag_clock = 0;
+        // Exhausted cores report BusScheduler::kExhausted and so
+        // never lag.
         for (unsigned i = 0; i < pending_.size(); ++i) {
-            if (pending_[i].active || exhausted_[i])
-                continue;
-            Cycle t = hooks_.clockOf(i);
-            if (t >= horizon)
+            Cycle t = clocks_[i];
+            if (t >= horizon || pending_[i].active)
                 continue;
             if (lagging < 0 || t < lag_clock) {
                 lagging = static_cast<int>(i);
@@ -165,21 +163,9 @@ BusArbiter::advanceOthers()
             }
         }
         if (lagging < 0)
-            return;
-        if (!hooks_.stepOne(static_cast<unsigned>(lagging)))
-            exhausted_[static_cast<unsigned>(lagging)] = true;
+            return w;
+        scheduler_->advance(static_cast<unsigned>(lagging));
     }
-}
-
-void
-BusArbiter::grantBest()
-{
-    int w = winner();
-    wbsim_assert(w >= 0, "grant pass with no pending request");
-    Pending &p = pending_[static_cast<unsigned>(w)];
-    p.start = bookGrant(static_cast<unsigned>(w), p.kind, p.earliest,
-                        p.duration);
-    p.granted = true;
 }
 
 Cycle
@@ -199,11 +185,16 @@ BusArbiter::acquire(unsigned core, L2Txn kind, Cycle earliest,
     me.seq = seq_++;
     // A nested resolution (from a core advanced below) may grant
     // this request while its own frame is suspended; check between
-    // passes rather than assuming grantBest() serves self.
+    // passes rather than assuming the grant serves self.
     while (!me.granted) {
-        advanceOthers();
-        if (!me.granted)
-            grantBest();
+        int w = advanceOthers();
+        if (me.granted)
+            break;
+        wbsim_assert(w >= 0, "grant pass with no pending request");
+        Pending &p = pending_[static_cast<unsigned>(w)];
+        p.start = bookGrant(static_cast<unsigned>(w), p.kind,
+                            p.earliest, p.duration);
+        p.granted = true;
     }
     me.active = false;
     return me.start;

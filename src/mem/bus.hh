@@ -15,19 +15,19 @@
  * causality window: when core A requests the bus at cycle t, cores
  * whose local clocks are still behind the prospective grant instant
  * may yet present competing requests. The arbiter therefore runs a
- * conservative co-simulation: it advances lagging cores (via the
- * scheduler hooks) until every free core's clock has passed the
- * instant the winning request would be granted, then commits exactly
- * one grant. Re-entrant requests from the advanced cores simply join
- * the pending set; recursion depth is bounded by the core count and
- * every pass either advances a core by one record or grants a
- * request, so the resolution terminates (DESIGN.md §14).
+ * conservative co-simulation: it advances lagging cores (through the
+ * BusScheduler) until every free core's clock has passed the instant
+ * the winning request would be granted, then commits exactly one
+ * grant. Re-entrant requests from the advanced cores simply join the
+ * pending set; recursion depth is bounded by the core count and
+ * every pass either advances a core by one scheduling step or grants
+ * a request, so the resolution terminates (DESIGN.md §14).
  */
 
 #ifndef WBSIM_MEM_BUS_HH
 #define WBSIM_MEM_BUS_HH
 
-#include <functional>
+#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -72,11 +72,46 @@ struct BusCoreStats
 };
 
 /**
+ * The co-simulation schedule the arbiter drives while a request is
+ * pending: a view of every core's local clock plus a way to advance
+ * one core. MultiCoreSystem implements it (final); unit tests script
+ * rivals with it.
+ *
+ * WBSIM_DEVIRT_OK: one dispatch per scheduling step, and a step runs
+ * at least one whole trace record, so the indirection is amortised
+ * over the record work it triggers. The per-core clock reads that
+ * dominate a causality pass are plain loads from clocks().
+ */
+class WBSIM_DEVIRT_OK BusScheduler
+{
+  public:
+    /** The clock a core reports once its source is exhausted: it
+     *  never lags any horizon, so it is never stepped again. */
+    static constexpr Cycle kExhausted = std::numeric_limits<Cycle>::max();
+
+    /**
+     * Every core's local clock between scheduling steps, indexed by
+     * core id (kExhausted once its source is dry). The arbiter keeps
+     * the pointer and reads it directly, so the storage must stay in
+     * place while the scheduler is attached. Only free cores' entries
+     * are read: a core with an active request is mid-record.
+     */
+    virtual const Cycle *clocks() const = 0;
+
+    /** Run one scheduling step of core @p core (at least one record,
+     *  or discover exhaustion), then publish its new clock. */
+    virtual void advance(unsigned core) = 0;
+
+  protected:
+    ~BusScheduler() = default;
+};
+
+/**
  * The shared-bus arbiter: one global busy interval, N requesters.
  *
  * Cores interact through their L2Port (L2Port::attachBus); the
- * MultiCoreSystem supplies the scheduler hooks that let the arbiter
- * advance lagging cores while a request is pending. A single-core
+ * MultiCoreSystem is the BusScheduler that lets the arbiter advance
+ * lagging cores while a request is pending. A single-core
  * system may attach an arbiter too: with no other requesters every
  * grant degenerates to max(earliest, freeAt), bit-identical to the
  * unattached port (the N=1 equivalence tests pin this down).
@@ -84,27 +119,12 @@ struct BusCoreStats
 class BusArbiter
 {
   public:
-    /**
-     * Scheduler hooks wired by the owning system. std::function
-     * rather than a virtual interface follows the L2WriteHook
-     * precedent: the blessed indirection pattern on hot paths
-     * (DESIGN.md §10).
-     */
-    struct CoreHooks
-    {
-        /** Current local clock of core @p i (between records). */
-        std::function<Cycle(unsigned)> clockOf;
-        /** Advance core @p i by one trace record; false when its
-         *  source is exhausted. */
-        std::function<bool(unsigned)> stepOne;
-    };
-
     BusArbiter(unsigned cores, BusDiscipline discipline);
 
-    /** Wire (or replace) the scheduler hooks. Without hooks the
-     *  arbiter still serialises, but cannot advance lagging cores —
-     *  fine for single-core use and direct unit tests. */
-    void setHooks(CoreHooks hooks);
+    /** Attach (or replace) the co-simulation scheduler. Without one
+     *  the arbiter still serialises, but cannot advance lagging
+     *  cores — fine for single-core use and direct unit tests. */
+    WBSIM_REQUIRES(bus_driver) void setScheduler(BusScheduler *scheduler);
 
     WBSIM_REQUIRES(bus_driver) unsigned cores() const
     {
@@ -129,7 +149,7 @@ class BusArbiter
     /**
      * Request the bus for @p duration cycles, no earlier than
      * @p earliest, on behalf of @p core. Advances lagging cores
-     * through the hooks until the grant is causally safe, then
+     * through the scheduler until the grant is causally safe, then
      * returns the granted start cycle (>= earliest).
      */
     WBSIM_REQUIRES(bus_driver) Cycle
@@ -178,11 +198,10 @@ class BusArbiter
     /** Requester the discipline picks among pending, or -1. */
     WBSIM_REQUIRES(bus_driver) int winner() const;
 
-    /** Step free cores until none lags the prospective grant. */
-    WBSIM_REQUIRES(bus_driver) void advanceOthers();
-
-    /** Commit the winning pending request. */
-    WBSIM_REQUIRES(bus_driver) void grantBest();
+    /** Step free cores until none lags the prospective grant.
+     *  @return the request that grant goes to (winner()), or -1
+     *  once a nested pass has drained the pending set. */
+    WBSIM_REQUIRES(bus_driver) int advanceOthers();
 
     /* The request book below is guarded by `bus_driver`, a *virtual*
      * capability (no mutex exists): exactly one thread — the one
@@ -195,9 +214,9 @@ class BusArbiter
     WBSIM_GUARDED_BY(bus_driver)
     std::vector<Pending> pending_;     //!< slot per core, no realloc
     std::vector<BusCoreStats> stats_;  //!< slot per core
-    WBSIM_GUARDED_BY(bus_driver)
-    std::vector<bool> exhausted_;      //!< cores with no records left
-    CoreHooks hooks_;
+    WBSIM_GUARDED_BY(bus_driver) BusScheduler *scheduler_ = nullptr;
+    /** scheduler_->clocks(), cached at attach. */
+    WBSIM_GUARDED_BY(bus_driver) const Cycle *clocks_ = nullptr;
     BusDiscipline discipline_;
 
     Cycle busy_from_ = 0;

@@ -1,6 +1,7 @@
 #include "sim/multicore.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/logging.hh"
 
@@ -65,17 +66,20 @@ MultiCoreResults::aggregate() const
     return r;
 }
 
-MultiCoreSystem::MultiCoreSystem(const MachineConfig &config)
-    : MultiCoreSystem(replicate(config))
+MultiCoreSystem::MultiCoreSystem(const MachineConfig &config,
+                                 Schedule schedule)
+    : MultiCoreSystem(replicate(config), schedule)
 {
 }
 
 MultiCoreSystem::MultiCoreSystem(
-    const std::vector<MachineConfig> &configs)
-    : bus_(static_cast<unsigned>(
+    const std::vector<MachineConfig> &configs, Schedule schedule)
+    : clocks_(configs.size(), 0),
+      bus_(static_cast<unsigned>(
                std::max<std::size_t>(1, configs.size())),
            configs.empty() ? BusDiscipline::Fcfs
-                           : configs.front().busDiscipline)
+                           : configs.front().busDiscipline),
+      schedule_(schedule)
 {
     wbsim_assert(!configs.empty(),
                  "a multi-core system needs at least one core");
@@ -84,21 +88,11 @@ MultiCoreSystem::MultiCoreSystem(
         CoreState core;
         core.sim = std::make_unique<Simulator>(configs[i]);
         core.sim->attachBus(&bus_, static_cast<unsigned>(i));
+        core.runs.resize(kFeedBatch);
         core.batch.resize(kFeedBatch);
         cores_.push_back(std::move(core));
     }
-    wireHooks();
-}
-
-void
-MultiCoreSystem::wireHooks()
-{
-    BusArbiter::CoreHooks hooks;
-    hooks.clockOf = [this](unsigned i) {
-        return cores_[i].sim->now();
-    };
-    hooks.stepOne = [this](unsigned i) { return stepOne(i); };
-    bus_.setHooks(std::move(hooks));
+    bus_.setScheduler(this);
 }
 
 void
@@ -126,27 +120,66 @@ MultiCoreSystem::beginMeasurement(unsigned i)
 }
 
 bool
-MultiCoreSystem::stepOne(unsigned i)
+MultiCoreSystem::refill(unsigned i)
 {
     CoreState &core = cores_[i];
-    if (core.exhausted || core.source == nullptr)
+    core.have = core.batched
+        ? core.source->nextRuns(core.runs.data(), kFeedBatch)
+        : core.source->nextBatch(core.batch.data(), kFeedBatch);
+    core.pos = 0;
+    if (core.have == 0) {
+        clocks_[i] = kExhausted;
         return false;
-    if (core.pos == core.have) {
-        core.have = core.source->nextBatch(core.batch.data(),
-                                           kFeedBatch);
-        core.pos = 0;
-        if (core.have == 0) {
-            core.exhausted = true;
-            return false;
-        }
     }
-    core.sim->step(core.batch[core.pos++]);
+    return true;
+}
+
+void
+MultiCoreSystem::runPrefix(CoreState &core)
+{
+    Count limit =
+        core.measuring ? std::numeric_limits<Count>::max() : warmup_;
+    core.pos += core.sim->runPrivatePrefix(core.runs.data() + core.pos,
+                                           core.have - core.pos, limit);
+}
+
+void
+MultiCoreSystem::crossBoundary(unsigned i)
+{
     // Each core crosses its warmup boundary at its own pace: under
     // contention the cores' clocks diverge, so a global boundary
     // would mix warmup and measured cycles on the faster cores.
+    CoreState &core = cores_[i];
     if (!core.measuring && core.sim->instructions() >= warmup_)
         beginMeasurement(i);
-    return true;
+}
+
+void
+MultiCoreSystem::advance(unsigned i)
+{
+    CoreState &core = cores_[i];
+    if (core.pos == core.have && !refill(i))
+        return;
+    Simulator &sim = *core.sim;
+    if (!core.batched) {
+        sim.step(core.batch[core.pos++]);
+    } else {
+        // Nothing in a private prefix is visible to another core, so
+        // where a step ends inside one cannot move any bus-visible
+        // record: each still runs at the clock, and in the global
+        // order, the per-record schedule gives it (DESIGN.md §14).
+        // A step that starts at a potentially visible record runs it
+        // first, alone, then the private prefix that follows it.
+        Count before = sim.instructions();
+        runPrefix(core);
+        if (sim.instructions() == before) {
+            sim.step(core.runs[core.pos++].rec);
+            crossBoundary(i);
+            runPrefix(core);
+        }
+    }
+    clocks_[i] = sim.now();
+    crossBoundary(i);
 }
 
 MultiCoreResults
@@ -156,34 +189,40 @@ MultiCoreSystem::run(const std::vector<TraceSource *> &sources,
     wbsim_assert(sources.size() == cores_.size(),
                  "one trace source per core required");
     warmup_ = warmup;
+    // Private-prefix steps reorder L1-hit load events across cores,
+    // so an attached event log keeps every core on the per-record
+    // schedule; so does a config whose every record does work beyond
+    // issue arithmetic (a real I-cache, issue bubbles).
+    bool logged = false;
+    for (const CoreState &core : cores_)
+        logged |= core.sink.eventLog != nullptr
+            || core.sim->eventLog() != nullptr;
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         wbsim_assert(sources[i] != nullptr, "null trace source");
-        cores_[i].source = sources[i];
-        cores_[i].workload = sources[i]->name();
+        CoreState &core = cores_[i];
+        core.source = sources[i];
+        core.workload = sources[i]->name();
+        core.batched = schedule_ == Schedule::Batched && !logged
+            && core.sim->privatePrefixOk();
+        clocks_[i] = core.sim->now();
         if (warmup == 0)
             beginMeasurement(static_cast<unsigned>(i));
     }
 
-    // Min-clock schedule: always feed the core whose local clock is
-    // furthest behind (ties to the lowest id), so no core runs ahead
-    // of bus traffic that could contend with it. The bus arbiter
-    // recursively advances lagging cores inside a step whenever a
-    // grant needs the causality window closed.
+    // Min-clock schedule: always advance the core whose local clock
+    // is furthest behind (ties to the lowest id), so no core runs
+    // ahead of bus traffic that could contend with it. The bus
+    // arbiter recursively advances lagging cores inside a step
+    // whenever a grant needs the causality window closed. Exhausted
+    // cores read kExhausted and are never picked.
     for (;;) {
-        int best = -1;
-        Cycle best_clock = 0;
-        for (unsigned i = 0; i < cores_.size(); ++i) {
-            if (cores_[i].exhausted)
-                continue;
-            Cycle t = cores_[i].sim->now();
-            if (best < 0 || t < best_clock) {
-                best = static_cast<int>(i);
-                best_clock = t;
-            }
-        }
-        if (best < 0)
+        unsigned best = 0;
+        for (unsigned i = 1; i < clocks_.size(); ++i)
+            if (clocks_[i] < clocks_[best])
+                best = i;
+        if (clocks_[best] == kExhausted)
             break;
-        stepOne(static_cast<unsigned>(best));
+        advance(best);
     }
 
     // Drain in core id order; drains serialise through the bus like

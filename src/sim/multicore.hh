@@ -6,9 +6,14 @@
  * The single-core Simulator is untouched as a component: each core
  * keeps its own L1s, store buffer, retirement engine, and stall
  * accounting. What the system adds is the shared resource and the
- * schedule — a min-clock record interleaving across cores, with the
- * arbiter recursively advancing lagging cores whenever a bus request
- * needs a causally safe grant (DESIGN.md §14).
+ * schedule — a min-clock interleaving across cores, with the arbiter
+ * recursively advancing lagging cores whenever a bus request needs a
+ * causally safe grant (DESIGN.md §14). A scheduling step runs the
+ * core's next potentially bus-visible record (store, barrier, load
+ * missing L1) at the instant the core is picked, then the whole
+ * bus-private prefix (NonMem runs, L1-hit loads) up to the next one,
+ * which keeps the bus schedule of the one-record-per-step reference
+ * bit for bit.
  *
  * A 1-core system with the bus attached reproduces the legacy
  * single-core run bit for bit (no competing requester means every
@@ -54,16 +59,34 @@ struct MultiCoreResults
 };
 
 /** N cores, one arbitrated bus; drive with per-core trace sources. */
-class MultiCoreSystem
+class MultiCoreSystem final : private BusScheduler
 {
   public:
+    /** How a scheduling step feeds a core. */
+    enum class Schedule : std::uint8_t
+    {
+        /** A step runs the core's next record if it may reach the
+         *  bus, then the bus-private prefix after it (the production
+         *  path). */
+        Batched,
+        /** A step runs one record: the reference schedule the
+         *  batched one is diffed against (tests, debug shadow). */
+        PerRecord,
+    };
+
     /** Homogeneous system: @p config replicated config.cores times. */
-    explicit MultiCoreSystem(const MachineConfig &config);
+    explicit MultiCoreSystem(const MachineConfig &config,
+                             Schedule schedule = Schedule::Batched);
 
     /** Heterogeneous system: one config per core (the serve path's
      *  mixed-cell scenario). Core count is configs.size(); the bus
      *  discipline comes from configs[0]. */
-    explicit MultiCoreSystem(const std::vector<MachineConfig> &configs);
+    explicit MultiCoreSystem(const std::vector<MachineConfig> &configs,
+                             Schedule schedule = Schedule::Batched);
+
+    /** The arbiter keeps a pointer to this system (its scheduler). */
+    MultiCoreSystem(const MultiCoreSystem &) = delete;
+    MultiCoreSystem &operator=(const MultiCoreSystem &) = delete;
 
     unsigned
     cores() const
@@ -111,28 +134,50 @@ class MultiCoreSystem
     {
         std::unique_ptr<Simulator> sim;
         TraceSource *source = nullptr;
+        /** Feed buffers, sized at construction: run items when the
+         *  core is batched, records when it steps per record. */
+        std::vector<TraceRun> runs;
         std::vector<TraceRecord> batch;
         std::size_t pos = 0;
         std::size_t have = 0;
-        bool exhausted = false;
+        bool batched = false;
         bool measuring = false;
         BusCoreStats busAtReset;
         obs::ObsSink sink;
         std::string workload;
     };
 
-    /** Feed one record into core @p i (the arbiter's stepOne hook);
-     *  false when its source is exhausted. */
-    bool stepOne(unsigned i);
+    /** @name BusScheduler: the arbiter's view of the cores. */
+    /// @{
+    const Cycle *clocks() const override { return clocks_.data(); }
+
+    /** One scheduling step of core @p i: when batched, its next
+     *  record if that may reach the bus, then the bus-private prefix
+     *  after it (up to its warmup boundary); else its next record. */
+    void advance(unsigned i) override;
+    /// @}
+
+    /** Pull the next feed buffer into core @p i; false (and the
+     *  core's clock set to kExhausted) once its source is dry. */
+    bool refill(unsigned i);
+
+    /** Run @p core's buffered private prefix, stopping at its warmup
+     *  boundary while it is still warming up. */
+    void runPrefix(CoreState &core);
+
+    /** Begin core @p i's measurement once it reaches its warmup
+     *  quota. */
+    void crossBoundary(unsigned i);
 
     /** Reset core @p i's statistics and attach its sinks: the
      *  per-core measurement boundary. */
     void beginMeasurement(unsigned i);
 
-    void wireHooks();
-
     std::vector<CoreState> cores_;
+    /** Each core's clock as of its last scheduling step. */
+    std::vector<Cycle> clocks_;
     BusArbiter bus_;
+    Schedule schedule_;
     Count warmup_ = 0;
 };
 

@@ -384,6 +384,43 @@ Simulator::step(const TraceRecord &record)
     }
 }
 
+std::size_t
+Simulator::runPrivatePrefix(TraceRun *items, std::size_t count,
+                            Count limit)
+{
+    wbsim_assert(batch_runs_ok_ && event_log_ == nullptr,
+                 "private-prefix feed needs a perfect I-cache, no "
+                 "bubbles and no event log");
+    for (std::size_t i = 0; i < count; ++i) {
+        TraceRun &item = items[i];
+        if (item.nonMemBefore != 0) {
+            Count room = limit - instructions_;
+            if (item.nonMemBefore > room) {
+                skipNonMemRun(room);
+                item.nonMemBefore -= static_cast<std::uint32_t>(room);
+                return i;
+            }
+            skipNonMemRun(item.nonMemBefore);
+            item.nonMemBefore = 0;
+        }
+        if (instructions_ == limit)
+            return i;
+        const TraceRecord &rec = item.rec;
+        if (rec.op == Op::NonMem) {
+            skipNonMemRun(1); // carrier item
+            continue;
+        }
+        if (rec.op != Op::Load || !l1d_.probe(rec.addr))
+            return i;
+        // doLoad()'s hit path: the issue cycle is the whole cost.
+        ++instructions_;
+        advanceIssueFast();
+        ++loads_;
+        l1d_.load(rec.addr);
+    }
+    return count;
+}
+
 void
 Simulator::doBarrier()
 {

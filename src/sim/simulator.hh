@@ -98,6 +98,26 @@ class Simulator
     void step(const TraceRecord &record);
 
     /**
+     * Run the bus-private prefix of @p items[0, count): NonMem runs
+     * charged in O(1), loads that hit L1 inline. Stops before the
+     * first record that may issue an L2 transaction — a store, a
+     * barrier, or a load the const L1 probe says misses — or once
+     * instructions() reaches @p limit; an item cut by either stop is
+     * shortened in place. Nothing run here is visible to another
+     * core, so a MultiCoreSystem runs the whole prefix in one
+     * scheduling step (DESIGN.md §14). Requires privatePrefixOk()
+     * and no attached event log.
+     * @return items fully consumed.
+     */
+    WBSIM_HOT std::size_t runPrivatePrefix(TraceRun *items,
+                                           std::size_t count,
+                                           Count limit);
+
+    /** True when this config admits runPrivatePrefix(): per-record
+     *  work outside the op handlers is pure issue arithmetic. */
+    bool privatePrefixOk() const { return batch_runs_ok_; }
+
+    /**
      * Capture all mutable state (see SimSnapshot). Typically taken
      * right after warmup + resetStats(), so restored runs begin at
      * the measurement boundary.
@@ -132,6 +152,9 @@ class Simulator
      * the caller owns the log.
      */
     void attachEventLog(EventLog *log) { event_log_ = log; }
+
+    /** The attached event log (nullptr when detached). */
+    EventLog *eventLog() const { return event_log_; }
 
     /**
      * Route all of this core's L2 traffic through @p bus as

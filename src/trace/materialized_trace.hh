@@ -102,28 +102,6 @@ class MaterializedTrace
 };
 
 /**
- * One decoded run item: a run of plain non-memory instructions
- * followed by one explicit record. This is the stream's native shape
- * — the encoder folds NonMem runs into a prefix byte on the next
- * record — surfaced directly so batch consumers can charge the run
- * in O(1) instead of scanning materialized filler records.
- *
- * The run covers @ref nonMemBefore plain NonMem records (size 0, no
- * address, pc ascending by 4 up to `rec.pc - 4`); their individual
- * pc values are not materialized, so run consumers must not need
- * per-instruction fetch addresses (the simulator's run-feed path is
- * gated on a perfect I-cache for exactly this reason). A trailing
- * NonMem run with no following record decodes as items whose `rec`
- * is itself a plain NonMem record (the encoder's carrier form).
- */
-struct TraceRun
-{
-    /** Plain NonMem records preceding (and not including) rec. */
-    std::uint32_t nonMemBefore = 0;
-    TraceRecord rec;
-};
-
-/**
  * A read cursor over a MaterializedTrace. Non-virtual decode loop in
  * nextBatch(); the trace itself is shared and never mutated, so any
  * number of cursors (one per grid cell, across threads) may replay
@@ -148,7 +126,7 @@ class MaterializedCursor final : public TraceSource
      * calls may be interleaved freely on one cursor.
      * @return items produced; 0 at end of trace.
      */
-    std::size_t nextRuns(TraceRun *out, std::size_t max);
+    std::size_t nextRuns(TraceRun *out, std::size_t max) override;
 
     /** Jump so the next record returned is record @p index. */
     void seek(Count index);

@@ -1,0 +1,45 @@
+#include "trace/source.hh"
+
+#include <algorithm>
+
+namespace wbsim
+{
+
+namespace
+{
+
+/// Records pulled per nextBatch() call while folding run items.
+constexpr std::size_t kFoldChunk = 256;
+
+} // namespace
+
+std::size_t
+TraceSource::nextRuns(TraceRun *out, std::size_t max)
+{
+    TraceRecord chunk[kFoldChunk];
+    std::size_t produced = 0;
+    // Every record yields at most one item, so pulling no more
+    // records than there are free slots never overflows @p out.
+    while (produced < max) {
+        std::size_t want = std::min(kFoldChunk, max - produced);
+        std::size_t got = nextBatch(chunk, want);
+        std::uint32_t run = 0;
+        for (std::size_t i = 0; i < got; ++i) {
+            if (chunk[i].op == Op::NonMem) {
+                ++run;
+                continue;
+            }
+            out[produced++] = TraceRun{run, chunk[i]};
+            run = 0;
+        }
+        // A run the chunk cut off travels in carrier form: its last
+        // record is the item's own (NonMem) record.
+        if (run > 0)
+            out[produced++] = TraceRun{run - 1, chunk[got - 1]};
+        if (got < want)
+            break;
+    }
+    return produced;
+}
+
+} // namespace wbsim

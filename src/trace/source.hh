@@ -5,6 +5,8 @@
  * Simulator runs pull TraceRecords one at a time; a source is either
  * a synthetic workload generator, an in-memory trace, or a trace
  * file reader. Sources are single-pass but restartable via reset().
+ * Batch consumers pull flat record batches (nextBatch) or run items
+ * (nextRuns), which fold runs of plain NonMem records into a count.
  */
 
 #ifndef WBSIM_TRACE_SOURCE_HH
@@ -17,6 +19,28 @@
 
 namespace wbsim
 {
+
+/**
+ * One run item: a run of plain non-memory instructions followed by
+ * one explicit record. This is a materialized trace's native shape
+ * (its encoder folds NonMem runs into a prefix byte on the next
+ * record); TraceSource::nextRuns surfaces it for every source so
+ * batch consumers can charge a run in O(1) instead of scanning
+ * filler records.
+ *
+ * The run covers @ref nonMemBefore NonMem records whose individual
+ * pc values are not carried, so run consumers must not need
+ * per-instruction fetch addresses (the simulator's run feeds are
+ * gated on a perfect I-cache for exactly this reason). A NonMem run
+ * with no following record in reach decodes as an item whose `rec`
+ * is itself a NonMem record (the carrier form).
+ */
+struct TraceRun
+{
+    /** NonMem records preceding (and not including) rec. */
+    std::uint32_t nonMemBefore = 0;
+    TraceRecord rec;
+};
 
 /** A restartable stream of retired-instruction records. */
 class TraceSource
@@ -46,6 +70,16 @@ class TraceSource
             ++n;
         return n;
     }
+
+    /**
+     * Fetch up to @p max run items (see TraceRun) covering the next
+     * records of the stream. The default folds nextBatch() records:
+     * each NonMem run joins the next explicit record, and a run cut
+     * by a fold chunk travels in carrier form. Sources with a native
+     * run encoding (materialized traces) override this.
+     * @return items produced; 0 only at end of stream.
+     */
+    virtual std::size_t nextRuns(TraceRun *out, std::size_t max);
 
     /** Rewind to the beginning of the stream. */
     virtual void reset() = 0;

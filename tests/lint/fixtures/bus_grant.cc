@@ -46,7 +46,7 @@ struct Arbiter
     }
 
     /** Hook dispatch through std::function — the blessed hot-path
-     *  indirection (the L2WriteHook / CoreHooks pattern): clean. */
+     *  indirection (the L2WriteHook pattern): clean. */
     HOT bool
     advanceCore(unsigned core)
     {

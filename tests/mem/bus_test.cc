@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit tests for the BusArbiter: discipline name round-trips, solo
- * degeneracy, FCFS vs fixed-priority ordering under the scripted
- * scheduler hooks, exhausted-core handling, and the per-core
- * accounting.
+ * degeneracy, FCFS vs fixed-priority ordering under a scripted
+ * BusScheduler, multi-record scheduling steps, exhausted-core
+ * handling, and the per-core accounting.
  */
 
 #include <gtest/gtest.h>
@@ -49,7 +49,7 @@ TEST(BusDisciplineDeathTest, ParseDiesOnUnknownName)
 
 TEST(BusArbiter, SoloGrantDegeneratesToMaxOfEarliestAndFreeAt)
 {
-    // One core, no hooks: every grant is max(earliest, freeAt),
+    // One core, no scheduler: every grant is max(earliest, freeAt),
     // exactly the unattached L2Port busy-interval rule.
     BusArbiter bus(1, BusDiscipline::Fcfs);
     EXPECT_EQ(bus.acquire(0, L2Txn::Read, 10, 5), 10u);
@@ -91,13 +91,13 @@ TEST(BusArbiter, BusyIntervalViewTracksTheCurrentTransaction)
  * Scripted two-core rig: core 0 sits at a scripted clock and, when
  * the arbiter steps it, presents one scripted request of its own
  * before leaping past the causality horizon. This reproduces the
- * co-simulation re-entrancy (acquire inside stepOne) without a full
- * MultiCoreSystem.
+ * co-simulation re-entrancy (acquire inside a scheduling step)
+ * without a full MultiCoreSystem.
  */
-struct ScriptedRival
+struct ScriptedRival final : BusScheduler
 {
     BusArbiter bus;
-    std::vector<Cycle> clocks{0, 0};
+    Cycle clock[2] = {0, 0};
     L2Txn rivalKind = L2Txn::Read;
     Cycle rivalEarliest = 0;
     Cycle rivalDuration = 0;
@@ -107,22 +107,26 @@ struct ScriptedRival
     explicit ScriptedRival(BusDiscipline discipline)
         : bus(2, discipline)
     {
-        BusArbiter::CoreHooks hooks;
-        hooks.clockOf = [this](unsigned core) {
-            return clocks[core];
-        };
-        hooks.stepOne = [this](unsigned core) {
-            EXPECT_EQ(core, 0u); // only core 0 is ever stepped here
-            if (rivalRequested)
-                return false;
-            rivalRequested = true;
-            clocks[0] = rivalEarliest;
-            rivalStart = bus.acquire(0, rivalKind, rivalEarliest,
-                                     rivalDuration);
-            clocks[0] = 1'000'000; // past any horizon
-            return true;
-        };
-        bus.setHooks(hooks);
+        bus.setScheduler(this);
+    }
+    ScriptedRival(const ScriptedRival &) = delete;
+    ScriptedRival &operator=(const ScriptedRival &) = delete;
+
+    const Cycle *clocks() const override { return clock; }
+
+    void
+    advance(unsigned core) override
+    {
+        EXPECT_EQ(core, 0u); // only core 0 is ever stepped here
+        if (rivalRequested) {
+            clock[0] = kExhausted;
+            return;
+        }
+        rivalRequested = true;
+        clock[0] = rivalEarliest;
+        rivalStart = bus.acquire(0, rivalKind, rivalEarliest,
+                                 rivalDuration);
+        clock[0] = 1'000'000; // past any horizon
     }
 };
 
@@ -187,21 +191,149 @@ TEST(BusArbiter, FcfsBreaksEqualRequestTimesByArrivalOrder)
 
 TEST(BusArbiter, ExhaustedCoresStopBeingStepped)
 {
-    // stepOne returning false marks the core exhausted; the arbiter
-    // must grant without it and never ask again.
+    // A step that finds its source dry publishes kExhausted; the
+    // arbiter must grant without the core and never ask again.
+    struct DrySources final : BusScheduler
+    {
+        Cycle clock[2] = {0, 0};
+        unsigned steps = 0;
+        const Cycle *clocks() const override { return clock; }
+        void
+        advance(unsigned core) override
+        {
+            ++steps;
+            clock[core] = kExhausted;
+        }
+    } dry;
     BusArbiter bus(2, BusDiscipline::Fcfs);
-    unsigned steps = 0;
-    BusArbiter::CoreHooks hooks;
-    hooks.clockOf = [](unsigned) -> Cycle { return 0; };
-    hooks.stepOne = [&steps](unsigned) {
-        ++steps;
-        return false;
-    };
-    bus.setHooks(hooks);
+    bus.setScheduler(&dry);
     EXPECT_EQ(bus.acquire(1, L2Txn::Read, 10, 5), 10u);
-    EXPECT_EQ(steps, 1u);
+    EXPECT_EQ(dry.steps, 1u);
     EXPECT_EQ(bus.acquire(1, L2Txn::Read, 20, 5), 20u);
-    EXPECT_EQ(steps, 1u); // not asked again
+    EXPECT_EQ(dry.steps, 1u); // not asked again
+}
+
+/**
+ * Scripted N-core rig with multi-record steps. Each core replays a
+ * script of records: a private record only moves the core's clock,
+ * a bus record requests the bus at the core's pre-record clock and
+ * holds the core until its transaction ends. Batched, a step that
+ * starts at a bus record runs it first, and every step runs the
+ * private records that follow, stopping before the next bus record;
+ * per-record, a step runs one record — MultiCoreSystem's two
+ * schedules in miniature.
+ */
+struct ScriptedCores final : BusScheduler
+{
+    struct Record
+    {
+        Cycle until = 0;       //!< private: clock after the record
+        bool bus = false;
+        L2Txn kind = L2Txn::Read;
+        Cycle duration = 0;    //!< bus: transaction length
+    };
+
+    BusArbiter bus;
+    std::vector<std::vector<Record>> scripts;
+    std::vector<std::size_t> next;
+    std::vector<Cycle> clock;
+    std::vector<std::vector<Cycle>> starts; //!< grants per core
+    bool batched;
+    unsigned steps = 0;
+
+    ScriptedCores(unsigned cores, BusDiscipline discipline,
+                  bool batchedSteps)
+        : bus(cores, discipline), scripts(cores), next(cores, 0),
+          clock(cores, 0), starts(cores), batched(batchedSteps)
+    {
+        bus.setScheduler(this);
+    }
+    ScriptedCores(const ScriptedCores &) = delete;
+    ScriptedCores &operator=(const ScriptedCores &) = delete;
+
+    static Record privateTo(Cycle until) { return {until}; }
+    static Record
+    request(L2Txn kind, Cycle duration)
+    {
+        return {0, true, kind, duration};
+    }
+
+    const Cycle *clocks() const override { return clock.data(); }
+
+    void
+    advance(unsigned core) override
+    {
+        ++steps;
+        const std::vector<Record> &script = scripts[core];
+        std::size_t &k = next[core];
+        if (k == script.size()) {
+            clock[core] = kExhausted;
+            return;
+        }
+        if (script[k].bus) {
+            const Record &r = script[k++];
+            Cycle start = bus.acquire(core, r.kind, clock[core],
+                                      r.duration);
+            starts[core].push_back(start);
+            clock[core] = start + r.duration;
+            if (!batched)
+                return;
+        }
+        while (k < script.size() && !script[k].bus) {
+            clock[core] = script[k++].until;
+            if (!batched)
+                return;
+        }
+    }
+};
+
+/** Core 2 holds the bus to 25, then asks at 30; cores 0 and 1 each
+ *  run private records up to cycle 20 and then request the bus at
+ *  20 — the same instant, so FCFS falls back to arrival order. */
+void
+runTieScript(ScriptedCores &rig)
+{
+    using R = ScriptedCores;
+    rig.scripts[0] = {R::privateTo(6), R::privateTo(14),
+                      R::privateTo(20), R::request(L2Txn::Read, 4),
+                      R::privateTo(100)};
+    rig.scripts[1] = {R::privateTo(9), R::privateTo(20),
+                      R::request(L2Txn::WriteRetire, 3),
+                      R::privateTo(200)};
+    rig.clock[2] = R::kExhausted; // core 2 is driven from the test
+    rig.starts[2].push_back(rig.bus.acquire(2, L2Txn::Read, 0, 25));
+    rig.starts[2].push_back(rig.bus.acquire(2, L2Txn::Read, 30, 5));
+}
+
+TEST(BusArbiter, MultiRecordStepsKeepThePerRecordGrantOrder)
+{
+    ScriptedCores batched(3, BusDiscipline::Fcfs, true);
+    ScriptedCores single(3, BusDiscipline::Fcfs, false);
+    runTieScript(batched);
+    runTieScript(single);
+
+    // Core 2's request at 30 opens a window to 30: both rivals reach
+    // their bus records at 20, core 0 first (lowest id on the clock
+    // tie). Its nested window (to the bus-free instant 25) steps
+    // core 1 into a second request at 20; equal request times go by
+    // arrival seq, so core 0 gets [25, 29), core 1 [29, 32), and
+    // core 2 queues to 32 once core 0's tail has run past it.
+    for (const ScriptedCores *rig : {&batched, &single}) {
+        EXPECT_EQ(rig->starts[0], std::vector<Cycle>({25}));
+        EXPECT_EQ(rig->starts[1], std::vector<Cycle>({29}));
+        EXPECT_EQ(rig->starts[2], std::vector<Cycle>({0, 32}));
+        EXPECT_EQ(rig->clock[0], 100u);
+    }
+    // Per record, core 1's private tail never had to run; batched, it
+    // rode along with the request's step. Neither moves a grant.
+    EXPECT_EQ(single.clock[1], 32u);
+    EXPECT_EQ(batched.clock[1], 200u);
+    for (unsigned core = 0; core < 3; ++core)
+        EXPECT_EQ(batched.bus.coreStats(core),
+                  single.bus.coreStats(core));
+    EXPECT_EQ(batched.bus.coreStats(1).waitCycles, 9u);
+    // The batched rig covered the private records in fewer steps.
+    EXPECT_LT(batched.steps, single.steps);
 }
 
 TEST(BusArbiter, TimelineReceivesBusOccupancy)

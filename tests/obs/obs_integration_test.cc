@@ -3,17 +3,23 @@
  * Cross-checks between the observability subsystem and the
  * simulator's own accounting: timeline totals must equal the stall
  * counters in SimResults, metric histograms must conserve stall
- * cycles, and attaching a sink must not perturb the simulation.
+ * cycles, attaching a sink must not perturb the simulation, and a
+ * multi-core run exports the same bytes on either schedule.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "harness/experiment.hh"
 #include "harness/figures.hh"
+#include "obs/export.hh"
 #include "obs/hooks.hh"
 #include "obs/metrics.hh"
 #include "obs/timeline.hh"
+#include "obs/trace_event.hh"
 #include "sim/event_log.hh"
+#include "sim/multicore.hh"
 #include "sim/simulator.hh"
 #include "trace/materialized_trace.hh"
 #include "workloads/generator.hh"
@@ -225,6 +231,82 @@ TEST(ObsIntegration, RestoreReattachesMetrics)
     EXPECT_EQ(metrics.histogramValue(
                   static_cast<std::size_t>(at_store)).samples(),
               r.stores);
+}
+
+/** Every export of one observed 2-core run, as bytes. */
+struct MultiCoreExports
+{
+    std::string resultsJson;
+    std::string resultsCsv;
+    std::string metricsJson;
+    std::string metricsCsv;
+    std::string chromeTrace;
+};
+
+MultiCoreExports
+observedMultiCoreRun(MultiCoreSystem::Schedule schedule, bool withLog)
+{
+    MachineConfig machine = figures::baselineMachine();
+    machine.cores = 2;
+    machine.writeBuffer.depth = 6;
+    machine.validate();
+    BenchmarkProfile profile = spec92::profile("espresso");
+
+    obs::MetricsRegistry metrics;
+    obs::Timeline timeline;
+    EventLog log{1 << 14};
+    obs::ObsSink sink{&metrics, &timeline, withLog ? &log : nullptr};
+    MultiCoreSystem system(machine, schedule);
+    for (unsigned i = 0; i < system.cores(); ++i)
+        system.attachObs(i, sink);
+    system.attachBusTimeline(&timeline);
+    SyntheticSource first(profile, kInstructions + kWarmup, 1);
+    SyntheticSource second(profile, kInstructions + kWarmup, 2);
+    MultiCoreResults results =
+        system.run({&first, &second}, kWarmup);
+
+    obs::Provenance provenance;
+    provenance.machineFingerprint = machine.stateFingerprint();
+    provenance.machine = machine.describe();
+    provenance.seed = 1;
+    provenance.instructions = kInstructions;
+    provenance.warmup = kWarmup;
+    MultiCoreExports out;
+    std::ostringstream json, csv, metricsJson, metricsCsv, trace;
+    obs::writeSimResultsJson(json, results.aggregate(), provenance);
+    obs::writeSimResultsCsv(csv, results.perCore);
+    obs::writeMetricsJson(metricsJson, metrics, provenance);
+    obs::writeMetricsCsv(metricsCsv, metrics);
+    obs::writeTraceEventJson(trace, withLog ? &log : nullptr,
+                             &timeline, provenance);
+    out.resultsJson = json.str();
+    out.resultsCsv = csv.str();
+    out.metricsJson = metricsJson.str();
+    out.metricsCsv = metricsCsv.str();
+    out.chromeTrace = trace.str();
+    return out;
+}
+
+TEST(ObsIntegration, MultiCoreExportsMatchAcrossSchedules)
+{
+    // A full sink (event log included) keeps the batched system on
+    // the per-record schedule; without the log it batches for real.
+    // Either way every artifact must match the per-record reference
+    // byte for byte.
+    for (bool withLog : {true, false}) {
+        SCOPED_TRACE(withLog ? "full sink" : "timeline + metrics");
+        MultiCoreExports batched = observedMultiCoreRun(
+            MultiCoreSystem::Schedule::Batched, withLog);
+        MultiCoreExports reference = observedMultiCoreRun(
+            MultiCoreSystem::Schedule::PerRecord, withLog);
+        EXPECT_EQ(batched.resultsJson, reference.resultsJson);
+        EXPECT_EQ(batched.resultsCsv, reference.resultsCsv);
+        EXPECT_EQ(batched.metricsJson, reference.metricsJson);
+        EXPECT_EQ(batched.metricsCsv, reference.metricsCsv);
+        EXPECT_EQ(batched.chromeTrace, reference.chromeTrace);
+        EXPECT_NE(batched.chromeTrace.find("bus occupancy"),
+                  std::string::npos);
+    }
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for MemoryTrace and the source adapters.
+ * Unit tests for MemoryTrace, the source adapters, and the default
+ * run-item fold every TraceSource inherits.
  */
 
 #include <gtest/gtest.h>
@@ -127,6 +128,77 @@ TEST(ConcatSource, EmptyPartsSkipped)
     TraceRecord rec;
     EXPECT_TRUE(concat.next(rec));
     EXPECT_FALSE(concat.next(rec));
+}
+
+/** Expand run items into (op, addr) pairs; NonMem pcs are not
+ *  carried by a run, so only the op sequence is compared for them. */
+std::vector<TraceRecord>
+expandOps(TraceSource &source, std::size_t batch_items)
+{
+    std::vector<TraceRecord> out;
+    std::vector<TraceRun> items(batch_items);
+    for (;;) {
+        std::size_t got = source.nextRuns(items.data(), batch_items);
+        if (got == 0)
+            break;
+        for (std::size_t i = 0; i < got; ++i) {
+            for (std::uint32_t k = 0; k < items[i].nonMemBefore; ++k)
+                out.push_back(TraceRecord::nonMem());
+            out.push_back(items[i].rec);
+        }
+    }
+    return out;
+}
+
+TEST(TraceSource, DefaultNextRunsFoldsNonMemRunsIntoItems)
+{
+    std::vector<TraceRecord> records = {
+        TraceRecord::nonMem(4),   TraceRecord::nonMem(8),
+        TraceRecord::load(0x40),  TraceRecord::store(0x80),
+        TraceRecord::nonMem(20),  TraceRecord::barrier(24),
+        TraceRecord::nonMem(28),  TraceRecord::nonMem(32),
+        TraceRecord::nonMem(36)};
+    MemoryTrace trace(records);
+    TraceRun items[16];
+    ASSERT_EQ(trace.nextRuns(items, 16), 4u);
+    EXPECT_EQ(items[0].nonMemBefore, 2u);
+    EXPECT_EQ(items[0].rec, records[2]);
+    EXPECT_EQ(items[1].nonMemBefore, 0u);
+    EXPECT_EQ(items[1].rec, records[3]);
+    EXPECT_EQ(items[2].nonMemBefore, 1u);
+    EXPECT_EQ(items[2].rec, records[5]);
+    // The trailing run has no record to join: carrier form.
+    EXPECT_EQ(items[3].nonMemBefore, 2u);
+    EXPECT_EQ(items[3].rec, records[8]);
+    EXPECT_EQ(trace.nextRuns(items, 16), 0u);
+}
+
+TEST(TraceSource, DefaultNextRunsCoversTheRecordStream)
+{
+    // Mixed runs of every length, cut at awkward item-batch sizes:
+    // the items must cover the stream record for record.
+    std::vector<TraceRecord> records;
+    for (std::size_t i = 0; i < 2'000; ++i) {
+        std::size_t phase = (i * 7) % 13;
+        if (phase == 0)
+            records.push_back(TraceRecord::store(i * 8));
+        else if (phase == 5)
+            records.push_back(TraceRecord::load(i * 8));
+        else
+            records.push_back(TraceRecord::nonMem(i * 4));
+    }
+    for (std::size_t batch : {1u, 2u, 3u, 17u, 300u}) {
+        MemoryTrace trace(records);
+        std::vector<TraceRecord> expanded = expandOps(trace, batch);
+        ASSERT_EQ(expanded.size(), records.size()) << batch;
+        for (std::size_t i = 0; i < records.size(); ++i) {
+            ASSERT_EQ(expanded[i].op, records[i].op)
+                << "batch " << batch << " record " << i;
+            if (records[i].op != Op::NonMem) {
+                ASSERT_EQ(expanded[i], records[i]);
+            }
+        }
+    }
 }
 
 } // namespace
