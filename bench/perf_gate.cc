@@ -319,6 +319,42 @@ simulatorSimd(Count instructions, int reps)
 }
 
 /**
+ * The sim_simd setup on abl09's real-I-cache machine (8 KB
+ * direct-mapped I-cache): run items whose NonMem runs are charged
+ * one fetch per I-cache line. The trace build is untimed; best of
+ * @p reps replays.
+ */
+GateResult
+simulatorICache(Count instructions, int reps)
+{
+    auto profile = spec92::profile("compress");
+    SyntheticSource source(profile, instructions, 1);
+    MaterializedTrace trace = MaterializedTrace::build(source);
+    MachineConfig machine = figures::baselineMachine();
+    machine.perfectICache = false;
+    GateResult r;
+    r.name = "sim_icache";
+    r.iterations = instructions;
+    for (int rep = 0; rep < reps; ++rep) {
+        double start = now();
+        MaterializedCursor cursor(trace);
+        Simulator simulator(machine);
+        SimResults results = simulator.run(cursor);
+        double elapsed = now() - start;
+        if (elapsed <= 0.0)
+            continue;
+        double rate = static_cast<double>(instructions) / elapsed;
+        if (rate > r.opsPerSec) {
+            r.opsPerSec = rate;
+            r.seconds = elapsed;
+            r.cyclesPerSec =
+                static_cast<double>(results.cycles) / elapsed;
+        }
+    }
+    return r;
+}
+
+/**
  * Multi-core throughput, like for like with sim_simd: a two-core
  * FCFS system replaying pre-built per-core materialized traces (the
  * run-item feed every cached fig_mc_bus cell takes). The trace
@@ -838,6 +874,7 @@ main()
                   << "= " << multi.opsPerSec / simd.opsPerSec
                   << "x sim_simd\n";
     }
+    results.push_back(simulatorICache(sim_instructions, smoke ? 2 : 5));
     results.push_back(fig03Replay(fig_instructions));
     results.push_back(traceReplay(min_seconds));
     results.push_back(traceReplayRuns(min_seconds));

@@ -117,13 +117,18 @@ int
 EntryStore::findMergeTargetSlow(Addr base, int exclude) const
 {
     int naive = naiveMergeTarget(base, exclude);
-    if (cross_check_)
+    bool resident = lineResident(base);
+    if (cross_check_) {
+        wbsim_assert(resident || naive < 0,
+                     "line filter hid a merge target");
         wbsim_assert(
             simd::newestMatch(lanes(), base, exclude, level_) == naive,
             "merge-target kernel diverged from the scan");
-    return naive_scan_
-        ? naive
-        : simd::newestMatch(lanes(), base, exclude, level_);
+    }
+    if (naive_scan_)
+        return naive;
+    return resident ? simd::newestMatch(lanes(), base, exclude, level_)
+                    : -1;
 }
 
 int

@@ -233,13 +233,18 @@ class EntryStore
      * entry mid-retirement, or -1). Serves both the write buffer's
      * merge-target lookup and the write cache's block lookup (blocks
      * are unique there under coalescing, so "newest" is "the one").
-     * A single newestMatch sweep over the base/seq lanes.
+     * A single newestMatch sweep over the base/seq lanes, skipped
+     * when the line filter proves no entry starts in @p base's line
+     * (exact-negative, as for probeLoad: a valid entry at @p base
+     * covers that line, so its bucket is non-zero).
      */
     WBSIM_HOT int
     findMergeTarget(Addr base, int exclude) const
     {
         if (naive_scan_ || cross_check_)
             return findMergeTargetSlow(base, exclude);
+        if (!lineResident(base))
+            return -1;
         return simd::newestMatch(lanes(), base, exclude, level_);
     }
 

@@ -364,6 +364,49 @@ runMultiCore(const BenchmarkProfile &profile,
 }
 
 SimResults
+runReference(const BenchmarkProfile &profile, const MachineConfig &machine,
+             Count instructions, std::uint64_t seed, Count warmup)
+{
+    SyntheticSource source(profile, instructions + warmup, seed);
+    Simulator simulator(machine);
+    TraceRecord record;
+    for (Count i = 0; i < warmup && source.next(record); ++i)
+        simulator.step(record);
+    if (warmup > 0)
+        simulator.resetStats();
+    while (source.next(record))
+        simulator.step(record);
+    simulator.drain();
+    return simulator.results(source.name());
+}
+
+namespace
+{
+
+/** Debug builds: panic unless @p result equals the per-record
+ *  reference of its cell. */
+void
+shadowCheck(const SimResults &result, const BenchmarkProfile &profile,
+            const MachineConfig &machine, Count instructions,
+            std::uint64_t seed, Count warmup)
+{
+    if constexpr (kDebugBuild) {
+        // Neither run items (budgeted at the warmup and run limits),
+        // nor trace replay, nor checkpoint resume may change a
+        // single bit of any result.
+        SimResults reference =
+            runReference(profile, machine, instructions, seed, warmup);
+        wbsim_assert(result == reference,
+                     "grid cell diverged from the per-record "
+                     "reference run (workload ",
+                     profile.name, ", machine ", machine.describe(),
+                     ")");
+    }
+}
+
+} // namespace
+
+SimResults
 runOne(const BenchmarkProfile &profile, const MachineConfig &machine,
        Count instructions, std::uint64_t seed, Count warmup,
        const obs::ObsSink &obs)
@@ -386,7 +429,9 @@ runOne(const BenchmarkProfile &profile, const MachineConfig &machine,
     }
     if (obs.attached())
         simulator.attachObs(obs);
-    return simulator.run(source);
+    SimResults result = simulator.run(source);
+    shadowCheck(result, profile, machine, instructions, seed, warmup);
+    return result;
 }
 
 SimResults
@@ -419,20 +464,8 @@ runOne(const BenchmarkProfile &profile, const MachineConfig &machine,
     if (options.obs.attached())
         simulator.attachObs(options.obs);
     SimResults result = simulator.run(cursor);
-
-    if constexpr (kDebugBuild) {
-        // Debug builds shadow every cached cell with the uncached
-        // reference path: materialization and checkpoint-resume must
-        // never change a single bit of any result.
-        SimResults reference = runOne(profile, machine,
-                                      options.instructions, seed,
-                                      options.warmup);
-        wbsim_assert(result == reference,
-                     "cached grid cell diverged from the uncached "
-                     "reference run (workload ",
-                     profile.name, ", machine ", machine.describe(),
-                     ")");
-    }
+    shadowCheck(result, profile, machine, options.instructions, seed,
+                options.warmup);
     return result;
 }
 

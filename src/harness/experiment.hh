@@ -77,7 +77,7 @@ struct RunnerOptions
     static RunnerOptions fromEnvironment();
 };
 
-/** Run one benchmark on one machine (uncached reference path: the
+/** Run one benchmark on one machine (uncached path: the
  *  trace is generated in place and warmup is always simulated).
  *  @p obs sinks, if any, attach after warmup. */
 WBSIM_DETERMINISTIC SimResults
@@ -86,11 +86,21 @@ runOne(const BenchmarkProfile &profile, const MachineConfig &machine,
        const obs::ObsSink &obs = {});
 
 /**
+ * The per-record reference for one single-core cell: a freshly
+ * generated trace fed through one Simulator::step() per record,
+ * warmup included, with no trace cache, checkpoint or run item
+ * involved. Debug builds diff every runOne cell against it.
+ */
+WBSIM_DETERMINISTIC SimResults
+runReference(const BenchmarkProfile &profile, const MachineConfig &machine,
+             Count instructions, std::uint64_t seed, Count warmup);
+
+/**
  * Run one benchmark on one machine through the process-wide grid
  * caches, honouring @p options.materialize / @p options.checkpoints.
- * Bit-identical to the uncached runOne (debug builds verify this on
- * every cached call). @p seed overrides options.seed so replicated
- * runs can share the cache.
+ * Bit-identical to the uncached runOne and to runReference (debug
+ * builds verify the latter on every call). @p seed overrides
+ * options.seed so replicated runs can share the cache.
  */
 WBSIM_DETERMINISTIC SimResults
 runOne(const BenchmarkProfile &profile, const MachineConfig &machine,

@@ -46,31 +46,6 @@ Cache::blockAlign(Addr addr) const
     return alignDown(addr, geometry_.lineBytes);
 }
 
-std::size_t
-Cache::setIndex(Addr addr) const
-{
-    return static_cast<std::size_t>((addr >> setShift_) & setMask_);
-}
-
-Cache::Line *
-Cache::findLine(Addr addr)
-{
-    Addr tag = blockAlign(addr);
-    std::size_t base = setIndex(addr) * geometry_.associativity;
-    for (std::size_t w = 0; w < geometry_.associativity; ++w) {
-        Line &line = lines_[base + w];
-        if (line.valid && line.tag == tag)
-            return &line;
-    }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::findLine(Addr addr) const
-{
-    return const_cast<Cache *>(this)->findLine(addr);
-}
-
 Cache::Line *
 Cache::victimLine(Addr addr)
 {
@@ -84,24 +59,6 @@ Cache::victimLine(Addr addr)
             victim = &line;
     }
     return victim;
-}
-
-bool
-Cache::access(Addr addr)
-{
-    if (Line *line = findLine(addr)) {
-        line->lastUse = ++useClock_;
-        ++hits_;
-        return true;
-    }
-    ++misses_;
-    return false;
-}
-
-bool
-Cache::probe(Addr addr) const
-{
-    return findLine(addr) != nullptr;
 }
 
 std::optional<Eviction>

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "util/bits.hh"
+#include "util/lint.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
 
@@ -64,10 +66,41 @@ class Cache
      * Look up @p addr; promotes the line to MRU on hit.
      * @return true on hit.
      */
-    bool access(Addr addr);
+    bool
+    access(Addr addr)
+    {
+        if (Line *line = findLine(addr)) {
+            line->lastUse = ++useClock_;
+            ++hits_;
+            return true;
+        }
+        ++misses_;
+        return false;
+    }
+
+    /**
+     * Exactly @p n access(addr) calls in O(1): the tags, the LRU
+     * clock and the hit/miss counters end as n back-to-back lookups
+     * would leave them (n hits stamping the line n times, or n
+     * misses allocating nothing).
+     * @return true on hit.
+     */
+    WBSIM_HOT bool
+    touchRepeat(Addr addr, Count n)
+    {
+        if (Line *line = findLine(addr)) {
+            useClock_ += n;
+            if (n != 0)
+                line->lastUse = useClock_;
+            hits_ += n;
+            return true;
+        }
+        misses_ += n;
+        return false;
+    }
 
     /** Look up without disturbing replacement state. */
-    bool probe(Addr addr) const;
+    bool probe(Addr addr) const { return findLine(addr) != nullptr; }
 
     /**
      * Insert the line containing @p addr (must not be present),
@@ -119,10 +152,32 @@ class Cache
     stats::Counter hits_;
     stats::Counter misses_;
 
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
+    Line *
+    findLine(Addr addr)
+    {
+        Addr tag = alignDown(addr, geometry_.lineBytes);
+        std::size_t base = setIndex(addr) * geometry_.associativity;
+        for (std::size_t w = 0; w < geometry_.associativity; ++w) {
+            Line &line = lines_[base + w];
+            if (line.valid && line.tag == tag)
+                return &line;
+        }
+        return nullptr;
+    }
+
+    const Line *
+    findLine(Addr addr) const
+    {
+        return const_cast<Cache *>(this)->findLine(addr);
+    }
+
     Line *victimLine(Addr addr);
-    std::size_t setIndex(Addr addr) const;
+
+    std::size_t
+    setIndex(Addr addr) const
+    {
+        return static_cast<std::size_t>((addr >> setShift_) & setMask_);
+    }
 };
 
 } // namespace wbsim

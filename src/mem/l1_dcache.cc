@@ -8,31 +8,6 @@ L1DataCache::L1DataCache(const CacheGeometry &geometry)
 {
 }
 
-bool
-L1DataCache::load(Addr addr)
-{
-    if (tags_.access(addr)) {
-        ++load_hits_;
-        return true;
-    }
-    ++load_misses_;
-    return false;
-}
-
-bool
-L1DataCache::store(Addr addr)
-{
-    // Write-through: the line, if present, is updated (an LRU touch
-    // in this tag-only model). Write-around: a miss allocates
-    // nothing.
-    if (tags_.access(addr)) {
-        ++store_hits_;
-        return true;
-    }
-    ++store_misses_;
-    return false;
-}
-
 std::optional<Eviction>
 L1DataCache::fill(Addr addr)
 {

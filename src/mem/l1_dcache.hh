@@ -25,7 +25,16 @@ class L1DataCache
     Addr blockAlign(Addr addr) const { return tags_.blockAlign(addr); }
 
     /** Load lookup. @return true on hit. Counts load statistics. */
-    bool load(Addr addr);
+    bool
+    load(Addr addr)
+    {
+        if (tags_.access(addr)) {
+            ++load_hits_;
+            return true;
+        }
+        ++load_misses_;
+        return false;
+    }
 
     /**
      * Store lookup. On a hit the line is updated in place (tag-only
@@ -33,7 +42,16 @@ class L1DataCache
      * (write-around). Either way the store goes to the write buffer.
      * @return true on hit.
      */
-    bool store(Addr addr);
+    bool
+    store(Addr addr)
+    {
+        if (tags_.access(addr)) {
+            ++store_hits_;
+            return true;
+        }
+        ++store_misses_;
+        return false;
+    }
 
     /** Fill after a load miss. @return the evicted line, if any. */
     std::optional<Eviction> fill(Addr addr);

@@ -12,19 +12,15 @@ L1ICache::L1ICache(const CacheGeometry &geometry)
 {
 }
 
-bool
-L1ICache::fetch(Addr pc)
+void
+L1ICache::fetchRepeat(Addr pc, Count n)
 {
-    if (!tags_) {
-        ++hits_;
-        return true;
+    if (tags_) {
+        bool hit = tags_->touchRepeat(pc, n);
+        wbsim_assert(hit || n == 0, "repeated fetch of a line that is "
+                                    "not resident");
     }
-    if (tags_->access(pc)) {
-        ++hits_;
-        return true;
-    }
-    ++misses_;
-    return false;
+    hits_ += n;
 }
 
 void

@@ -11,6 +11,7 @@
 #include <optional>
 
 #include "mem/cache.hh"
+#include "util/lint.hh"
 
 namespace wbsim
 {
@@ -28,7 +29,24 @@ class L1ICache
     bool isPerfect() const { return !tags_.has_value(); }
 
     /** Fetch the line containing @p pc. @return true on hit. */
-    bool fetch(Addr pc);
+    bool
+    fetch(Addr pc)
+    {
+        if (!tags_ || tags_->access(pc)) {
+            ++hits_;
+            return true;
+        }
+        ++misses_;
+        return false;
+    }
+
+    /**
+     * Exactly @p n fetch(pc) calls that all hit, in O(1) (the line
+     * holding @p pc must be resident): the tags, the LRU clock and
+     * the hit counters end as n fetches would leave them. Charges
+     * the rest of a sequential run inside one line.
+     */
+    WBSIM_HOT void fetchRepeat(Addr pc, Count n);
 
     /** Fill after a fetch miss (real mode only). */
     void fill(Addr pc);

@@ -7,7 +7,6 @@
 #include "util/bits.hh"
 #include "core/write_cache.hh"
 #include "obs/metrics.hh"
-#include "trace/materialized_trace.hh"
 #include "util/logging.hh"
 
 namespace wbsim
@@ -15,7 +14,6 @@ namespace wbsim
 
 Simulator::Simulator(const MachineConfig &config)
     : config_(config),
-      l2_transfer_cycles_(config.l2TransferCycles()),
       l1d_(config.l1d),
       l1i_(config.perfectICache ? L1ICache() : L1ICache(config.l1i)),
       l2_(config.perfectL2 ? L2Cache() : L2Cache(config.l2)),
@@ -24,6 +22,10 @@ Simulator::Simulator(const MachineConfig &config)
                      && config.bubbleProbability <= 0.0)
 {
     config_.validate();
+    entry_words_ = config_.writeBuffer.wordsPerEntry();
+    entry_write_cycles_ = writeCycles(entry_words_);
+    entry_covers_line_ =
+        config_.writeBuffer.entryBytes >= config_.l1d.lineBytes;
     auto line = static_cast<unsigned>(config_.l1d.lineBytes);
     if (config_.writeBuffer.kind == BufferKind::WriteCache) {
         buffer_ = std::make_unique<WriteCache>(config_.writeBuffer,
@@ -84,6 +86,7 @@ Simulator::snapshot() const
                      stores_,
                      issue_slot_,
                      bubble_rng_,
+                     last_pc_,
                      stalls_,
                      ifetch_misses_,
                      l2_ifetch_stall_cycles_,
@@ -124,6 +127,7 @@ Simulator::restore(const SimSnapshot &snap)
     stores_ = snap.stores;
     issue_slot_ = snap.issueSlot;
     bubble_rng_ = snap.bubbleRng;
+    last_pc_ = snap.lastPc;
     stalls_ = snap.stalls;
     ifetch_misses_ = snap.ifetchMisses;
     l2_ifetch_stall_cycles_ = snap.l2IFetchStallCycles;
@@ -139,20 +143,27 @@ Simulator::restore(const SimSnapshot &snap)
 }
 
 Cycle
-Simulator::l2Write(Addr base, unsigned valid_words, unsigned total_words,
-                   Cycle start)
+Simulator::writeCycles(unsigned total_words) const
 {
     // Transfer time scales with the entry's width over the datapath
     // (identical to the fixed line transfer for line-wide entries).
     std::uint64_t entry_bytes =
         std::uint64_t{total_words} * config_.writeBuffer.wordBytes;
-    Cycle duration = config_.l2Latency
+    return config_.l2Latency
         + (divCeil(std::max<std::uint64_t>(entry_bytes,
                                            config_.l2DatapathBytes),
                    config_.l2DatapathBytes)
            - 1);
-    bool full_line = valid_words == total_words
-        && config_.writeBuffer.entryBytes >= config_.l1d.lineBytes;
+}
+
+Cycle
+Simulator::l2Write(Addr base, unsigned valid_words, unsigned total_words,
+                   Cycle start)
+{
+    Cycle duration = total_words == entry_words_
+        ? entry_write_cycles_
+        : writeCycles(total_words);
+    bool full_line = valid_words == total_words && entry_covers_line_;
     L2Outcome outcome = l2_.write(base, full_line);
     if (outcome.memoryFetch) {
         // Fetch-on-write merge for a partial line that misses L2.
@@ -188,10 +199,8 @@ Simulator::advanceIssue()
 }
 
 void
-Simulator::fetch(Addr pc)
+Simulator::fetchMiss(Addr pc)
 {
-    if (l1i_.fetch(pc))
-        return;
     ++ifetch_misses_;
     note(SimEventKind::IFetchMiss, pc);
     if (!buffer_->quiescent())
@@ -313,7 +322,12 @@ Simulator::doLoad(Addr addr, unsigned size)
         return; // 1-cycle hit: the issue cycle already charged
     }
     note(SimEventKind::LoadMiss, addr);
+    doLoadMiss(addr, size);
+}
 
+void
+Simulator::doLoadMiss(Addr addr, unsigned size)
+{
     if (!buffer_->quiescent())
         buffer_->advanceTo(cycle_);
 
@@ -367,8 +381,10 @@ Simulator::step(const TraceRecord &record)
 {
     ++instructions_;
     advanceIssue();
-    if (!config_.perfectICache)
+    if (!config_.perfectICache) {
         fetch(record.pc);
+        last_pc_ = record.pc;
+    }
     switch (record.op) {
       case Op::NonMem:
         break;
@@ -440,98 +456,119 @@ Simulator::doBarrier()
     }
 }
 
-void
-Simulator::runBatch(const TraceRecord *batch, std::size_t count)
-{
-    if (!batch_runs_ok_) {
-        // Real I-cache or bubble RNG: every record carries per-record
-        // work beyond issue arithmetic, so run decoding buys nothing.
-        for (std::size_t i = 0; i < count; ++i)
-            step(batch[i]);
-        return;
-    }
-    std::size_t i = 0;
-    while (i < count) {
-        const Op op = batch[i].op;
-        std::size_t j = i + 1;
-        while (j < count && batch[j].op == op)
-            ++j;
-        switch (op) {
-          case Op::NonMem:
-            skipNonMemRun(j - i);
-            break;
-          case Op::Load:
-            for (std::size_t k = i; k < j; ++k) {
-                ++instructions_;
-                advanceIssueFast();
-                doLoad(batch[k].addr, batch[k].size);
-            }
-            break;
-          case Op::Store:
-            for (std::size_t k = i; k < j; ++k) {
-                ++instructions_;
-                advanceIssueFast();
-                doStore(batch[k].addr, batch[k].size);
-            }
-            break;
-          case Op::Barrier:
-            for (std::size_t k = i; k < j; ++k) {
-                ++instructions_;
-                advanceIssueFast();
-                doBarrier();
-            }
-            break;
-        }
-        i = j;
-    }
-}
-
 namespace
 {
 
-/// Records (or run items) pulled from a TraceSource per batch refill.
+/// Records (or run items) pulled from a TraceSource per refill.
 constexpr std::size_t kFeedBatch = 256;
 
 } // namespace
 
 void
-Simulator::runFromRuns(MaterializedCursor &cursor)
+Simulator::fetchRun(Count count)
 {
-    TraceRun runs[kFeedBatch];
-    std::size_t got;
-    while ((got = cursor.nextRuns(runs, kFeedBatch)) > 0) {
-        for (std::size_t i = 0; i < got; ++i) {
-            const TraceRun &item = runs[i];
-            switch (item.rec.op) {
-              case Op::NonMem:
-                // Carrier item: the record itself is one more plain
-                // NonMem instruction; fold it into the run charge.
-                skipNonMemRun(item.nonMemBefore + Count{1});
-                break;
-              case Op::Load:
-                if (item.nonMemBefore != 0)
-                    skipNonMemRun(item.nonMemBefore);
-                ++instructions_;
-                advanceIssueFast();
-                doLoad(item.rec.addr, item.rec.size);
-                break;
-              case Op::Store:
-                if (item.nonMemBefore != 0)
-                    skipNonMemRun(item.nonMemBefore);
-                ++instructions_;
-                advanceIssueFast();
-                doStore(item.rec.addr, item.rec.size);
-                break;
-              case Op::Barrier:
-                if (item.nonMemBefore != 0)
-                    skipNonMemRun(item.nonMemBefore);
-                ++instructions_;
-                advanceIssueFast();
-                doBarrier();
-                break;
+    const Addr line = config_.l1i.lineBytes;
+    Addr pc = last_pc_;
+    while (count > 0) {
+        pc += 4;
+        skipNonMemRun(1);
+        fetch(pc);
+        // The run's later PCs in this line: pc + 4j < line end.
+        Count rest = std::min<Count>(
+            count - 1, (alignDown(pc, line) + line - pc - 1) / 4);
+        if (rest != 0) {
+            skipNonMemRun(rest);
+            l1i_.fetchRepeat(pc, rest);
+            pc += 4 * rest;
+        }
+        count -= 1 + rest;
+    }
+    last_pc_ = pc;
+}
+
+template <bool RealICache>
+void
+Simulator::runItems(const TraceRun *items, std::size_t count)
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        const TraceRun &item = items[i];
+        const TraceRecord &rec = item.rec;
+        if constexpr (RealICache) {
+            if (item.nonMemBefore != 0)
+                fetchRun(item.nonMemBefore);
+            skipNonMemRun(1);
+            fetch(rec.pc);
+            last_pc_ = rec.pc;
+        } else {
+            // The run and the record's own issue slot in one charge.
+            skipNonMemRun(item.nonMemBefore + Count{1});
+        }
+        switch (rec.op) {
+          case Op::NonMem:
+            break; // a carrier item: the record is one more NonMem
+          case Op::Load:
+            if (event_log_ == nullptr) [[likely]] {
+                // doLoad() with the hit path in place.
+                ++loads_;
+                if (!l1d_.load(rec.addr))
+                    doLoadMiss(rec.addr, rec.size);
+            } else {
+                doLoad(rec.addr, rec.size);
             }
+            break;
+          case Op::Store:
+            doStore(rec.addr, rec.size);
+            break;
+          case Op::Barrier:
+            doBarrier();
+            break;
         }
     }
+}
+
+Count
+Simulator::feedRecords(TraceSource &source, Count budget)
+{
+    TraceRecord batch[kFeedBatch];
+    Count done = 0;
+    while (done < budget) {
+        std::size_t want = static_cast<std::size_t>(
+            std::min<Count>(budget - done, kFeedBatch));
+        std::size_t got = source.nextBatch(batch, want);
+        for (std::size_t i = 0; i < got; ++i)
+            step(batch[i]);
+        done += got;
+        if (got < want)
+            break;
+    }
+    return done;
+}
+
+Count
+Simulator::feed(TraceSource &source, Count budget)
+{
+    // Bubbles draw from the RNG once per record, and a real I-cache
+    // needs every run PC, which only a sequential-PC source can
+    // reconstruct; the record feed serves those.
+    if (config_.bubbleProbability > 0.0
+        || (!config_.perfectICache && !source.sequentialRunPcs()))
+        return feedRecords(source, budget);
+
+    TraceRun items[kFeedBatch];
+    Count done = 0;
+    while (done < budget) {
+        std::size_t got =
+            source.nextRuns(items, kFeedBatch, budget - done);
+        if (got == 0)
+            break;
+        Count before = instructions_;
+        if (config_.perfectICache)
+            runItems<false>(items, got);
+        else
+            runItems<true>(items, got);
+        done += instructions_ - before;
+    }
+    return done;
 }
 
 void
@@ -606,33 +643,12 @@ Simulator::results(const std::string &workload) const
 SimResults
 Simulator::run(TraceSource &source, Count max_instructions)
 {
-    // Materialized traces feed run items (run-length counts plus one
-    // record) straight from the encoding, skipping both the filler
-    // materialization and runBatch's op boundary scan. Limited runs
-    // keep the record path: a run item is not splittable at an
-    // instruction quota.
-    if (batch_runs_ok_ && max_instructions == 0) {
-        if (auto *cursor = dynamic_cast<MaterializedCursor *>(&source)) {
-            runFromRuns(*cursor);
-            drain();
-            return results(source.name());
-        }
-    }
-
-    TraceRecord batch[kFeedBatch];
-    for (;;) {
-        std::size_t want = kFeedBatch;
-        if (max_instructions != 0) {
-            Count left = max_instructions - instructions_;
-            if (left == 0)
-                break;
-            want = std::min<Count>(left, kFeedBatch);
-        }
-        std::size_t got = source.nextBatch(batch, want);
-        runBatch(batch, got);
-        if (got < want)
-            break;
-    }
+    Count budget = TraceSource::kNoBudget;
+    if (max_instructions != 0)
+        budget = max_instructions > instructions_
+            ? max_instructions - instructions_
+            : 0;
+    feed(source, budget);
     drain();
     return results(source.name());
 }
@@ -640,19 +656,7 @@ Simulator::run(TraceSource &source, Count max_instructions)
 Count
 Simulator::consume(TraceSource &source, Count count)
 {
-    TraceRecord batch[kFeedBatch];
-    Count done = 0;
-    while (done < count) {
-        std::size_t want =
-            static_cast<std::size_t>(std::min<Count>(count - done,
-                                                     kFeedBatch));
-        std::size_t got = source.nextBatch(batch, want);
-        runBatch(batch, got);
-        done += got;
-        if (got < want)
-            break;
-    }
-    return done;
+    return feed(source, count);
 }
 
 } // namespace wbsim

@@ -31,8 +31,6 @@
 namespace wbsim
 {
 
-class MaterializedCursor;
-
 /**
  * A bit-exact capture of one Simulator's complete mutable state:
  * tag stores, write-buffer contents and in-flight transactions, the
@@ -62,6 +60,7 @@ struct SimSnapshot
     Count stores = 0;
     unsigned issueSlot = 0;
     Rng bubbleRng{0};
+    Addr lastPc = 0;
     StallStats stalls;
     Count ifetchMisses = 0;
     Count l2IFetchStallCycles = 0;
@@ -78,23 +77,31 @@ class Simulator
     explicit Simulator(const MachineConfig &config);
 
     /**
-     * Consume @p source to exhaustion (or @p max_instructions) and
-     * return the aggregated results. The write buffer is drained at
-     * the end so all traffic is accounted. Records are pulled in
-     * flat batches (TraceSource::nextBatch), so the per-record feed
-     * cost is a copy/decode rather than a virtual call.
+     * Consume @p source to exhaustion (or until instructions()
+     * reaches @p max_instructions) and return the aggregated
+     * results. The write buffer is drained at the end so all
+     * traffic is accounted. Records arrive as run items
+     * (TraceSource::nextRuns, budgeted so the last item is cut
+     * exactly at the limit): a NonMem run costs O(1), or O(lines)
+     * with a real I-cache. Results are bit-identical to one step()
+     * per record (DESIGN.md §12).
      */
     SimResults run(TraceSource &source, Count max_instructions = 0);
 
     /**
      * Execute exactly @p count records (fewer only if the source
-     * ends), batched like run() but without draining or producing
+     * ends), fed like run() but without draining or producing
      * results — the warmup half of a measured run.
      * @return records consumed.
      */
     Count consume(TraceSource &source, Count count);
 
-    /** Execute a single record (exposed for fine-grained tests). */
+    /**
+     * Execute a single record: the per-record reference every feed
+     * is diffed against, and the feed itself when issue bubbles
+     * draw from the RNG per record (bubbleProbability > 0) or a real
+     * I-cache meets a source without sequential run PCs.
+     */
     void step(const TraceRecord &record);
 
     /**
@@ -191,7 +198,6 @@ class Simulator
 
   private:
     MachineConfig config_;
-    Cycle l2_transfer_cycles_;
 
     L1DataCache l1d_;
     L1ICache l1i_;
@@ -201,10 +207,18 @@ class Simulator
     std::unique_ptr<StoreBuffer> buffer_;
 
     /** Per-record work outside the op handlers is pure issue
-     *  arithmetic (perfect I-cache, no bubble RNG draws), so
-     *  runBatch may decode per-op runs and skip NonMem runs in
-     *  O(1). Fixed by the config at construction. */
+     *  arithmetic (perfect I-cache, no bubble RNG draws), so a
+     *  NonMem run is charged in O(1) and a core may run its
+     *  private prefix in one step. Fixed by the config. */
     bool batch_runs_ok_;
+
+    /** @name l2Write() constants for a full-width entry (every
+     *  production retirement), fixed by the config. */
+    /// @{
+    unsigned entry_words_ = 0;
+    Cycle entry_write_cycles_ = 0;
+    bool entry_covers_line_ = false;
+    /// @}
 
     Cycle cycle_ = 0;
     Cycle cycle_base_ = 0;
@@ -213,6 +227,9 @@ class Simulator
     Count stores_ = 0;
     unsigned issue_slot_ = 0;
     Rng bubble_rng_{0xb0bb1e};
+    /** PC of the last record executed, maintained only with a real
+     *  I-cache: a run item's NonMem PCs continue from it. */
+    Addr last_pc_ = 0;
 
     StallStats stalls_;
     Count ifetch_misses_ = 0;
@@ -248,35 +265,45 @@ class Simulator
     void advanceIssue();
 
     /**
-     * Execute @p count records decoded into per-op index runs: one
-     * `switch(op)` per run instead of per record, monomorphic inner
-     * loops per op, and an O(1) arithmetic skip for NonMem runs.
-     * The run decode applies only when the per-record path would be
-     * pure issue arithmetic (perfect I-cache, no bubbles, checked
-     * once at construction); otherwise every record goes through
-     * step()'s logic unchanged, so results are bit-identical either
-     * way.
+     * The one feed behind run() and consume(): pull run items
+     * covering at most @p budget records and execute them, or fall
+     * back to feedRecords() where the config or the source rules
+     * run items out.
+     * @return records executed.
      */
-    void runBatch(const TraceRecord *batch, std::size_t count);
+    Count feed(TraceSource &source, Count budget);
+
+    /** step() per record from nextBatch(), for at most @p budget
+     *  records. @return records executed. */
+    Count feedRecords(TraceSource &source, Count budget);
 
     /**
-     * Feed loop over MaterializedCursor::nextRuns(): the decoder
-     * hands NonMem runs as counts (the stream's native run-prefix
-     * shape), so the batched dispatch neither materializes filler
-     * records nor re-discovers run boundaries by scanning ops — the
-     * boundary-scan branch was the single largest cost of the
-     * record-path runBatch(). Only entered when batch_runs_ok_
-     * (NonMem records are pure issue arithmetic, charged via
-     * skipNonMemRun exactly as runBatch does), so results are
-     * bit-identical to the record path.
+     * Execute @p count run items exactly as step() would execute the
+     * records they cover. @p RealICache charges each run's fetches
+     * line by line (fetchRun); otherwise a run is issue arithmetic
+     * only. L1-hit loads are handled in place.
      */
-    void runFromRuns(MaterializedCursor &cursor);
+    template <bool RealICache>
+    void runItems(const TraceRun *items, std::size_t count);
+
+    /**
+     * Issue and fetch a run of @p count NonMem instructions whose
+     * PCs continue by 4 from last_pc_: fetch() at the first PC in
+     * each I-cache line, L1ICache::fetchRepeat() for the rest of the
+     * line (those fetches hit: only I-fetch fills replace I-cache
+     * lines, and none happens inside the line).
+     */
+    void fetchRun(Count count);
 
     /** advanceIssue() for the batched fast path: no bubble draw
      *  (the path is gated on bubbleProbability <= 0). */
     void
     advanceIssueFast()
     {
+        if (config_.issueWidth == 1) {
+            ++cycle_; // the slot never leaves 0
+            return;
+        }
         if (++issue_slot_ >= config_.issueWidth) {
             issue_slot_ = 0;
             ++cycle_;
@@ -284,15 +311,19 @@ class Simulator
     }
 
     /**
-     * Charge a run of @p count back-to-back NonMem instructions in
-     * O(1): the same division advanceIssueFast() performs one
-     * increment at a time, so cycle_ and issue_slot_ land exactly
-     * where @p count advanceIssueFast() calls would leave them.
+     * Issue a run of @p count back-to-back instructions in O(1):
+     * cycle_ and issue_slot_ land exactly where @p count
+     * advanceIssueFast() calls would leave them (one add for the
+     * paper's single-issue machine, a division otherwise).
      */
     void
     skipNonMemRun(Count count)
     {
         instructions_ += count;
+        if (config_.issueWidth == 1) {
+            cycle_ += count;
+            return;
+        }
         Count slots = issue_slot_ + count;
         cycle_ += slots / config_.issueWidth;
         issue_slot_ = static_cast<unsigned>(slots % config_.issueWidth);
@@ -306,9 +337,22 @@ class Simulator
                   Cycle start);
 
     /** Handle an instruction fetch (real-I-cache extension). */
-    void fetch(Addr pc);
+    void
+    fetch(Addr pc)
+    {
+        if (!l1i_.fetch(pc))
+            fetchMiss(pc);
+    }
+
+    /** fetch() past the I-cache lookup, which missed. */
+    void fetchMiss(Addr pc);
+
+    /** Duration of an L2 write of a @p total_words entry. */
+    Cycle writeCycles(unsigned total_words) const;
 
     void doLoad(Addr addr, unsigned size);
+    /** doLoad() past the L1 lookup, which missed. */
+    void doLoadMiss(Addr addr, unsigned size);
     void doStore(Addr addr, unsigned size);
 
     /** Perform a demand L2 read at @p earliest, charging port waits

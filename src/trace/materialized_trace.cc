@@ -1,5 +1,6 @@
 #include "trace/materialized_trace.hh"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -266,12 +267,6 @@ MaterializedTrace::append(const TraceRecord &record)
                               enc_last_pc_});
     }
 
-    fingerprint_ = hashCombine(
-        fingerprint_,
-        static_cast<std::uint64_t>(record.op)
-            | (std::uint64_t{record.size} << 8));
-    fingerprint_ = hashCombine(fingerprint_, record.addr);
-    fingerprint_ = hashCombine(fingerprint_, record.pc);
     ++size_;
 
     if (record.op == Op::NonMem && record.size == 0 && record.addr == 0
@@ -341,6 +336,22 @@ MaterializedTrace::append(const TraceRecord &record)
                   zigzag(static_cast<std::int64_t>(record.pc
                                                    - enc_last_pc_)));
     enc_last_pc_ = record.pc;
+}
+
+std::uint64_t
+MaterializedTrace::fingerprint() const
+{
+    std::uint64_t hash = hashCombine(0, size_);
+    std::size_t n = bytes_.size();
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, bytes_.data() + i, sizeof(word));
+        hash = hashCombine(hash, word);
+    }
+    for (; i < n; ++i)
+        hash = hashCombine(hash, bytes_[i]);
+    return hash;
 }
 
 MaterializedCursor::MaterializedCursor(const MaterializedTrace &trace)
@@ -504,9 +515,10 @@ MaterializedCursor::nextBatch(TraceRecord *out, std::size_t max)
 }
 
 std::size_t
-MaterializedCursor::nextRuns(TraceRun *out, std::size_t max)
+MaterializedCursor::nextRuns(TraceRun *out, std::size_t max,
+                             Count budget)
 {
-    Count left = trace_->size_ - index_;
+    Count left = std::min(trace_->size_ - index_, budget);
     if (left == 0 || max == 0)
         return 0;
     const std::uint8_t *__restrict bytes = trace_->bytes_.data();
@@ -516,23 +528,41 @@ MaterializedCursor::nextRuns(TraceRun *out, std::size_t max)
     std::size_t offset = offset_;
     Addr last_addr = last_addr_;
     Addr last_pc = last_pc_;
+    unsigned run_left = run_left_;
+    int pending = pending_;
 
-    // Resume an item cut mid-run by an earlier nextBatch() call: the
-    // unfilled remainder of its run plus its parked record become a
-    // normal (if shortened) run item.
-    if (pending_ >= 0) {
+    // The budget ends inside the run of the item whose header is
+    // parked in `pending`: the run's next @p take records go out as
+    // a carrier item and the rest stays parked.
+    auto cut = [&](Count take) {
         TraceRun &item = dst[produced++];
-        item.nonMemBefore = run_left_;
-        last_pc += 4 * static_cast<Addr>(run_left_);
-        decodeFields(bytes, offset, last_addr, last_pc, item.rec,
-                     static_cast<std::uint8_t>(pending_));
-        consumed += run_left_ + 1;
-        run_left_ = 0;
-        pending_ = -1;
+        item.nonMemBefore = static_cast<std::uint32_t>(take - 1);
+        last_pc += 4 * static_cast<Addr>(take);
+        item.rec = TraceRecord{Op::NonMem, 0, 0, last_pc};
+        run_left -= static_cast<unsigned>(take);
+        consumed += take;
+    };
+
+    // Resume an item cut mid-run by an earlier call (or parked by
+    // next()/nextBatch()/seek()): the remainder of its run plus its
+    // parked record become a normal (if shortened) run item.
+    if (pending >= 0) {
+        if (run_left >= left) {
+            cut(left);
+        } else {
+            TraceRun &item = dst[produced++];
+            item.nonMemBefore = run_left;
+            last_pc += 4 * static_cast<Addr>(run_left);
+            decodeFields(bytes, offset, last_addr, last_pc, item.rec,
+                         static_cast<std::uint8_t>(pending));
+            consumed += run_left + 1;
+            run_left = 0;
+            pending = -1;
+        }
     }
 
-    // Items never cut here: one item in, one TraceRun out, so the
-    // loop is free of the record-path's boundary bookkeeping.
+    // One item in, one TraceRun out; only an item that would cross
+    // the budget is cut (parked like a batch-cut item).
     while (produced < max && consumed < left) {
         std::uint8_t header = bytes[offset];
         unsigned has_run = (header >> 6) & 1u;
@@ -540,6 +570,12 @@ MaterializedCursor::nextRuns(TraceRun *out, std::size_t max)
         // bounds; the mask keeps it branch-free for run-less items.
         unsigned prefix = bytes[offset + 1] & (0u - has_run);
         offset += 1 + has_run;
+        if (prefix >= left - consumed) [[unlikely]] {
+            run_left = prefix;
+            pending = header;
+            cut(left - consumed);
+            break;
+        }
         TraceRun &item = dst[produced++];
         item.nonMemBefore = prefix;
         last_pc += 4 * static_cast<Addr>(prefix);
@@ -551,6 +587,8 @@ MaterializedCursor::nextRuns(TraceRun *out, std::size_t max)
     offset_ = offset;
     last_addr_ = last_addr;
     last_pc_ = last_pc;
+    run_left_ = run_left;
+    pending_ = pending;
     index_ += consumed;
     return produced;
 }

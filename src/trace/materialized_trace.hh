@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "trace/source.hh"
+#include "util/lint.hh"
 
 namespace wbsim
 {
@@ -60,8 +61,10 @@ class MaterializedTrace
     const std::string &name() const { return name_; }
 
     /** Content hash: two traces with equal fingerprints and sizes
-     *  replay identically (used by cache cross-checks and tests). */
-    std::uint64_t fingerprint() const { return fingerprint_; }
+     *  replay identically (used by cache cross-checks and tests).
+     *  Computed on demand over the encoded bytes and the size: the
+     *  encoding is lossless, so equal records give equal bytes. */
+    std::uint64_t fingerprint() const;
 
   private:
     friend class MaterializedCursor;
@@ -89,7 +92,6 @@ class MaterializedTrace
     std::vector<std::uint8_t> bytes_;
     std::vector<Sync> syncs_;
     Count size_ = 0;
-    std::uint64_t fingerprint_ = 0;
     std::string name_ = "materialized";
 
     /** @name Encoder state (meaningful only during build()). */
@@ -119,14 +121,22 @@ class MaterializedCursor final : public TraceSource
     std::string name() const override { return trace_->name(); }
 
     /**
-     * Decode up to @p max run items (see TraceRun): the same stream
-     * nextBatch() yields, but with NonMem runs delivered as counts
-     * instead of materialized filler records. The cursor advances by
-     * the records the items cover, so nextRuns() and nextBatch()
-     * calls may be interleaved freely on one cursor.
+     * Decode up to @p max run items (see TraceRun) covering at most
+     * @p budget records: the same stream nextBatch() yields, but
+     * with NonMem runs delivered as counts instead of materialized
+     * filler records. The cursor advances by the records the items
+     * cover, so nextRuns(), nextBatch(), next() and seek() may be
+     * interleaved freely on one cursor. An item cut by the budget
+     * parks the rest of its run and its record exactly as a
+     * batch-cut item does.
      * @return items produced; 0 at end of trace.
      */
-    std::size_t nextRuns(TraceRun *out, std::size_t max) override;
+    WBSIM_HOT std::size_t nextRuns(TraceRun *out, std::size_t max,
+                                   Count budget = kNoBudget) override;
+
+    /** Runs are folded only when pc advances by 4 (see the
+     *  encoder), so run PCs continue from the previous record. */
+    bool sequentialRunPcs() const override { return true; }
 
     /** Jump so the next record returned is record @p index. */
     void seek(Count index);

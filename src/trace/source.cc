@@ -14,15 +14,19 @@ constexpr std::size_t kFoldChunk = 256;
 } // namespace
 
 std::size_t
-TraceSource::nextRuns(TraceRun *out, std::size_t max)
+TraceSource::nextRuns(TraceRun *out, std::size_t max, Count budget)
 {
     TraceRecord chunk[kFoldChunk];
     std::size_t produced = 0;
     // Every record yields at most one item, so pulling no more
-    // records than there are free slots never overflows @p out.
-    while (produced < max) {
+    // records than there are free slots never overflows @p out; nor
+    // does pulling more than the budget allows ever cut an item.
+    while (produced < max && budget > 0) {
         std::size_t want = std::min(kFoldChunk, max - produced);
+        if (budget < want)
+            want = static_cast<std::size_t>(budget);
         std::size_t got = nextBatch(chunk, want);
+        budget -= got;
         std::uint32_t run = 0;
         for (std::size_t i = 0; i < got; ++i) {
             if (chunk[i].op == Op::NonMem) {

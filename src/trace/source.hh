@@ -29,9 +29,11 @@ namespace wbsim
  * filler records.
  *
  * The run covers @ref nonMemBefore NonMem records whose individual
- * pc values are not carried, so run consumers must not need
- * per-instruction fetch addresses (the simulator's run feeds are
- * gated on a perfect I-cache for exactly this reason). A NonMem run
+ * pc values are not carried. A source whose sequentialRunPcs() is
+ * true guarantees they are `prev.pc + 4 * k` (k = 1..nonMemBefore,
+ * prev = the record just before the run), so a consumer that needs
+ * fetch addresses can continue them from the previous record; for
+ * any other source a run consumer must not need them. A NonMem run
  * with no following record in reach decodes as an item whose `rec`
  * is itself a NonMem record (the carrier form).
  */
@@ -71,15 +73,31 @@ class TraceSource
         return n;
     }
 
+    /** nextRuns() budget meaning "no record limit". */
+    static constexpr Count kNoBudget = ~Count{0};
+
     /**
-     * Fetch up to @p max run items (see TraceRun) covering the next
-     * records of the stream. The default folds nextBatch() records:
+     * Fetch up to @p max run items (see TraceRun) covering at most
+     * @p budget of the next records of the stream. An item that
+     * would cross the budget is cut exactly there: the records
+     * within it travel as a carrier item, and the rest of its run
+     * starts the next call. The default folds nextBatch() records:
      * each NonMem run joins the next explicit record, and a run cut
      * by a fold chunk travels in carrier form. Sources with a native
      * run encoding (materialized traces) override this.
-     * @return items produced; 0 only at end of stream.
+     * @return items produced; 0 only at end of stream or when
+     *         @p budget or @p max is 0.
      */
-    virtual std::size_t nextRuns(TraceRun *out, std::size_t max);
+    virtual std::size_t nextRuns(TraceRun *out, std::size_t max,
+                                 Count budget = kNoBudget);
+
+    /**
+     * True when nextRuns() items carry sequential run PCs (see
+     * TraceRun), which lets a real-I-cache consumer take run items.
+     * The default fold joins any NonMem record into a run, so it
+     * says false.
+     */
+    virtual bool sequentialRunPcs() const { return false; }
 
     /** Rewind to the beginning of the stream. */
     virtual void reset() = 0;

@@ -42,7 +42,7 @@ Histogram::sample(std::uint64_t value, Count count)
     samples_ += count;
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
-    sum_ += static_cast<double>(value) * static_cast<double>(count);
+    sum_ += value * count;
 }
 
 double
@@ -108,7 +108,7 @@ Histogram::mean() const
 {
     if (samples_ == 0)
         return 0.0;
-    return sum_ / static_cast<double>(samples_);
+    return static_cast<double>(sum_) / static_cast<double>(samples_);
 }
 
 Count
@@ -125,7 +125,7 @@ Histogram::reset()
     samples_ = 0;
     min_ = ~std::uint64_t{0};
     max_ = 0;
-    sum_ = 0.0;
+    sum_ = 0;
 }
 
 std::string

@@ -84,7 +84,7 @@ class Histogram
         ++samples_;
         min_ = std::min(min_, value);
         max_ = std::max(max_, value);
-        sum_ += static_cast<double>(value);
+        sum_ += value;
     }
 
     /** Record @p count samples of @p value. */
@@ -139,7 +139,10 @@ class Histogram
     Count samples_ = 0;
     std::uint64_t min_ = ~std::uint64_t{0};
     std::uint64_t max_ = 0;
-    double sum_ = 0.0;
+    /** Exact integer sum: one add per sample instead of an int to
+     *  double conversion, and mean() is the same double as a
+     *  running double sum for every sum below 2^53. */
+    std::uint64_t sum_ = 0;
 };
 
 /**

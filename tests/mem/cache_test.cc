@@ -262,6 +262,50 @@ TEST(Cache, ForEachValidLineSeesExactlyTheResidentSet)
     EXPECT_EQ(seen[1], std::make_pair(Addr{0x80}, false));
 }
 
+TEST(Cache, TouchRepeatEqualsRepeatedAccesses)
+{
+    // One 4-way set (stride 256 B = sets * line): fill it, then put
+    // the lines through an interleaving of single accesses and
+    // repeats on one cache and the equivalent access() calls on the
+    // other. The LRU order must agree, which the next allocation's
+    // victim exposes.
+    const Addr stride = 256;
+    for (Count n : {0u, 1u, 2u, 7u}) {
+        Cache repeated(geom(1024, 32, 4), "r");
+        Cache singles(geom(1024, 32, 4), "s");
+        for (Addr way = 0; way < 4; ++way) {
+            repeated.allocate(way * stride);
+            singles.allocate(way * stride);
+        }
+        const Addr order[] = {2, 0, 3, 1, 0};
+        for (Addr way : order) {
+            Addr addr = way * stride + 4;
+            EXPECT_TRUE(repeated.touchRepeat(addr, n));
+            for (Count k = 0; k < n; ++k)
+                EXPECT_TRUE(singles.access(addr));
+            // A single access to another way between the repeats.
+            Addr other = ((way + 1) % 4) * stride;
+            EXPECT_TRUE(repeated.access(other));
+            EXPECT_TRUE(singles.access(other));
+        }
+        EXPECT_EQ(repeated.hits(), singles.hits()) << n;
+        EXPECT_EQ(repeated.misses(), singles.misses()) << n;
+        // A miss repeated n times counts n misses, allocating nothing.
+        EXPECT_FALSE(repeated.touchRepeat(9 * stride, n));
+        for (Count k = 0; k < n; ++k)
+            EXPECT_FALSE(singles.access(9 * stride));
+        EXPECT_EQ(repeated.misses(), singles.misses()) << n;
+        // Victims agree for the next four allocations.
+        for (Addr fresh = 4; fresh < 8; ++fresh) {
+            std::optional<Eviction> a = repeated.allocate(fresh * stride);
+            std::optional<Eviction> b = singles.allocate(fresh * stride);
+            ASSERT_TRUE(a.has_value() && b.has_value());
+            EXPECT_EQ(a->blockAddr, b->blockAddr)
+                << "n=" << n << " fresh=" << fresh;
+        }
+    }
+}
+
 TEST(Cache, ForEachValidLineEmptyCache)
 {
     Cache cache(geom(1024, 32, 1), "t");

@@ -50,6 +50,20 @@ TEST(L1ICache, ResetStatsKeepsContent)
     EXPECT_TRUE(icache.fetch(0x0)); // still resident
 }
 
+TEST(L1ICache, FetchRepeatCountsHits)
+{
+    L1ICache perfect;
+    perfect.fetchRepeat(0x100, 5);
+    EXPECT_EQ(perfect.hits(), 5u);
+
+    L1ICache real(CacheGeometry{1024, 32, 1});
+    EXPECT_FALSE(real.fetch(0x100));
+    real.fill(0x100);
+    real.fetchRepeat(0x104, 7);
+    EXPECT_EQ(real.hits(), 7u);
+    EXPECT_EQ(real.misses(), 1u);
+}
+
 TEST(L1ICacheDeath, FillingPerfectCachePanics)
 {
     L1ICache icache;

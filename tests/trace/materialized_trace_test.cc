@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "trace/materialized_trace.hh"
+#include "trace/memory_trace.hh"
 #include "workloads/generator.hh"
 #include "workloads/spec92.hh"
 
@@ -221,6 +223,106 @@ TEST(MaterializedCursor, NextRunsResumesAfterRecordBatchCut)
     for (std::size_t i = 0; i < expected.size(); ++i)
         ASSERT_EQ(seen[i], expected[i]) << "record " << i;
     EXPECT_EQ(mixed.position(), trace.size());
+}
+
+/** A hand-built stream with every item shape: runs longer than the
+ *  255-record prefix (chained carriers), runs cut by the sync point
+ *  at record 4096 (carrier before it), NonMem records with jumped
+ *  PCs (standalone items), memory records and barriers, and a
+ *  trailing run (carrier at the end). */
+std::vector<TraceRecord>
+budgetStream()
+{
+    std::vector<TraceRecord> records;
+    Addr pc = 0x1000;
+    Addr addr = 0x8000;
+    auto run = [&](std::size_t n) {
+        for (std::size_t k = 0; k < n; ++k) {
+            pc += 4;
+            records.push_back(TraceRecord::nonMem(pc));
+        }
+    };
+    const std::size_t runs[] = {0, 1, 2, 5, 255, 256, 257, 700, 3, 31};
+    for (std::size_t round = 0; records.size() < 4'600; ++round) {
+        run(runs[round % 10]);
+        pc += 4;
+        switch (round % 4) {
+          case 0:
+            records.push_back(TraceRecord::load(addr, 8, pc));
+            break;
+          case 1:
+            addr += 0x40 * (round % 7);
+            records.push_back(TraceRecord::store(addr, 4, pc));
+            break;
+          case 2:
+            pc += 0x200; // a taken branch: a standalone NonMem item
+            records.push_back(TraceRecord::nonMem(pc));
+            break;
+          case 3:
+            records.push_back(TraceRecord::barrier(pc));
+            break;
+        }
+    }
+    run(300);
+    return records;
+}
+
+TEST(MaterializedCursor, EveryRunBudgetCutsItemsExactly)
+{
+    std::vector<TraceRecord> expected = budgetStream();
+    MemoryTrace source(expected);
+    MaterializedTrace trace = MaterializedTrace::build(source);
+    ASSERT_EQ(trace.size(), expected.size());
+    const Count n = trace.size();
+
+    std::vector<TraceRun> items(64);
+    TraceRecord buffer[8];
+    for (Count budget = 1; budget <= n; ++budget) {
+        MaterializedCursor cursor(trace);
+        std::vector<TraceRecord> seen;
+        Addr last_pc = 0;
+        // Mix budgeted item calls with small and large item caps,
+        // record batches and one seek to the current position (which
+        // re-decodes from the sync point, parking a cut item afresh).
+        for (unsigned call = 0; seen.size() < n; ++call) {
+            std::size_t before = seen.size();
+            Count left = n - cursor.position();
+            if (call == budget % 13)
+                cursor.seek(cursor.position());
+            switch (call % 3) {
+              case 0:
+              case 1: {
+                std::size_t cap = call % 3 == 0 ? 64 : 3;
+                std::size_t got =
+                    cursor.nextRuns(items.data(), cap, budget);
+                expandItems(items.data(), got, last_pc, seen);
+                Count covered = seen.size() - before;
+                ASSERT_LE(covered, budget) << "budget " << budget;
+                if (got < cap) {
+                    ASSERT_EQ(covered, std::min(budget, left))
+                        << "budget " << budget << " call " << call;
+                }
+                break;
+              }
+              case 2: {
+                std::size_t want = 1 + call % 8;
+                std::size_t got = cursor.nextBatch(buffer, want);
+                seen.insert(seen.end(), buffer, buffer + got);
+                if (got > 0)
+                    last_pc = buffer[got - 1].pc;
+                break;
+              }
+            }
+            ASSERT_EQ(cursor.position(), seen.size());
+            ASSERT_TRUE(seen.size() > before || left == 0);
+        }
+        ASSERT_EQ(seen.size(), expected.size()) << "budget " << budget;
+        for (std::size_t i = 0; i < expected.size(); ++i)
+            ASSERT_EQ(seen[i], expected[i])
+                << "budget " << budget << " record " << i;
+        TraceRun tail[1];
+        EXPECT_EQ(cursor.nextRuns(tail, 1, budget), 0u);
+    }
 }
 
 TEST(MaterializedCursor, ResetRestartsFromRecordZero)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "trace/memory_trace.hh"
 
 namespace wbsim
@@ -198,6 +200,39 @@ TEST(TraceSource, DefaultNextRunsCoversTheRecordStream)
                 ASSERT_EQ(expanded[i], records[i]);
             }
         }
+    }
+}
+
+TEST(TraceSource, DefaultNextRunsHonoursTheBudget)
+{
+    // Every call covers exactly min(budget, records left) records,
+    // and the cut calls still cover the stream record for record.
+    std::vector<TraceRecord> records;
+    for (std::size_t i = 0; i < 1'000; ++i)
+        records.push_back(i % 9 == 0 ? TraceRecord::load(i * 8)
+                                     : TraceRecord::nonMem(i * 4));
+    for (Count budget = 1; budget <= 300; budget += 7) {
+        MemoryTrace trace(records);
+        std::vector<TraceRun> items(512);
+        std::vector<TraceRecord> ops;
+        for (;;) {
+            std::size_t got =
+                trace.nextRuns(items.data(), items.size(), budget);
+            if (got == 0)
+                break;
+            Count covered = 0;
+            for (std::size_t i = 0; i < got; ++i) {
+                covered += items[i].nonMemBefore + Count{1};
+                for (std::uint32_t k = 0; k < items[i].nonMemBefore; ++k)
+                    ops.push_back(TraceRecord::nonMem());
+                ops.push_back(items[i].rec);
+            }
+            Count left = records.size() - (ops.size() - covered);
+            ASSERT_EQ(covered, std::min(budget, left)) << budget;
+        }
+        ASSERT_EQ(ops.size(), records.size()) << budget;
+        for (std::size_t i = 0; i < records.size(); ++i)
+            ASSERT_EQ(ops[i].op, records[i].op) << budget << " " << i;
     }
 }
 
