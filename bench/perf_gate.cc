@@ -35,6 +35,13 @@
  * own lanes the first time), so regenerating BENCH_core.json never
  * loosens the gate. Wall-clock ratios are only meaningful on a quiet
  * machine at full length, so smoke runs report them without gating.
+ *
+ * The `serve_codec` lane times the wbsim-serve hit path's JSON work
+ * (an 8-cell sweep request and its Results response, encoded and
+ * decoded, plus the 8 result documents rendered); it is not gated.
+ * Its ops are not instructions, so it also records `sim_simd_ratio`,
+ * its rate over this run's sim_simd rate, which stays comparable
+ * across host phases when the raw rate does not.
  */
 
 #include <algorithm>
@@ -54,6 +61,7 @@
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/timeline.hh"
+#include "serve/wire.hh"
 #include "sim/event_log.hh"
 #include "sim/multicore.hh"
 #include "sim/simulator.hh"
@@ -76,6 +84,9 @@ struct GateResult
     double seconds = 0.0;
     /** Simulated cycles per wall-clock second (sim benches only). */
     double cyclesPerSec = 0.0;
+    /** opsPerSec over this run's sim_simd rate, a host-speed
+     *  normalizer for lanes whose ops are not instructions. */
+    double simSimdRatio = 0.0;
 };
 
 double
@@ -547,6 +558,88 @@ gridFig04(const std::string &name, bool cached, Count instructions,
 }
 
 /**
+ * The wbsim-serve hit path's JSON work, without sockets or the
+ * store: one op encodes and decodes an 8-cell sweep request over the
+ * paper's depth x hazard-policy space, renders the 8 cells'
+ * wbsim-sim-results-v1 documents, and encodes and decodes the
+ * Results response carrying them. The cells are simulated once,
+ * untimed; best of @p reps timed passes of @p ops ops.
+ */
+GateResult
+serveCodec(int ops, int reps)
+{
+    const LoadHazardPolicy hazards[] = {LoadHazardPolicy::FlushFull,
+                                        LoadHazardPolicy::ReadFromWB};
+    const std::vector<std::string> &benchmarks =
+        spec92::benchmarkNames();
+    serve::Request request;
+    request.type = serve::RequestType::Sweep;
+    std::vector<SimResults> results;
+    for (unsigned depth : {2u, 4u, 8u, 12u}) {
+        for (LoadHazardPolicy hazard : hazards) {
+            serve::CellSpec cell;
+            cell.benchmark = benchmarks[request.cells.size()];
+            cell.instructions = 20'000;
+            cell.warmup = 5'000;
+            cell.machine = figures::baselineMachine();
+            cell.machine.writeBuffer.depth = depth;
+            cell.machine.writeBuffer.highWaterMark = std::min(
+                cell.machine.writeBuffer.highWaterMark, depth);
+            cell.machine.writeBuffer.hazardPolicy = hazard;
+            results.push_back(runOne(spec92::profile(cell.benchmark),
+                                     cell.machine, cell.instructions,
+                                     cell.seed, cell.warmup));
+            request.cells.push_back(std::move(cell));
+        }
+    }
+
+    GateResult r;
+    r.name = "serve_codec";
+    r.iterations = static_cast<std::uint64_t>(ops);
+    std::size_t sink = 0;
+    for (int rep = 0; rep < reps; ++rep) {
+        double start = now();
+        for (int op = 0; op < ops; ++op) {
+            serve::Request decoded;
+            std::string error;
+            if (!serve::decodeRequest(serve::encodeRequest(request),
+                                      decoded, error))
+                wbsim_panic("serve_codec: ", error);
+            serve::Response response;
+            response.type = serve::ResponseType::Results;
+            for (std::size_t i = 0; i < decoded.cells.size(); ++i) {
+                const serve::CellSpec &cell = decoded.cells[i];
+                obs::Provenance provenance;
+                provenance.machineFingerprint =
+                    cell.machine.stateFingerprint();
+                provenance.machine = cell.machine.describe();
+                provenance.seed = cell.seed;
+                provenance.instructions = cell.instructions;
+                provenance.warmup = cell.warmup;
+                serve::CellResult &out = response.cells.emplace_back();
+                out.benchmark = cell.benchmark;
+                obs::writeSimResultsJson(out.resultJson, results[i],
+                                         provenance);
+            }
+            serve::Response back;
+            if (!serve::decodeResponse(serve::encodeResponse(response),
+                                       back, error))
+                wbsim_panic("serve_codec: ", error);
+            sink += back.cells.size();
+        }
+        double elapsed = now() - start;
+        double rate = elapsed > 0.0 ? ops / elapsed : 0.0;
+        if (rate > r.opsPerSec) {
+            r.opsPerSec = rate;
+            r.seconds = elapsed;
+        }
+    }
+    wbsim_assert(sink == std::size_t(ops) * std::size_t(reps) * 8,
+                 "serve_codec lost cells");
+    return r;
+}
+
+/**
  * The tail lane's measurement: simulated (not wall-clock) stall-tail
  * metrics of one fixed, deterministic run, so two builds of the same
  * code produce identical numbers on any machine.
@@ -795,6 +888,8 @@ writeJson(std::ostream &os, const std::vector<GateResult> &results,
         json.field("seconds", r.seconds);
         if (r.cyclesPerSec > 0.0)
             json.field("sim_cycles_per_sec", r.cyclesPerSec);
+        if (r.simSimdRatio > 0.0)
+            json.field("sim_simd_ratio", r.simSimdRatio);
         json.endObject();
     }
     json.endArray();
@@ -887,6 +982,16 @@ main()
         const GateResult &cached = results.back();
         std::cout << "perf_gate: grid_fig04 cached speedup = "
                   << cached.opsPerSec / nocache.opsPerSec << "x\n";
+    }
+    results.push_back(serveCodec(smoke ? 20 : 200, 5));
+    {
+        GateResult &codec = results.back();
+        for (const GateResult &r : results)
+            if (r.name == "sim_simd" && r.opsPerSec > 0.0)
+                codec.simSimdRatio = codec.opsPerSec / r.opsPerSec;
+        std::cout << "perf_gate: serve_codec = " << codec.opsPerSec
+                  << " ops/s (" << codec.simSimdRatio
+                  << "x sim_simd)\n";
     }
 
     TailResult tail = measureTail();

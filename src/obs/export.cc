@@ -81,6 +81,15 @@ writeSimResultsJson(std::ostream &os, const SimResults &r,
 }
 
 void
+writeSimResultsJson(std::string &out, const SimResults &r,
+                    const Provenance &provenance)
+{
+    JsonWriter json(out);
+    writeSimResultsObject(json, r, provenance);
+    out += '\n';
+}
+
+void
 writeSimResultsObject(JsonWriter &json, const SimResults &r,
                       const Provenance &provenance)
 {

@@ -59,6 +59,12 @@ WBSIM_DETERMINISTIC void
 writeSimResultsJson(std::ostream &os, const SimResults &results,
                     const Provenance &provenance);
 
+/** The same document appended to @p out (the wbsim-serve per-cell
+ *  payloads, which skip the stream). */
+WBSIM_DETERMINISTIC void
+writeSimResultsJson(std::string &out, const SimResults &results,
+                    const Provenance &provenance);
+
 /**
  * The body of a wbsim-sim-results-v1 document as one JSON object
  * written into an already-open @p json stream. This is the shared

@@ -281,23 +281,22 @@ ServeServer::handleSweep(const Request &request)
     }
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const CellSpec &spec = cells[i];
-        std::ostringstream where;
-        where << "cells[" << i << "]: ";
+        auto rejectCell = [&](const std::string &why) {
+            return reject("cells[" + std::to_string(i) + "]: " + why);
+        };
         if (!spec92::isBenchmark(spec.benchmark))
-            return reject(where.str() + "unknown benchmark \""
-                          + spec.benchmark + "\"");
+            return rejectCell("unknown benchmark \"" + spec.benchmark
+                              + "\"");
         if (spec.instructions == 0)
-            return reject(where.str()
-                          + "instructions must be positive");
+            return rejectCell("instructions must be positive");
         if (spec.instructions > config_.cellInstructionCap
             || spec.warmup
                    > config_.cellInstructionCap - spec.instructions)
-            return reject(where.str()
-                          + "instructions + warmup exceed the "
-                            "per-cell cap");
+            return rejectCell("instructions + warmup exceed the "
+                              "per-cell cap");
         if (std::string error = spec.machine.validationError();
             !error.empty())
-            return reject(where.str() + error);
+            return rejectCell(error);
     }
 
     // Admission: answer store hits directly; batch the misses into
@@ -312,8 +311,12 @@ ServeServer::handleSweep(const Request &request)
     std::vector<ResultStore::ResultPtr> results(cells.size());
     std::vector<char> fromStore(cells.size(), 0);
     std::vector<DispatchJob> jobs;
+    // Each machine is fingerprinted once per request: for the store
+    // key here and for the provenance stamped on the reply.
+    std::vector<std::uint64_t> fingerprints(cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        CellKey key = keyOf(cells[i]);
+        fingerprints[i] = cells[i].machine.stateFingerprint();
+        CellKey key = keyOf(cells[i], fingerprints[i]);
         if (ResultStore::ResultPtr cached = store_.find(key)) {
             results[i] = std::move(cached);
             fromStore[i] = 1;
@@ -321,10 +324,13 @@ ServeServer::handleSweep(const Request &request)
         }
         DispatchJob job;
         job.priority = request.priority;
-        job.run = [this, &latch, &results, i, spec = cells[i]]() {
+        job.run = [this, &latch, &results, i, spec = cells[i],
+                   key = std::move(key)]() {
+            if (config_.workerGate)
+                config_.workerGate();
             auto ptr = std::make_shared<const SimResults>(
                 simulateCell(spec, tlsWorkerIndex));
-            store_.insert(keyOf(spec), ptr);
+            store_.insert(key, ptr);
             std::lock_guard<std::mutex> lock(latch.mutex);
             results[i] = std::move(ptr);
             if (--latch.remaining == 0)
@@ -373,19 +379,16 @@ ServeServer::handleSweep(const Request &request)
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const CellSpec &spec = cells[i];
         obs::Provenance provenance;
-        provenance.machineFingerprint =
-            spec.machine.stateFingerprint();
+        provenance.machineFingerprint = fingerprints[i];
         provenance.machine = spec.machine.describe();
         provenance.seed = spec.seed;
         provenance.instructions = spec.instructions;
         provenance.warmup = spec.warmup;
-        std::ostringstream os;
-        obs::writeSimResultsJson(os, *results[i], provenance);
-        CellResult cell;
+        CellResult &cell = response.cells.emplace_back();
         cell.benchmark = spec.benchmark;
         cell.cacheHit = fromStore[i] != 0;
-        cell.resultJson = os.str();
-        response.cells.push_back(std::move(cell));
+        obs::writeSimResultsJson(cell.resultJson, *results[i],
+                                 provenance);
     }
     return response;
 }
@@ -427,11 +430,11 @@ ServeServer::simulateCell(const CellSpec &spec, unsigned worker)
 }
 
 CellKey
-ServeServer::keyOf(const CellSpec &spec)
+ServeServer::keyOf(const CellSpec &spec, std::uint64_t fingerprint)
 {
     CellKey key;
     key.benchmark = spec.benchmark;
-    key.machineFingerprint = spec.machine.stateFingerprint();
+    key.machineFingerprint = fingerprint;
     key.seed = spec.seed;
     key.instructions = spec.instructions;
     key.warmup = spec.warmup;
@@ -451,8 +454,8 @@ ServeServer::statsJson()
     DispatchQueueStats queue = queue_.stats();
     GridCacheStats grid = gridCacheStats();
 
-    std::ostringstream os;
-    obs::JsonWriter json(os, 0);
+    std::string out;
+    obs::JsonWriter json(out, 0);
     json.beginObject();
     json.field("schema", "wbsim-serve-stats-v1");
     json.key("server").beginObject();
@@ -505,8 +508,8 @@ ServeServer::statsJson()
     json.endObject();
     obs::writeMetricsArray(json, merged);
     json.endObject();
-    os << "\n";
-    return os.str();
+    out += '\n';
+    return out;
 }
 
 void

@@ -38,6 +38,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -80,6 +81,12 @@ struct ServeConfig
     /** Upper bound on instructions + warmup per cell; a sweep
      *  service must not let one client buy an unbounded simulation. */
     Count cellInstructionCap = 64'000'000;
+    /** Test seam, empty (never called) by default. When set, a
+     *  worker calls it on its own thread after popping a cell and
+     *  before simulating it; it may block. Overload tests hold the
+     *  single worker here so the admission queue fills on purpose
+     *  rather than by racing the simulator. */
+    std::function<void()> workerGate;
 };
 
 /** The daemon: listener, connection threads, workers, result store. */
@@ -149,7 +156,9 @@ class ServeServer
      *  its callees). */
     WBSIM_NONDET_OK SimResults simulateCell(const CellSpec &spec,
                                             unsigned worker);
-    static CellKey keyOf(const CellSpec &spec);
+    /** The store key of @p spec, whose machine fingerprints to
+     *  @p fingerprint. */
+    static CellKey keyOf(const CellSpec &spec, std::uint64_t fingerprint);
     /** Register the per-worker metrics (same order everywhere so
      *  shards merge). */
     static void registerWorkerMetrics(obs::MetricsRegistry &metrics);

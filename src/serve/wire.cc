@@ -2,13 +2,14 @@
 
 #include <sys/socket.h>
 
-#include <algorithm>
+#include <array>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <limits>
-#include <sstream>
 
 #include "core/config.hh"
+#include "util/logging.hh"
 
 namespace wbsim::serve
 {
@@ -124,13 +125,20 @@ writeFully(int fd, const char *data, std::size_t size)
  * right JSON type and range, and finish() rejects keys the schema
  * does not know — a misspelled knob must fail loudly, not silently
  * simulate the baseline.
+ *
+ * Claiming allocates nothing: claimed keys are the schema's string
+ * literals, kept in a fixed table, and the location prefix of an
+ * error ("cells[3]") is only rendered when one is reported.
  */
 class FieldReader
 {
   public:
-    FieldReader(const obs::JsonValue &value, std::string where,
-                std::string &error)
-        : value_(value), where_(std::move(where)), error_(error)
+    /** Sentinel for @p index: the location is @p where alone. */
+    static constexpr std::size_t kNoIndex = ~std::size_t{0};
+
+    FieldReader(const obs::JsonValue &value, std::string_view where,
+                std::string &error, std::size_t index = kNoIndex)
+        : value_(value), where_(where), index_(index), error_(error)
     {
         ok_ = value_.isObject();
         if (!ok_)
@@ -177,6 +185,9 @@ class FieldReader
             return ok_;
         if (!v->isNumber())
             return fail(std::string(key) + " must be a number");
+        // 1e999 parses to infinity, which JSON cannot carry back.
+        if (!std::isfinite(v->number()))
+            return fail(std::string(key) + " must be finite");
         out = v->number();
         return true;
     }
@@ -214,40 +225,68 @@ class FieldReader
     {
         if (!ok_)
             return nullptr;
-        known_.push_back(key);
-        if (!value_.has(key))
-            return nullptr;
-        return &value_.at(key);
+        wbsim_assert(known_count_ < known_.size(),
+                     "FieldReader schema has more keys than its table");
+        known_[known_count_++] = key;
+        const obs::JsonValue *member = value_.find(key);
+        found_ += member != nullptr;
+        return member;
     }
 
-    /** Reject any member the schema did not claim. */
+    /** Reject any member the schema did not claim, naming the
+     *  alphabetically first. */
     bool
     finish()
     {
         if (!ok_)
             return false;
-        for (const auto &[key, member] : value_.object()) {
-            if (std::find(known_.begin(), known_.end(), key)
-                == known_.end())
-                return fail("unknown key \"" + key + "\"");
+        const auto &members = value_.object();
+        if (found_ == members.size())
+            return true; // every member claimed (keys are distinct)
+        const std::string *unknown = nullptr;
+        for (const auto &member : members) {
+            if (isKnown(member.key))
+                continue;
+            if (unknown == nullptr || member.key < *unknown)
+                unknown = &member.key;
         }
-        return true;
+        if (unknown == nullptr)
+            return true; // only repeats of claimed keys
+        return fail("unknown key \"" + *unknown + "\"");
     }
 
     bool
     fail(const std::string &what)
     {
-        if (error_.empty())
-            error_ = where_ + ": " + what;
+        if (error_.empty()) {
+            error_ = where_;
+            if (index_ != kNoIndex)
+                error_ += "[" + std::to_string(index_) + "]";
+            error_ += ": " + what;
+        }
         ok_ = false;
         return false;
     }
 
   private:
+    bool
+    isKnown(std::string_view key) const
+    {
+        for (std::size_t i = 0; i < known_count_; ++i)
+            if (known_[i] == key)
+                return true;
+        return false;
+    }
+
     const obs::JsonValue &value_;
-    std::string where_;
+    std::string_view where_;
+    std::size_t index_;
     std::string &error_;
-    std::vector<std::string> known_;
+    /** Keys claimed so far; the widest schema (write_buffer) has 17. */
+    std::array<std::string_view, 24> known_;
+    std::size_t known_count_ = 0;
+    /** Claimed keys that were present. */
+    std::size_t found_ = 0;
     bool ok_ = true;
 };
 
@@ -262,7 +301,7 @@ geometryToJson(obs::JsonWriter &json, const CacheGeometry &geometry)
 }
 
 bool
-geometryFromJson(const obs::JsonValue &value, const std::string &where,
+geometryFromJson(const obs::JsonValue &value, std::string_view where,
                  CacheGeometry &out, std::string &error)
 {
     FieldReader reader(value, where, error);
@@ -344,9 +383,7 @@ bool
 decodeCell(const obs::JsonValue &value, std::size_t index,
            CellSpec &out, std::string &error)
 {
-    std::ostringstream where;
-    where << "cells[" << index << "]";
-    FieldReader reader(value, where.str(), error);
+    FieldReader reader(value, "cells", error, index);
     reader.stringField("benchmark", out.benchmark);
     reader.uintField("seed", out.seed);
     reader.uintField("instructions", out.instructions);
@@ -506,8 +543,8 @@ machineConfigFromJson(const obs::JsonValue &value, MachineConfig &out,
 std::string
 encodeRequest(const Request &request)
 {
-    std::ostringstream os;
-    obs::JsonWriter json(os, 0);
+    std::string out;
+    obs::JsonWriter json(out, 0);
     json.beginObject();
     json.field("schema", kRequestSchema);
     json.field("type", requestTypeName(request.type));
@@ -528,7 +565,7 @@ encodeRequest(const Request &request)
         json.endArray();
     }
     json.endObject();
-    return os.str();
+    return out;
 }
 
 bool
@@ -578,8 +615,16 @@ decodeRequest(const std::string &payload, Request &out,
 std::string
 encodeResponse(const Response &response)
 {
-    std::ostringstream os;
-    obs::JsonWriter json(os, 0);
+    // One allocation: embedded result documents grow by about a
+    // sixth when their quotes and newlines are escaped.
+    std::size_t bytes = 256 + response.error.size()
+                        + response.statsJson.size() * 5 / 4;
+    for (const CellResult &cell : response.cells)
+        bytes += 64 + cell.benchmark.size()
+                 + cell.resultJson.size() * 5 / 4;
+    std::string out;
+    out.reserve(bytes);
+    obs::JsonWriter json(out, 0);
     json.beginObject();
     json.field("schema", kResponseSchema);
     json.field("type", responseTypeName(response.type));
@@ -611,7 +656,7 @@ encodeResponse(const Response &response)
         break;
     }
     json.endObject();
-    return os.str();
+    return out;
 }
 
 bool
@@ -643,9 +688,7 @@ decodeResponse(const std::string &payload, Response &out,
             return reader.fail("cells must be an array");
         std::size_t index = 0;
         for (const obs::JsonValue &value : cells->array()) {
-            std::ostringstream where;
-            where << "cells[" << index << "]";
-            FieldReader cell(value, where.str(), error);
+            FieldReader cell(value, "cells", error, index);
             CellResult result;
             cell.stringField("benchmark", result.benchmark);
             cell.boolField("cache_hit", result.cacheHit);

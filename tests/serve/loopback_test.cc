@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -266,15 +269,56 @@ TEST(Loopback, OversizedMissBatchIsAHardErrorNotRetryAfter)
         << response.error;
 }
 
+/** Holds every worker that reaches it until release(): plugged into
+ *  ServeConfig::workerGate so a test decides when simulation starts. */
+struct WorkerGate
+{
+    std::mutex mutex;
+    std::condition_variable changed;
+    unsigned held = 0;
+    bool open = false;
+
+    void
+    pass()
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        ++held;
+        changed.notify_all();
+        changed.wait(lock, [this]() { return open; });
+    }
+
+    void
+    release()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            open = true;
+        }
+        changed.notify_all();
+    }
+
+    bool
+    waitHeld()
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        return changed.wait_for(lock, std::chrono::seconds(60),
+                                [this]() { return held > 0; });
+    }
+};
+
 TEST(Loopback, OverloadAnswersRetryAfterAndRetriesComplete)
 {
-    // One worker, one queue slot: while the worker chews a slow cell
+    // One worker, one queue slot: while the worker holds a slow cell
     // and another waits in the queue, further admissions must bounce
-    // with RETRY_AFTER — and honouring the hint must converge.
+    // with RETRY_AFTER — and honouring the hint must converge. The
+    // worker is held on a gate until the prober has seen the bounce,
+    // so the overload does not depend on how fast the simulator is.
+    WorkerGate gate;
     ServeConfig config;
     config.workers = 1;
     config.queueCapacity = 1;
     config.retryAfterMs = 5;
+    config.workerGate = [&gate]() { gate.pass(); };
     ServerFixture fixture(config);
 
     auto slowCell = [](unsigned depth) {
@@ -290,6 +334,20 @@ TEST(Loopback, OverloadAnswersRetryAfterAndRetriesComplete)
     };
 
     std::vector<std::thread> heavy;
+    // Open the gate and join on every exit, failed assertions
+    // included, so the server can drain.
+    struct Cleanup
+    {
+        WorkerGate &gate;
+        std::vector<std::thread> &threads;
+        ~Cleanup()
+        {
+            gate.release();
+            for (std::thread &thread : threads)
+                if (thread.joinable())
+                    thread.join();
+        }
+    } cleanup{gate, heavy};
     for (unsigned depth = 1; depth <= 2; ++depth) {
         heavy.emplace_back([&fixture, slowCell, depth]() {
             ServeClient client = fixture.client();
@@ -300,6 +358,17 @@ TEST(Loopback, OverloadAnswersRetryAfterAndRetriesComplete)
                 << error;
             EXPECT_EQ(ResponseType::Results, response.type);
         });
+    }
+
+    // Overload is set up once the worker holds one slow cell and the
+    // other fills the queue's only slot.
+    ASSERT_TRUE(gate.waitHeld()) << "the worker never took a cell";
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (fixture.server.queueStats().depth == 0) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+            << "the second slow cell never queued";
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
 
     // Hammer with cheap distinct cells until one bounces.
@@ -318,6 +387,7 @@ TEST(Loopback, OverloadAnswersRetryAfterAndRetriesComplete)
             << error;
         sawRetryAfter = response.type == ResponseType::RetryAfter;
     }
+    gate.release();
     for (std::thread &thread : heavy)
         thread.join();
 
