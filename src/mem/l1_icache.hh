@@ -40,6 +40,9 @@ class L1ICache
         return false;
     }
 
+    /** True when fetch(@p pc) would hit; changes no state. */
+    bool probe(Addr pc) const { return !tags_ || tags_->probe(pc); }
+
     /**
      * Exactly @p n fetch(pc) calls that all hit, in O(1) (the line
      * holding @p pc must be resident): the tags, the LRU clock and

@@ -11,7 +11,7 @@ namespace wbsim
 namespace
 {
 
-/// Records pulled from a core's TraceSource per batch refill.
+/// Run items pulled from a core's TraceSource per refill.
 constexpr std::size_t kFeedBatch = 256;
 
 std::vector<MachineConfig>
@@ -89,7 +89,6 @@ MultiCoreSystem::MultiCoreSystem(
         core.sim = std::make_unique<Simulator>(configs[i]);
         core.sim->attachBus(&bus_, static_cast<unsigned>(i));
         core.runs.resize(kFeedBatch);
-        core.batch.resize(kFeedBatch);
         cores_.push_back(std::move(core));
     }
     bus_.setScheduler(this);
@@ -123,9 +122,7 @@ bool
 MultiCoreSystem::refill(unsigned i)
 {
     CoreState &core = cores_[i];
-    core.have = core.batched
-        ? core.source->nextRuns(core.runs.data(), kFeedBatch)
-        : core.source->nextBatch(core.batch.data(), kFeedBatch);
+    core.have = core.source->nextRuns(core.runs.data(), kFeedBatch);
     core.pos = 0;
     if (core.have == 0) {
         clocks_[i] = kExhausted;
@@ -161,19 +158,20 @@ MultiCoreSystem::advance(unsigned i)
     if (core.pos == core.have && !refill(i))
         return;
     Simulator &sim = *core.sim;
-    if (!core.batched) {
-        sim.step(core.batch[core.pos++]);
-    } else {
-        // Nothing in a private prefix is visible to another core, so
-        // where a step ends inside one cannot move any bus-visible
-        // record: each still runs at the clock, and in the global
-        // order, the per-record schedule gives it (DESIGN.md §14).
-        // A step that starts at a potentially visible record runs it
-        // first, alone, then the private prefix that follows it.
-        Count before = sim.instructions();
+    // Nothing in a private prefix is visible to another core, so
+    // where a batched step ends inside one cannot move any
+    // bus-visible record: each still runs at the clock, and in the
+    // global order, the per-record schedule gives it (DESIGN.md §14).
+    // A step that starts at a potentially visible record runs it
+    // first, alone, then the private prefix that follows it.
+    bool batched = schedule_ == Schedule::Batched;
+    Count before = sim.instructions();
+    if (batched)
         runPrefix(core);
-        if (sim.instructions() == before) {
-            sim.step(core.runs[core.pos++].rec);
+    if (sim.instructions() == before) {
+        if (sim.stepFront(core.runs[core.pos]))
+            ++core.pos;
+        if (batched) {
             crossBoundary(i);
             runPrefix(core);
         }
@@ -189,21 +187,19 @@ MultiCoreSystem::run(const std::vector<TraceSource *> &sources,
     wbsim_assert(sources.size() == cores_.size(),
                  "one trace source per core required");
     warmup_ = warmup;
-    // Private-prefix steps reorder L1-hit load events across cores,
-    // so an attached event log keeps every core on the per-record
-    // schedule; so does a config whose every record does work beyond
-    // issue arithmetic (a real I-cache, issue bubbles).
-    bool logged = false;
+    // A shared event log records the cross-core event order, which
+    // only the per-record schedule produces: private-prefix steps
+    // reorder private events (L1-hit loads) across cores. So an
+    // attached log keeps every core on that schedule.
     for (const CoreState &core : cores_)
-        logged |= core.sink.eventLog != nullptr
-            || core.sim->eventLog() != nullptr;
+        if (core.sink.eventLog != nullptr
+            || core.sim->eventLog() != nullptr)
+            schedule_ = Schedule::PerRecord;
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         wbsim_assert(sources[i] != nullptr, "null trace source");
         CoreState &core = cores_[i];
         core.source = sources[i];
         core.workload = sources[i]->name();
-        core.batched = schedule_ == Schedule::Batched && !logged
-            && core.sim->privatePrefixOk();
         clocks_[i] = core.sim->now();
         if (warmup == 0)
             beginMeasurement(static_cast<unsigned>(i));

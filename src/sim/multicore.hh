@@ -10,10 +10,11 @@
  * recursively advancing lagging cores whenever a bus request needs a
  * causally safe grant (DESIGN.md §14). A scheduling step runs the
  * core's next potentially bus-visible record (store, barrier, load
- * missing L1) at the instant the core is picked, then the whole
- * bus-private prefix (NonMem runs, L1-hit loads) up to the next one,
- * which keeps the bus schedule of the one-record-per-step reference
- * bit for bit.
+ * missing L1, instruction fetch missing the I-cache) at the instant
+ * the core is picked, then the whole bus-private prefix (NonMem
+ * runs, L1-hit loads, I-fetch hits, bubble draws) up to the next
+ * one, which keeps the bus schedule of the one-record-per-step
+ * reference bit for bit.
  *
  * A 1-core system with the bus attached reproduces the legacy
  * single-core run bit for bit (no competing requester means every
@@ -69,8 +70,8 @@ class MultiCoreSystem final : private BusScheduler
          *  bus, then the bus-private prefix after it (the production
          *  path). */
         Batched,
-        /** A step runs one record: the reference schedule the
-         *  batched one is diffed against (tests, debug shadow). */
+        /** A step runs one record: the reference (tests, debug
+         *  shadow), and the schedule of any run with an event log. */
         PerRecord,
     };
 
@@ -134,13 +135,10 @@ class MultiCoreSystem final : private BusScheduler
     {
         std::unique_ptr<Simulator> sim;
         TraceSource *source = nullptr;
-        /** Feed buffers, sized at construction: run items when the
-         *  core is batched, records when it steps per record. */
+        /** Run-item feed buffer, sized at construction. */
         std::vector<TraceRun> runs;
-        std::vector<TraceRecord> batch;
         std::size_t pos = 0;
         std::size_t have = 0;
-        bool batched = false;
         bool measuring = false;
         BusCoreStats busAtReset;
         obs::ObsSink sink;

@@ -134,10 +134,6 @@ class MaterializedCursor final : public TraceSource
     WBSIM_HOT std::size_t nextRuns(TraceRun *out, std::size_t max,
                                    Count budget = kNoBudget) override;
 
-    /** Runs are folded only when pc advances by 4 (see the
-     *  encoder), so run PCs continue from the previous record. */
-    bool sequentialRunPcs() const override { return true; }
-
     /** Jump so the next record returned is record @p index. */
     void seek(Count index);
 

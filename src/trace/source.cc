@@ -1,6 +1,7 @@
 #include "trace/source.hh"
 
 #include <algorithm>
+#include <optional>
 
 namespace wbsim
 {
@@ -18,6 +19,7 @@ TraceSource::nextRuns(TraceRun *out, std::size_t max, Count budget)
 {
     TraceRecord chunk[kFoldChunk];
     std::size_t produced = 0;
+    std::optional<Addr> next_pc; // the previous record's pc + 4
     // Every record yields at most one item, so pulling no more
     // records than there are free slots never overflows @p out; nor
     // does pulling more than the budget allows ever cut an item.
@@ -29,12 +31,14 @@ TraceSource::nextRuns(TraceRun *out, std::size_t max, Count budget)
         budget -= got;
         std::uint32_t run = 0;
         for (std::size_t i = 0; i < got; ++i) {
-            if (chunk[i].op == Op::NonMem) {
+            // A NonMem record that jumps is an item's own record.
+            if (chunk[i].op == Op::NonMem && next_pc == chunk[i].pc) {
                 ++run;
-                continue;
+            } else {
+                out[produced++] = TraceRun{run, chunk[i]};
+                run = 0;
             }
-            out[produced++] = TraceRun{run, chunk[i]};
-            run = 0;
+            next_pc = chunk[i].pc + 4;
         }
         // A run the chunk cut off travels in carrier form: its last
         // record is the item's own (NonMem) record.

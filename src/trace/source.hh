@@ -28,14 +28,14 @@ namespace wbsim
  * batch consumers can charge a run in O(1) instead of scanning
  * filler records.
  *
- * The run covers @ref nonMemBefore NonMem records whose individual
- * pc values are not carried. A source whose sequentialRunPcs() is
- * true guarantees they are `prev.pc + 4 * k` (k = 1..nonMemBefore,
- * prev = the record just before the run), so a consumer that needs
- * fetch addresses can continue them from the previous record; for
- * any other source a run consumer must not need them. A NonMem run
- * with no following record in reach decodes as an item whose `rec`
- * is itself a NonMem record (the carrier form).
+ * The run covers @ref nonMemBefore NonMem records whose pc values
+ * are not carried: every source guarantees they are `prev.pc + 4 * k`
+ * (k = 1..nonMemBefore, prev = the record just before the run), so a
+ * consumer that needs fetch addresses continues them from the
+ * previous record. A NonMem record that does not continue its
+ * predecessor by 4 is an item's own record. A NonMem run with no
+ * following record in reach decodes as an item whose `rec` is itself
+ * a NonMem record (the carrier form).
  */
 struct TraceRun
 {
@@ -82,7 +82,10 @@ class TraceSource
      * would cross the budget is cut exactly there: the records
      * within it travel as a carrier item, and the rest of its run
      * starts the next call. The default folds nextBatch() records:
-     * each NonMem run joins the next explicit record, and a run cut
+     * a NonMem record joins the pending run only when its pc is the
+     * previous record's pc + 4 and that record came from the same
+     * call, so the first NonMem record of a call is always an item's
+     * own record and the fold keeps no state between calls; a run cut
      * by a fold chunk travels in carrier form. Sources with a native
      * run encoding (materialized traces) override this.
      * @return items produced; 0 only at end of stream or when
@@ -90,14 +93,6 @@ class TraceSource
      */
     virtual std::size_t nextRuns(TraceRun *out, std::size_t max,
                                  Count budget = kNoBudget);
-
-    /**
-     * True when nextRuns() items carry sequential run PCs (see
-     * TraceRun), which lets a real-I-cache consumer take run items.
-     * The default fold joins any NonMem record into a run, so it
-     * says false.
-     */
-    virtual bool sequentialRunPcs() const { return false; }
 
     /** Rewind to the beginning of the stream. */
     virtual void reset() = 0;

@@ -283,5 +283,50 @@ TEST(PaperTrends, NarrowDatapathRaisesAllStalls)
     EXPECT_GT(narrow_total, wide_total);
 }
 
+/** Total stall share of every variant of @p experiment for
+ *  @p benchmark, at the reproduction gate's 100k/50k length. */
+std::vector<double>
+stallShares(const Experiment &experiment, const std::string &benchmark)
+{
+    std::vector<double> shares;
+    for (const ConfigVariant &variant : experiment.variants)
+        shares.push_back(runOne(spec92::profile(benchmark),
+                                variant.machine, 100'000, 1, 50'000)
+                             .pctTotalStalls());
+    return shares;
+}
+
+TEST(PaperTrends, Figure12SmallerL2LowersStallShare)
+{
+    // Finding 5: L2-miss time swamps the write buffer's stalls and
+    // misses give the buffer free retirement slots, so the stall
+    // *share* falls from the perfect L2 to 1M, 512K and 128K.
+    // Measured: compress 3.49% -> 2.90%, tomcatv 5.93% -> 3.93%.
+    for (const char *benchmark : {"compress", "tomcatv"}) {
+        SCOPED_TRACE(benchmark);
+        std::vector<double> shares =
+            stallShares(figures::figure12(), benchmark);
+        ASSERT_EQ(shares.size(), 4u);
+        for (std::size_t v = 1; v < shares.size(); ++v)
+            EXPECT_LE(shares[v], shares[v - 1]) << "variant " << v;
+        EXPECT_LT(shares.back(), 0.9 * shares.front());
+    }
+}
+
+TEST(PaperTrends, Figure13SlowerMemoryLowersStallShare)
+{
+    // Finding 5 again, along memory latency with a 1M L2: tomcatv
+    // goes 5.93% (perfect L2) -> 4.26% (mem 25) -> 3.39% (mem 50).
+    for (const char *benchmark : {"compress", "tomcatv"}) {
+        SCOPED_TRACE(benchmark);
+        std::vector<double> shares =
+            stallShares(figures::figure13(), benchmark);
+        ASSERT_EQ(shares.size(), 3u);
+        EXPECT_LT(shares[1], shares[0]);
+        EXPECT_LT(shares[2], shares[1]);
+        EXPECT_LT(shares[2], 0.8 * shares[0]);
+    }
+}
+
 } // namespace
 } // namespace wbsim

@@ -3,11 +3,10 @@
  * Differential test of the batched multi-core schedule against the
  * one-record-per-step reference: over seeded random machines (core
  * count, discipline, buffer kind, hazard policy, retirement mode,
- * issue width, write priority, write-allocate, warmup, per-core
- * configs), a system whose steps run whole bus-private prefixes must
- * produce exactly the per-core results and bus accounting of the
- * per-record schedule. Machines that fall back to per-record steps
- * (a real I-cache, issue bubbles) are diffed too.
+ * issue width, write priority, write-allocate, real I-cache geometry,
+ * issue bubbles, warmup, per-core configs), a system whose steps run
+ * whole bus-private prefixes must produce exactly the per-core
+ * results and bus accounting of the per-record schedule.
  */
 
 #include <gtest/gtest.h>
@@ -64,6 +63,17 @@ randomMachine(Rng &rng)
     machine.perfectL2 = rng.nextBool(0.7);
     if (!machine.perfectL2)
         machine.l2.sizeBytes = 128 * 1024; // small enough to miss
+    if (rng.nextBool(0.4)) {
+        machine.perfectICache = false;
+        const std::uint64_t lines[] = {16, 32, 64};
+        machine.l1i.lineBytes = lines[rng.nextBelow(3)];
+        machine.l1i.associativity = rng.nextBool(0.5) ? 2 : 1;
+        // 1K misses often enough that fetch misses land inside
+        // NonMem runs and cut a core's private prefix there.
+        machine.l1i.sizeBytes = rng.nextBool(0.5) ? 1024 : 4096;
+    }
+    if (rng.nextBool(0.3))
+        machine.bubbleProbability = rng.nextBool(0.5) ? 0.1 : 0.4;
     machine.validate();
     return machine;
 }
@@ -249,21 +259,28 @@ TEST(MultiCoreBatch, EveryAxisValueMatchesThePerRecordSchedule)
     }
 }
 
-TEST(MultiCoreBatch, FallbackMachinesMatchThePerRecordSchedule)
+TEST(MultiCoreBatch, ICacheAndBubbleMachinesMatchThePerRecordSchedule)
 {
-    // A real I-cache or issue bubbles make every record do per-record
-    // work, so those cores keep one-record steps; mixed with batched
-    // cores the system schedule must still be the reference's.
+    // A real I-cache makes fetch misses bus-visible and issue bubbles
+    // draw the RNG per record; both run batched, alone and mixed with
+    // perfect-I-cache cores, on the reference's system schedule.
     Rng rng(0xfa11bac);
     MachineConfig icache = randomMachine(rng);
     icache.perfectICache = false;
+    icache.l1i = CacheGeometry{1024, 16, 1};
     MachineConfig bubbles = randomMachine(rng);
+    bubbles.perfectICache = true;
     bubbles.bubbleProbability = 0.1;
+    MachineConfig both = icache;
+    both.bubbleProbability = 0.4;
     MachineConfig plain = randomMachine(rng);
+    plain.perfectICache = true;
+    plain.bubbleProbability = 0.0;
     for (const std::vector<MachineConfig> &configs :
          {std::vector<MachineConfig>{icache, icache},
           std::vector<MachineConfig>{bubbles, bubbles, bubbles},
-          std::vector<MachineConfig>{plain, icache, bubbles}}) {
+          std::vector<MachineConfig>{both, both},
+          std::vector<MachineConfig>{plain, icache, bubbles, both}}) {
         Case c;
         c.configs = configs;
         for (MachineConfig &machine : c.configs) {
@@ -278,6 +295,47 @@ TEST(MultiCoreBatch, FallbackMachinesMatchThePerRecordSchedule)
             expectSameAsPerRecord(c);
         }
     }
+}
+
+TEST(MultiCoreBatch, PrivatePrefixStopsAtAnICacheMissInsideARun)
+{
+    // 16 B I-cache lines hold four instructions, so a 40-record run
+    // from pc 4 crosses into a cold line at pc 16, 32, ...: each
+    // prefix stops before that fetch, mid-run, and stepFront() runs
+    // the missing NonMem record (at the last pc + 4) alone.
+    MachineConfig machine = figures::baselineMachine();
+    machine.perfectICache = false;
+    machine.l1i = CacheGeometry{1024, 16, 1};
+    Simulator sim(machine);
+    TraceRun item{40, TraceRecord::load(0x1000, 8, 0x200)};
+    const Count none = ~Count{0};
+
+    EXPECT_EQ(sim.runPrivatePrefix(&item, 1, none), 0u);
+    EXPECT_EQ(sim.instructions(), 0u) << "pc 4 misses the cold cache";
+    EXPECT_FALSE(sim.stepFront(item));
+    EXPECT_EQ(item.nonMemBefore, 39u);
+    EXPECT_EQ(sim.runPrivatePrefix(&item, 1, none), 0u);
+    EXPECT_EQ(sim.instructions(), 3u) << "pcs 8 and 12 hit";
+    EXPECT_EQ(item.nonMemBefore, 37u) << "stopped before pc 16";
+
+    // Run the rest: misses at every line start, then the load, whose
+    // own fetch (pc 0x200) misses too.
+    Count steps = 0;
+    while (!sim.stepFront(item)) {
+        sim.runPrivatePrefix(&item, 1, none);
+        ++steps;
+    }
+    EXPECT_EQ(sim.instructions(), 41u);
+    EXPECT_EQ(steps, 10u) << "one visible step per new line, pc 16-160";
+    SimResults r = sim.results("prefix");
+    EXPECT_EQ(r.ifetchMisses, 12u);
+
+    // The same records, one step() each.
+    Simulator reference(machine);
+    for (Addr pc = 4; pc <= 160; pc += 4)
+        reference.step(TraceRecord::nonMem(pc));
+    reference.step(item.rec);
+    EXPECT_EQ(reference.results("prefix"), r);
 }
 
 } // namespace

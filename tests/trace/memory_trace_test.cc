@@ -9,6 +9,8 @@
 #include <algorithm>
 
 #include "trace/memory_trace.hh"
+#include "workloads/generator.hh"
+#include "workloads/spec92.hh"
 
 namespace wbsim
 {
@@ -162,16 +164,23 @@ TEST(TraceSource, DefaultNextRunsFoldsNonMemRunsIntoItems)
         TraceRecord::nonMem(36)};
     MemoryTrace trace(records);
     TraceRun items[16];
-    ASSERT_EQ(trace.nextRuns(items, 16), 4u);
-    EXPECT_EQ(items[0].nonMemBefore, 2u);
-    EXPECT_EQ(items[0].rec, records[2]);
-    EXPECT_EQ(items[1].nonMemBefore, 0u);
-    EXPECT_EQ(items[1].rec, records[3]);
-    EXPECT_EQ(items[2].nonMemBefore, 1u);
-    EXPECT_EQ(items[2].rec, records[5]);
+    // A NonMem record joins a run only when its pc continues the
+    // record before it by 4 in the same call, so the first record
+    // and the jump to 20 are items' own records.
+    ASSERT_EQ(trace.nextRuns(items, 16), 6u);
+    EXPECT_EQ(items[0].nonMemBefore, 0u);
+    EXPECT_EQ(items[0].rec, records[0]);
+    EXPECT_EQ(items[1].nonMemBefore, 1u);
+    EXPECT_EQ(items[1].rec, records[2]);
+    EXPECT_EQ(items[2].nonMemBefore, 0u);
+    EXPECT_EQ(items[2].rec, records[3]);
+    EXPECT_EQ(items[3].nonMemBefore, 0u);
+    EXPECT_EQ(items[3].rec, records[4]);
+    EXPECT_EQ(items[4].nonMemBefore, 0u);
+    EXPECT_EQ(items[4].rec, records[5]);
     // The trailing run has no record to join: carrier form.
-    EXPECT_EQ(items[3].nonMemBefore, 2u);
-    EXPECT_EQ(items[3].rec, records[8]);
+    EXPECT_EQ(items[5].nonMemBefore, 2u);
+    EXPECT_EQ(items[5].rec, records[8]);
     EXPECT_EQ(trace.nextRuns(items, 16), 0u);
 }
 
@@ -234,6 +243,71 @@ TEST(TraceSource, DefaultNextRunsHonoursTheBudget)
         for (std::size_t i = 0; i < records.size(); ++i)
             ASSERT_EQ(ops[i].op, records[i].op) << budget << " " << i;
     }
+}
+
+/** Expand run items into records, each run's pcs continued by 4
+ *  from the record before it; @p own_records collects the stream
+ *  index of every item's own record. */
+std::vector<TraceRecord>
+expandWithPcs(TraceSource &source, std::size_t batch_items,
+              std::vector<std::size_t> &own_records)
+{
+    std::vector<TraceRecord> out;
+    std::vector<TraceRun> items(batch_items);
+    Addr pc = 0;
+    while (std::size_t got = source.nextRuns(items.data(), batch_items)) {
+        for (std::size_t i = 0; i < got; ++i) {
+            for (std::uint32_t k = 0; k < items[i].nonMemBefore; ++k)
+                out.push_back(TraceRecord::nonMem(pc += 4));
+            own_records.push_back(out.size());
+            out.push_back(items[i].rec);
+            pc = items[i].rec.pc;
+        }
+    }
+    return out;
+}
+
+TEST(TraceSource, GeneratorLoopWrapsAndJumpsCutRuns)
+{
+    // A 16-instruction inner loop wraps every 16 records, and jumps
+    // between loops are frequent: the fold must cut a run at both,
+    // so the items rebuild every record, pc included.
+    BenchmarkProfile profile = spec92::profile("compress");
+    profile.codeLoop = 64;
+    profile.codeJumpProb = 0.02;
+    constexpr Count kLength = 20'000;
+    SyntheticSource flat(profile, kLength, 7);
+    std::vector<TraceRecord> records =
+        MemoryTrace::capture(flat).records();
+
+    SyntheticSource generator(profile, kLength, 7);
+    std::vector<std::size_t> own;
+    EXPECT_EQ(expandWithPcs(generator, 100, own), records);
+    int wraps = 0;
+    int jumps = 0;
+    for (std::size_t i = 1; i < records.size(); ++i) {
+        Addr next = records[i - 1].pc + 4;
+        if (records[i].op != Op::NonMem || records[i].pc == next)
+            continue;
+        (records[i].pc == next - profile.codeLoop ? wraps : jumps) += 1;
+        EXPECT_TRUE(std::binary_search(own.begin(), own.end(), i))
+            << "record " << i << " jumps but joined a run";
+    }
+    EXPECT_GT(wraps, 100);
+    EXPECT_GT(jumps, 20);
+
+    // The adapters fold the same way.
+    SyntheticSource inner(profile, kLength, 7);
+    TruncatedSource truncated(inner, kLength / 2);
+    std::vector<TraceRecord> half(records.begin(),
+                                  records.begin() + kLength / 2);
+    EXPECT_EQ(expandWithPcs(truncated, 100, own), half);
+    SyntheticSource first(profile, kLength / 2, 7);
+    MemoryTrace second(half);
+    ConcatSource concat({&first, &second});
+    std::vector<TraceRecord> twice = half;
+    twice.insert(twice.end(), half.begin(), half.end());
+    EXPECT_EQ(expandWithPcs(concat, 100, own), twice);
 }
 
 } // namespace
