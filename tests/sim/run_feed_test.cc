@@ -82,10 +82,9 @@ TEST(RunFeed, MatchesRecordPathsOnEveryProfile)
 
 TEST(RunFeed, BubbleMachineTakesRecordPathAndStillMatches)
 {
-    // bubbleProbability > 0 disqualifies batched run handling: every
-    // record must draw from the bubble RNG in order. The cursor feed
-    // must fall back to the record path and match the generator feed
-    // exactly (same RNG draw sequence).
+    // bubbleProbability > 0 draws the bubble RNG once per record, in
+    // order: the cursor's native items and the generator's folded
+    // items must make the same draw sequence.
     BenchmarkProfile profile = spec92::profile("compress");
     MachineConfig machine = figures::baselineMachine();
     machine.bubbleProbability = 0.05;
