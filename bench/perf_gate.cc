@@ -36,9 +36,10 @@
  * loosens the gate. Wall-clock ratios are only meaningful on a quiet
  * machine at full length, so smoke runs report them without gating.
  *
- * The `serve_codec` lane times the wbsim-serve hit path's JSON work
- * (an 8-cell sweep request and its Results response, encoded and
- * decoded, plus the 8 result documents rendered); it is not gated.
+ * The `serve_codec` lane times the wbsim-serve hit path's codec work
+ * (an 8-cell sweep request decoded, its 8 stored result tokens
+ * appended into a Results payload, and that payload client-decoded);
+ * it is not gated.
  * Its ops are not instructions, so it also records `sim_simd_ratio`,
  * its rate over this run's sim_simd rate, which stays comparable
  * across host phases when the raw rate does not.
@@ -558,12 +559,13 @@ gridFig04(const std::string &name, bool cached, Count instructions,
 }
 
 /**
- * The wbsim-serve hit path's JSON work, without sockets or the
- * store: one op encodes and decodes an 8-cell sweep request over the
- * paper's depth x hazard-policy space, renders the 8 cells'
- * wbsim-sim-results-v1 documents, and encodes and decodes the
- * Results response carrying them. The cells are simulated once,
- * untimed; best of @p reps timed passes of @p ops ops.
+ * The wbsim-serve hit path's codec work, without sockets or the
+ * store: one op decodes an 8-cell sweep request over the paper's
+ * depth x hazard-policy space, appends the 8 cells' stored result
+ * tokens into a Results payload (what a store hit costs the server),
+ * and client-decodes that payload. The cells are simulated, rendered
+ * and escaped once, untimed, as a miss does; best of @p reps timed
+ * passes of @p ops ops.
  */
 GateResult
 serveCodec(int ops, int reps)
@@ -574,7 +576,8 @@ serveCodec(int ops, int reps)
         spec92::benchmarkNames();
     serve::Request request;
     request.type = serve::RequestType::Sweep;
-    std::vector<SimResults> results;
+    std::vector<std::string> documents;
+    std::vector<std::string> tokens;
     for (unsigned depth : {2u, 4u, 8u, 12u}) {
         for (LoadHazardPolicy hazard : hazards) {
             serve::CellSpec cell;
@@ -586,44 +589,43 @@ serveCodec(int ops, int reps)
             cell.machine.writeBuffer.highWaterMark = std::min(
                 cell.machine.writeBuffer.highWaterMark, depth);
             cell.machine.writeBuffer.hazardPolicy = hazard;
-            results.push_back(runOne(spec92::profile(cell.benchmark),
-                                     cell.machine, cell.instructions,
-                                     cell.seed, cell.warmup));
+            obs::Provenance provenance;
+            provenance.machineFingerprint =
+                cell.machine.stateFingerprint();
+            provenance.machine = cell.machine.describe();
+            provenance.seed = cell.seed;
+            provenance.instructions = cell.instructions;
+            provenance.warmup = cell.warmup;
+            obs::writeSimResultsJson(
+                documents.emplace_back(),
+                runOne(spec92::profile(cell.benchmark), cell.machine,
+                       cell.instructions, cell.seed, cell.warmup),
+                provenance);
+            tokens.push_back(serve::encodeResultToken(documents.back()));
             request.cells.push_back(std::move(cell));
         }
     }
+    const std::string requestBytes = serve::encodeRequest(request);
 
     GateResult r;
     r.name = "serve_codec";
     r.iterations = static_cast<std::uint64_t>(ops);
     std::size_t sink = 0;
+    serve::Response back;
     for (int rep = 0; rep < reps; ++rep) {
         double start = now();
         for (int op = 0; op < ops; ++op) {
             serve::Request decoded;
             std::string error;
-            if (!serve::decodeRequest(serve::encodeRequest(request),
-                                      decoded, error))
+            if (!serve::decodeRequest(requestBytes, decoded, error))
                 wbsim_panic("serve_codec: ", error);
-            serve::Response response;
-            response.type = serve::ResponseType::Results;
-            for (std::size_t i = 0; i < decoded.cells.size(); ++i) {
-                const serve::CellSpec &cell = decoded.cells[i];
-                obs::Provenance provenance;
-                provenance.machineFingerprint =
-                    cell.machine.stateFingerprint();
-                provenance.machine = cell.machine.describe();
-                provenance.seed = cell.seed;
-                provenance.instructions = cell.instructions;
-                provenance.warmup = cell.warmup;
-                serve::CellResult &out = response.cells.emplace_back();
-                out.benchmark = cell.benchmark;
-                obs::writeSimResultsJson(out.resultJson, results[i],
-                                         provenance);
-            }
-            serve::Response back;
-            if (!serve::decodeResponse(serve::encodeResponse(response),
-                                       back, error))
+            std::vector<serve::ResultCellView> cells(
+                decoded.cells.size());
+            for (std::size_t i = 0; i < cells.size(); ++i)
+                cells[i] = {decoded.cells[i].benchmark, true, tokens[i]};
+            back = serve::Response();
+            if (!serve::decodeResponse(serve::encodeResults(cells), back,
+                                       error))
                 wbsim_panic("serve_codec: ", error);
             sink += back.cells.size();
         }
@@ -636,6 +638,10 @@ serveCodec(int ops, int reps)
     }
     wbsim_assert(sink == std::size_t(ops) * std::size_t(reps) * 8,
                  "serve_codec lost cells");
+    for (std::size_t i = 0; i < documents.size(); ++i)
+        wbsim_assert(back.cells[i].resultJson == documents[i],
+                     "serve_codec: a stored token decoded to other "
+                     "bytes");
     return r;
 }
 

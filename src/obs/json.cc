@@ -267,6 +267,15 @@ JsonWriter::value(bool v)
     return *this;
 }
 
+JsonWriter &
+JsonWriter::rawValue(std::string_view encoded)
+{
+    beginValue();
+    out_.append(encoded);
+    endValue();
+    return *this;
+}
+
 std::string
 jsonEscape(std::string_view s)
 {

@@ -71,6 +71,11 @@ class JsonWriter
     JsonWriter &value(int v);
     JsonWriter &value(double v);
     JsonWriter &value(bool v);
+    /** A value that is already JSON text, appended verbatim: the
+     *  writer places it (comma, indent) but does not look inside.
+     *  wbsim-serve stores each cell's result as the string literal
+     *  value() wrote for it once, and appends it here on every hit. */
+    JsonWriter &rawValue(std::string_view encoded);
     /// @}
 
     /** key(name) + value(v). */

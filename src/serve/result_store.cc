@@ -12,7 +12,7 @@ namespace
 {
 
 /** Per-entry bookkeeping overhead (map node, LRU node, control
- *  block) charged on top of the payload. */
+ *  block, token allocation) charged on top of the payload. */
 constexpr std::size_t kEntryOverhead = 192;
 
 } // namespace
@@ -51,13 +51,13 @@ ResultStore::shardFor(const CellKey &key)
 }
 
 std::size_t
-ResultStore::entryBytes(const CellKey &key)
+ResultStore::entryBytes(const CellKey &key, const std::string &token)
 {
-    return sizeof(SimResults) + sizeof(CellKey) * 2
+    return sizeof(std::string) + token.size() + sizeof(CellKey) * 2
            + key.benchmark.size() * 2 + kEntryOverhead;
 }
 
-ResultStore::ResultPtr
+ResultStore::TokenPtr
 ResultStore::find(const CellKey &key)
 {
     Shard &shard = shardFor(key);
@@ -69,28 +69,30 @@ ResultStore::find(const CellKey &key)
     }
     shard.lru.splice(shard.lru.end(), shard.lru, it->second.lru);
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second.result;
+    return it->second.token;
 }
 
 void
-ResultStore::insert(const CellKey &key, ResultPtr result)
+ResultStore::insert(const CellKey &key, TokenPtr token)
 {
-    wbsim_assert(result != nullptr,
-                 "ResultStore::insert needs a result");
+    wbsim_assert(token != nullptr, "ResultStore::insert needs a token");
+    const std::size_t bytes = entryBytes(key, *token);
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-        // A concurrent worker simulated the same cell; results are
-        // deterministic, so either copy is the truth. Keep ours
+        // A concurrent worker simulated the same cell; its token is a
+        // function of the key, so either copy is the truth. Keep ours
         // fresh in the LRU and swap the payload in.
-        it->second.result = std::move(result);
+        shard.bytes = shard.bytes - it->second.bytes + bytes;
+        it->second.token = std::move(token);
+        it->second.bytes = bytes;
         shard.lru.splice(shard.lru.end(), shard.lru, it->second.lru);
         return;
     }
     Shard::Slot slot;
-    slot.result = std::move(result);
-    slot.bytes = entryBytes(key);
+    slot.token = std::move(token);
+    slot.bytes = bytes;
     slot.lru = shard.lru.insert(shard.lru.end(), key);
     shard.bytes += slot.bytes;
     shard.map.emplace(key, std::move(slot));

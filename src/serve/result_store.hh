@@ -1,26 +1,29 @@
 /**
  * @file
  * The serve-side result store: a sharded, byte-bounded LRU cache of
- * finished grid cells.
+ * finished grid cells, each held as its wire token.
  *
  * The store sits *in front of* the admission queue: a connection
  * thread that finds every cell of a request here answers immediately
  * without touching the worker pool, which is what makes a warm sweep
  * cheap (the cached >= 2x throughput bound the load generator
- * enforces). It complements the process-wide grid cache — the grid
- * cache de-duplicates *inputs* (traces, warm checkpoints) across
- * in-flight builds, this store memoises *outputs* keyed by the full
- * cell identity.
+ * enforces). A value is the cell's result_json token exactly as it
+ * goes on the wire (wire.hh, encodeResultToken), rendered once by the
+ * worker that simulated the cell, so a hit appends stored bytes and
+ * renders nothing (DESIGN.md §13). It complements the process-wide
+ * grid cache — the grid cache de-duplicates *inputs* (traces, warm
+ * checkpoints) across in-flight builds, this store memoises
+ * *outputs* keyed by the full cell identity.
  *
  * Sharding: keys are spread over N independent shards, each with its
  * own mutex, LRU list, and slice of the byte budget, so thousands of
  * concurrent lookups do not serialise on one lock.
  *
  * Thread-safety contract: all shard state is touched only under that
- * shard's mutex; values are shared_ptr<const SimResults>, so a hit
- * handed out before an eviction stays valid for as long as the
- * caller holds it. Counters are relaxed atomics — they feed stats,
- * not control flow. CI's `tsan` job runs the loopback tests over
+ * shard's mutex; values are shared_ptr<const std::string>, so a
+ * token handed out before an eviction stays valid for as long as
+ * the caller holds it, on whichever thread holds it. Counters are
+ * relaxed atomics — they feed stats, not control flow. CI's `tsan` job runs the loopback tests over
  * this store with no suppressions.
  */
 
@@ -36,7 +39,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/results.hh"
 #include "util/lint.hh"
 #include "util/types.hh"
 
@@ -65,30 +67,33 @@ struct ResultStoreStats
     std::uint64_t misses = 0;
     std::uint64_t inserts = 0;
     std::uint64_t evictions = 0;
-    /** Approximate resident bytes across all shards. */
+    /** Resident bytes across all shards: each entry's token plus
+     *  its key and bookkeeping overhead. */
     std::uint64_t bytes = 0;
     std::uint64_t entries = 0;
     std::uint64_t budgetBytes = 0;
 };
 
-/** Sharded byte-bounded LRU map: CellKey -> SimResults. */
+/** Sharded byte-bounded LRU map: CellKey -> result_json token. */
 class ResultStore
 {
   public:
-    using ResultPtr = std::shared_ptr<const SimResults>;
+    /** An immutable wire token, shared by the store and every
+     *  response that carries it. */
+    using TokenPtr = std::shared_ptr<const std::string>;
 
     /** @param budgetBytes total across shards; 0 = unbounded.
      *  @param shards clamped to [1, 256]. */
     explicit ResultStore(std::size_t budgetBytes,
                          std::size_t shards = 16);
 
-    /** The cached result, or nullptr. A hit refreshes LRU. Hot: one
+    /** The cached token, or nullptr. A hit refreshes LRU. Hot: one
      *  mutex, one hash probe, no allocation. */
-    WBSIM_HOT ResultPtr find(const CellKey &key);
+    WBSIM_HOT TokenPtr find(const CellKey &key);
 
-    /** Insert (or refresh) @p key; evicts LRU entries of the shard
-     *  if its byte slice overflows. */
-    void insert(const CellKey &key, ResultPtr result);
+    /** Insert (or refresh) @p key, charged its token's bytes; evicts
+     *  LRU entries of the shard if its byte slice overflows. */
+    void insert(const CellKey &key, TokenPtr token);
 
     ResultStoreStats stats() const;
 
@@ -103,7 +108,7 @@ class ResultStore
         WBSIM_GUARDED_BY(mutex) std::list<CellKey> lru;
         struct Slot
         {
-            ResultPtr result;
+            TokenPtr token;
             std::size_t bytes = 0;
             std::list<CellKey>::iterator lru;
         };
@@ -121,7 +126,8 @@ class ResultStore
     };
 
     Shard &shardFor(const CellKey &key);
-    static std::size_t entryBytes(const CellKey &key);
+    static std::size_t entryBytes(const CellKey &key,
+                                  const std::string &token);
 
     std::vector<std::unique_ptr<Shard>> shards_;
     std::size_t shardBudget_ = 0;

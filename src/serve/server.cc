@@ -220,22 +220,23 @@ ServeServer::handleConnection(int fd)
         }
         Request request;
         std::string error;
-        Response response;
         if (!decodeRequest(payload, request, error)) {
             requestErrors_.fetch_add(1, std::memory_order_relaxed);
+            Response response;
             response.type = ResponseType::Error;
             response.error = error;
-        } else {
-            response = handleRequest(request);
+            if (!writeFrame(fd, encodeResponse(response)))
+                return;
+            continue;
         }
-        if (!writeFrame(fd, encodeResponse(response)))
+        if (!writeFrame(fd, handleRequest(request)))
             return;
-        if (response.type == ResponseType::Bye)
-            return;
+        if (request.type == RequestType::Shutdown)
+            return; // answered Bye
     }
 }
 
-Response
+std::string
 ServeServer::handleRequest(const Request &request)
 {
     requests_.fetch_add(1, std::memory_order_relaxed);
@@ -243,24 +244,24 @@ ServeServer::handleRequest(const Request &request)
     switch (request.type) {
     case RequestType::Ping:
         response.type = ResponseType::Pong;
-        return response;
+        return encodeResponse(response);
     case RequestType::Stats:
         response.type = ResponseType::Stats;
         response.statsJson = statsJson();
-        return response;
+        return encodeResponse(response);
     case RequestType::Shutdown:
         requestShutdown();
         response.type = ResponseType::Bye;
-        return response;
+        return encodeResponse(response);
     case RequestType::Sweep:
         return handleSweep(request);
     }
     response.type = ResponseType::Error;
     response.error = "unhandled request type";
-    return response;
+    return encodeResponse(response);
 }
 
-Response
+std::string
 ServeServer::handleSweep(const Request &request)
 {
     const std::vector<CellSpec> &cells = request.cells;
@@ -269,7 +270,7 @@ ServeServer::handleSweep(const Request &request)
         Response response;
         response.type = ResponseType::Error;
         response.error = why;
-        return response;
+        return encodeResponse(response);
     };
 
     if (cells.size() > config_.maxCellsPerRequest) {
@@ -308,31 +309,30 @@ ServeServer::handleSweep(const Request &request)
         std::size_t remaining = 0;
     };
     Latch latch;
-    std::vector<ResultStore::ResultPtr> results(cells.size());
+    std::vector<ResultStore::TokenPtr> tokens(cells.size());
     std::vector<char> fromStore(cells.size(), 0);
     std::vector<DispatchJob> jobs;
-    // Each machine is fingerprinted once per request: for the store
-    // key here and for the provenance stamped on the reply.
-    std::vector<std::uint64_t> fingerprints(cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        fingerprints[i] = cells[i].machine.stateFingerprint();
-        CellKey key = keyOf(cells[i], fingerprints[i]);
-        if (ResultStore::ResultPtr cached = store_.find(key)) {
-            results[i] = std::move(cached);
+        CellKey key = keyOf(cells[i]);
+        if (ResultStore::TokenPtr cached = store_.find(key)) {
+            tokens[i] = std::move(cached);
             fromStore[i] = 1;
             continue;
         }
         DispatchJob job;
         job.priority = request.priority;
-        job.run = [this, &latch, &results, i, spec = cells[i],
+        job.run = [this, &latch, &tokens, i, spec = cells[i],
                    key = std::move(key)]() {
             if (config_.workerGate)
                 config_.workerGate();
-            auto ptr = std::make_shared<const SimResults>(
-                simulateCell(spec, tlsWorkerIndex));
-            store_.insert(key, ptr);
+            // Render and escape once, here; every later hit on this
+            // key appends these bytes.
+            auto token = std::make_shared<const std::string>(
+                resultToken(spec, key.machineFingerprint,
+                            simulateCell(spec, tlsWorkerIndex)));
+            store_.insert(key, token);
             std::lock_guard<std::mutex> lock(latch.mutex);
-            results[i] = std::move(ptr);
+            tokens[i] = std::move(token);
             if (--latch.remaining == 0)
                 latch.done.notify_all();
         };
@@ -363,7 +363,7 @@ ServeServer::handleSweep(const Request &request)
             Response response;
             response.type = ResponseType::RetryAfter;
             response.retryAfterMs = config_.retryAfterMs;
-            return response;
+            return encodeResponse(response);
         }
         std::unique_lock<std::mutex> lock(latch.mutex);
         latch.done.wait(lock,
@@ -373,24 +373,28 @@ ServeServer::handleSweep(const Request &request)
     sweeps_.fetch_add(1, std::memory_order_relaxed);
     cellsServed_.fetch_add(cells.size(), std::memory_order_relaxed);
 
-    Response response;
-    response.type = ResponseType::Results;
-    response.cells.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const CellSpec &spec = cells[i];
-        obs::Provenance provenance;
-        provenance.machineFingerprint = fingerprints[i];
-        provenance.machine = spec.machine.describe();
-        provenance.seed = spec.seed;
-        provenance.instructions = spec.instructions;
-        provenance.warmup = spec.warmup;
-        CellResult &cell = response.cells.emplace_back();
-        cell.benchmark = spec.benchmark;
-        cell.cacheHit = fromStore[i] != 0;
-        obs::writeSimResultsJson(cell.resultJson, *results[i],
-                                 provenance);
-    }
-    return response;
+    std::vector<ResultCellView> views(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        views[i] = {cells[i].benchmark, fromStore[i] != 0, *tokens[i]};
+    return encodeResults(views);
+}
+
+std::string
+ServeServer::resultToken(const CellSpec &spec, std::uint64_t fingerprint,
+                         const SimResults &results)
+{
+    // Every input is a CellKey field or a pure function of one:
+    // describe() reads only machine fields that stateFingerprint()
+    // hashes (DESIGN.md §13).
+    obs::Provenance provenance;
+    provenance.machineFingerprint = fingerprint;
+    provenance.machine = spec.machine.describe();
+    provenance.seed = spec.seed;
+    provenance.instructions = spec.instructions;
+    provenance.warmup = spec.warmup;
+    std::string document;
+    obs::writeSimResultsJson(document, results, provenance);
+    return encodeResultToken(document);
 }
 
 void
@@ -430,11 +434,11 @@ ServeServer::simulateCell(const CellSpec &spec, unsigned worker)
 }
 
 CellKey
-ServeServer::keyOf(const CellSpec &spec, std::uint64_t fingerprint)
+ServeServer::keyOf(const CellSpec &spec)
 {
     CellKey key;
     key.benchmark = spec.benchmark;
-    key.machineFingerprint = fingerprint;
+    key.machineFingerprint = spec.machine.stateFingerprint();
     key.seed = spec.seed;
     key.instructions = spec.instructions;
     key.warmup = spec.warmup;

@@ -19,8 +19,10 @@
  * the client gets RETRY_AFTER with a backoff hint — the daemon never
  * queues unboundedly and never drops a request on the floor
  * silently. Workers simulate cells through the process-wide grid
- * cache (traces and warm checkpoints are shared across requests) and
- * publish into the ResultStore.
+ * cache (traces and warm checkpoints are shared across requests),
+ * render each cell's wire token once, and publish it into the
+ * ResultStore; a Results frame is the cells' stored tokens appended
+ * in order.
  *
  * Thread-safety contract: connection bookkeeping sits behind
  * mutex_; cross-thread sweep completion uses a per-request latch;
@@ -50,6 +52,7 @@
 #include "serve/dispatch_queue.hh"
 #include "serve/result_store.hh"
 #include "serve/wire.hh"
+#include "sim/results.hh"
 #include "util/lint.hh"
 #include "util/thread_pool.hh"
 
@@ -142,11 +145,12 @@ class ServeServer
     void acceptLoop();
     void connectionMain(int fd);
     void handleConnection(int fd);
-    Response handleRequest(const Request &request);
+    /** The encoded response payload for @p request. */
+    std::string handleRequest(const Request &request);
     /** The response bytes for a sweep must be a pure function of the
      *  request (WL-DETERMINISM); latency stats are the one exempted
      *  side channel (see simulateCell). */
-    WBSIM_DETERMINISTIC Response handleSweep(const Request &request);
+    WBSIM_DETERMINISTIC std::string handleSweep(const Request &request);
     void workerLoop(unsigned index);
     /** Simulate one cell on a worker thread and publish it.
      *  WBSIM_NONDET_OK: the steady_clock reads here time the worker
@@ -156,9 +160,14 @@ class ServeServer
      *  its callees). */
     WBSIM_NONDET_OK SimResults simulateCell(const CellSpec &spec,
                                             unsigned worker);
-    /** The store key of @p spec, whose machine fingerprints to
-     *  @p fingerprint. */
-    static CellKey keyOf(const CellSpec &spec, std::uint64_t fingerprint);
+    /** The result_json token of @p results with @p spec's
+     *  provenance (@p fingerprint is its machine's). A function of
+     *  the cell's CellKey alone. */
+    WBSIM_DETERMINISTIC static std::string
+    resultToken(const CellSpec &spec, std::uint64_t fingerprint,
+                const SimResults &results);
+    /** The store key of @p spec. */
+    static CellKey keyOf(const CellSpec &spec);
     /** Register the per-worker metrics (same order everywhere so
      *  shards merge). */
     static void registerWorkerMetrics(obs::MetricsRegistry &metrics);

@@ -399,6 +399,15 @@ decodeCell(const obs::JsonValue &value, std::size_t index,
     return true;
 }
 
+/** Open a response object: its schema and type members. */
+void
+beginResponse(obs::JsonWriter &json, ResponseType type)
+{
+    json.beginObject();
+    json.field("schema", kResponseSchema);
+    json.field("type", responseTypeName(type));
+}
+
 } // namespace
 
 const char *
@@ -613,34 +622,60 @@ decodeRequest(const std::string &payload, Request &out,
 }
 
 std::string
-encodeResponse(const Response &response)
+encodeResultToken(std::string_view resultJson)
 {
-    // One allocation: embedded result documents grow by about a
-    // sixth when their quotes and newlines are escaped.
-    std::size_t bytes = 256 + response.error.size()
-                        + response.statsJson.size() * 5 / 4;
-    for (const CellResult &cell : response.cells)
-        bytes += 64 + cell.benchmark.size()
-                 + cell.resultJson.size() * 5 / 4;
+    // A root string value: value()'s quoting and escaper, alone.
+    std::string token;
+    token.reserve(resultJson.size() * 5 / 4 + 8);
+    obs::JsonWriter(token, 0).value(resultJson);
+    return token;
+}
+
+std::string
+encodeResults(const std::vector<ResultCellView> &cells)
+{
+    std::size_t bytes = 128;
+    for (const ResultCellView &cell : cells)
+        bytes += 64 + cell.benchmark.size() + cell.token.size();
     std::string out;
     out.reserve(bytes);
     obs::JsonWriter json(out, 0);
-    json.beginObject();
-    json.field("schema", kResponseSchema);
-    json.field("type", responseTypeName(response.type));
-    switch (response.type) {
-    case ResponseType::Results:
-        json.key("cells");
-        json.beginArray();
+    beginResponse(json, ResponseType::Results);
+    json.key("cells");
+    json.beginArray();
+    for (const ResultCellView &cell : cells) {
+        json.beginObject();
+        json.field("benchmark", cell.benchmark);
+        json.field("cache_hit", cell.cacheHit);
+        json.key("result_json").rawValue(cell.token);
+        json.endObject();
+    }
+    json.endArray();
+    json.endObject();
+    return out;
+}
+
+std::string
+encodeResponse(const Response &response)
+{
+    if (response.type == ResponseType::Results) {
+        std::vector<std::string> tokens;
+        tokens.reserve(response.cells.size());
+        std::vector<ResultCellView> cells;
+        cells.reserve(response.cells.size());
         for (const CellResult &cell : response.cells) {
-            json.beginObject();
-            json.field("benchmark", cell.benchmark);
-            json.field("cache_hit", cell.cacheHit);
-            json.field("result_json", cell.resultJson);
-            json.endObject();
+            tokens.push_back(encodeResultToken(cell.resultJson));
+            cells.push_back({cell.benchmark, cell.cacheHit,
+                             tokens.back()});
         }
-        json.endArray();
-        break;
+        return encodeResults(cells);
+    }
+    std::string out;
+    out.reserve(256 + response.error.size()
+                + response.statsJson.size() * 5 / 4);
+    obs::JsonWriter json(out, 0);
+    beginResponse(json, response.type);
+    switch (response.type) {
     case ResponseType::RetryAfter:
         json.field("retry_after_ms",
                    std::uint64_t(response.retryAfterMs));
@@ -651,6 +686,7 @@ encodeResponse(const Response &response)
     case ResponseType::Stats:
         json.field("stats_json", response.statsJson);
         break;
+    case ResponseType::Results:
     case ResponseType::Pong:
     case ResponseType::Bye:
         break;

@@ -171,6 +171,33 @@ bool decodeResponse(const std::string &payload, Response &out,
                     std::string &error);
 /// @}
 
+/** @name Results from encoded cell tokens.
+ *  A cell's *token* is its result_json value exactly as it goes on
+ *  the wire: the document as a JSON string literal, quotes and
+ *  escapes included. The server renders a cell's token once and
+ *  stores it, so a store hit appends stored bytes (DESIGN.md §13).
+ *  encodeResponse() makes each CellResult's token with
+ *  encodeResultToken() and writes the payload with encodeResults(),
+ *  so a client-built response and a server-assembled one can never
+ *  drift. */
+/// @{
+/** One Results cell by reference; @p token must outlive the view. */
+struct ResultCellView
+{
+    std::string_view benchmark;
+    bool cacheHit = false;
+    std::string_view token;
+};
+
+/** The token of the document @p resultJson. */
+WBSIM_DETERMINISTIC std::string
+encodeResultToken(std::string_view resultJson);
+
+/** A Results payload carrying @p cells in order. */
+WBSIM_DETERMINISTIC std::string
+encodeResults(const std::vector<ResultCellView> &cells);
+/// @}
+
 } // namespace wbsim::serve
 
 #endif // WBSIM_SERVE_WIRE_HH

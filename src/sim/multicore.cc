@@ -226,6 +226,30 @@ MultiCoreSystem::run(const std::vector<TraceSource *> &sources,
     for (CoreState &core : cores_)
         core.sim->drain();
 
+#ifndef NDEBUG
+    // The port mirror against the arbiter's book: over the whole run
+    // each core's L2Port began exactly the transactions the arbiter
+    // granted it, each for the cycles it was granted.
+    for (std::size_t i = 0; i < cores_.size(); ++i) {
+        const L2Port &port = cores_[i].sim->port();
+        Count transactions = 0;
+        Count busy = 0;
+        for (L2Txn kind :
+             {L2Txn::Read, L2Txn::WriteRetire, L2Txn::WriteFlush}) {
+            transactions += port.transactions(kind);
+            busy += port.busyCycles(kind);
+        }
+        const BusCoreStats &book =
+            bus_.coreStats(static_cast<unsigned>(i));
+        wbsim_assert(transactions == book.grants,
+                     "core ", i, " port began ", transactions,
+                     " transactions, the bus granted ", book.grants);
+        wbsim_assert(busy == book.busyCycles, "core ", i,
+                     " port busy ", busy, " cycles, the bus granted ",
+                     book.busyCycles);
+    }
+#endif
+
     MultiCoreResults out;
     out.discipline = bus_.discipline();
     out.perCore.reserve(cores_.size());

@@ -296,6 +296,30 @@ stallShares(const Experiment &experiment, const std::string &benchmark)
     return shares;
 }
 
+TEST(PaperTrends, Figures8And9MixedVerdictOnLazierRetirement)
+{
+    // Headroom pinned at 6: under flush-partial, lazier retirement
+    // than retire-at-2 loses to baseline+, but flush-item-only
+    // tolerates retire-at-4. Measured (T%, baseline+ / retire-at-4):
+    // li 6.73 / 9.23 (fig08) and 6.01 (fig09); fft 10.64 / 12.82
+    // and 10.36.
+    ASSERT_EQ("baseline+", figures::figure08().variants[0].label);
+    ASSERT_EQ("retire-at-4", figures::figure08().variants[2].label);
+    ASSERT_EQ("retire-at-4", figures::figure09().variants[2].label);
+    for (const char *benchmark : {"li", "fft"}) {
+        SCOPED_TRACE(benchmark);
+        std::vector<double> partial =
+            stallShares(figures::figure08(), benchmark);
+        std::vector<double> item =
+            stallShares(figures::figure09(), benchmark);
+        ASSERT_EQ(partial.size(), 4u);
+        ASSERT_EQ(item.size(), 4u);
+        EXPECT_DOUBLE_EQ(partial[0], item[0]) << "one baseline+";
+        EXPECT_GT(partial[2], partial[0]) << "fig08 retire-at-4";
+        EXPECT_LT(item[2], item[0]) << "fig09 retire-at-4";
+    }
+}
+
 TEST(PaperTrends, Figure12SmallerL2LowersStallShare)
 {
     // Finding 5: L2-miss time swamps the write buffer's stalls and

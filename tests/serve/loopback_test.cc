@@ -13,6 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -202,6 +207,126 @@ TEST(Loopback, SeedAndRunLengthChangeTheKey)
               response.cells[1].resultJson);
     EXPECT_NE(response.cells[0].resultJson,
               response.cells[2].resultJson);
+}
+
+/** Ask @p cell alone; its served result_json and whether it hit. */
+std::pair<std::string, bool>
+askOne(ServeClient &client, const CellSpec &cell)
+{
+    Response response;
+    std::string error;
+    EXPECT_TRUE(client.sweep({cell}, 0, response, error)) << error;
+    EXPECT_EQ(ResponseType::Results, response.type) << response.error;
+    if (response.cells.size() != 1)
+        return {"", false};
+    return {response.cells[0].resultJson, response.cells[0].cacheHit};
+}
+
+TEST(Loopback, ColdAndWarmCellServeTheSameBytes)
+{
+    // The store holds the token the miss rendered; a hit must append
+    // exactly what a fresh render would have produced.
+    ServerFixture fixture;
+    ServeClient client = fixture.client();
+    CellSpec cell = cellFor("li", figures::baselineMachine());
+    const std::string local = localRender(cell);
+
+    auto [cold, coldHit] = askOne(client, cell);
+    auto [warm, warmHit] = askOne(client, cell);
+    EXPECT_FALSE(coldHit);
+    EXPECT_TRUE(warmHit);
+    EXPECT_EQ(local, cold);
+    EXPECT_EQ(local, warm);
+}
+
+TEST(Loopback, EvictedCellServesTheSameBytesWhenBackIn)
+{
+    // A one-shard store with room for one entry: asking a second
+    // cell pushes the first out, and asking the first again
+    // simulates and renders it anew.
+    CellSpec cell = cellFor("li", figures::baselineMachine());
+    CellSpec rival = cellFor("espresso", figures::baselineMachine());
+    const std::string local = localRender(cell);
+    CellKey key;
+    key.benchmark = cell.benchmark;
+    key.machineFingerprint = cell.machine.stateFingerprint();
+    key.seed = cell.seed;
+    key.instructions = cell.instructions;
+    key.warmup = cell.warmup;
+    ResultStore probe(0, 1);
+    probe.insert(key, std::make_shared<const std::string>(
+                          encodeResultToken(local)));
+    const std::uint64_t entryBytes = probe.stats().bytes;
+
+    ServeConfig config;
+    config.storeShards = 1;
+    config.storeBudgetBytes = std::size_t(entryBytes * 3 / 2);
+    ServerFixture fixture(config);
+    ServeClient client = fixture.client();
+
+    auto [cold, coldHit] = askOne(client, cell);
+    auto [warm, warmHit] = askOne(client, cell);
+    askOne(client, rival);
+    EXPECT_EQ(1u, fixture.server.storeStats().evictions);
+    auto [again, againHit] = askOne(client, cell);
+    auto [warmAgain, warmAgainHit] = askOne(client, cell);
+
+    EXPECT_FALSE(coldHit);
+    EXPECT_TRUE(warmHit);
+    EXPECT_FALSE(againHit) << "the rival should have evicted the cell";
+    EXPECT_TRUE(warmAgainHit);
+    for (const std::string *served : {&cold, &warm, &again, &warmAgain})
+        EXPECT_EQ(local, *served);
+    EXPECT_EQ(2u, fixture.server.storeStats().evictions);
+}
+
+/** Send @p request on a raw connection to @p port; the Results
+ *  payload exactly as the server framed it. */
+std::string
+rawRoundTrip(std::uint16_t port, const Request &request)
+{
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    std::string payload;
+    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                  sizeof addr)
+            == 0
+        && writeFrame(fd, encodeRequest(request)))
+        EXPECT_EQ(FrameResult::Ok, readFrame(fd, payload));
+    else
+        ADD_FAILURE() << "raw loopback connection failed";
+    ::close(fd);
+    return payload;
+}
+
+TEST(Loopback, ServerResultsFrameEqualsTheClientEncoder)
+{
+    // The server appends stored tokens; encodeResponse re-escapes a
+    // decoded document. Both must write the same bytes.
+    ServerFixture fixture;
+    MachineConfig deep = figures::baselineMachine();
+    deep.writeBuffer.depth = 12;
+    deep.validate();
+    Request request;
+    request.type = RequestType::Sweep;
+    request.cells = {cellFor("li", figures::baselineMachine()),
+                     cellFor("compress", deep)};
+    // Warm one cell so the frame mixes a hit and a miss.
+    ServeClient client = fixture.client();
+    askOne(client, request.cells[0]);
+
+    std::string frame = rawRoundTrip(fixture.server.port(), request);
+    Response decoded;
+    std::string error;
+    ASSERT_TRUE(decodeResponse(frame, decoded, error)) << error;
+    ASSERT_EQ(2u, decoded.cells.size());
+    EXPECT_TRUE(decoded.cells[0].cacheHit);
+    EXPECT_FALSE(decoded.cells[1].cacheHit);
+    EXPECT_EQ(encodeResponse(decoded), frame);
 }
 
 TEST(Loopback, RejectsInvalidSweeps)

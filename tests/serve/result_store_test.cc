@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -30,23 +32,32 @@ keyFor(std::uint64_t n)
     return key;
 }
 
-ResultStore::ResultPtr
-resultFor(std::uint64_t cycles)
+/** A token naming @p cycles, fixed-width so every entry is charged
+ *  the same bytes. */
+ResultStore::TokenPtr
+tokenFor(std::uint64_t cycles)
 {
-    SimResults results;
-    results.cycles = cycles;
-    results.instructions = 10000;
-    return std::make_shared<const SimResults>(results);
+    char text[32];
+    std::snprintf(text, sizeof text, "\"cycles %012llu\"",
+                  static_cast<unsigned long long>(cycles));
+    return std::make_shared<const std::string>(text);
+}
+
+/** The cycles tokenFor() wrote into @p token. */
+std::uint64_t
+cyclesOf(const ResultStore::TokenPtr &token)
+{
+    return std::stoull(token->substr(8));
 }
 
 TEST(ResultStore, MissThenInsertThenHit)
 {
     ResultStore store(/*budgetBytes=*/0, /*shards=*/4);
     EXPECT_EQ(nullptr, store.find(keyFor(1)));
-    store.insert(keyFor(1), resultFor(123));
-    ResultStore::ResultPtr hit = store.find(keyFor(1));
+    store.insert(keyFor(1), tokenFor(123));
+    ResultStore::TokenPtr hit = store.find(keyFor(1));
     ASSERT_NE(nullptr, hit);
-    EXPECT_EQ(123u, hit->cycles);
+    EXPECT_EQ(123u, cyclesOf(hit));
 
     ResultStoreStats stats = store.stats();
     EXPECT_EQ(1u, stats.hits);
@@ -59,7 +70,7 @@ TEST(ResultStore, MissThenInsertThenHit)
 TEST(ResultStore, EveryKeyFieldMatters)
 {
     ResultStore store(0, 1);
-    store.insert(keyFor(1), resultFor(1));
+    store.insert(keyFor(1), tokenFor(1));
 
     CellKey other = keyFor(1);
     other.benchmark = "li";
@@ -82,23 +93,23 @@ TEST(ResultStore, EveryKeyFieldMatters)
 TEST(ResultStore, ReinsertRefreshesInsteadOfDuplicating)
 {
     ResultStore store(0, 1);
-    store.insert(keyFor(1), resultFor(1));
-    store.insert(keyFor(1), resultFor(2));
+    store.insert(keyFor(1), tokenFor(1));
+    store.insert(keyFor(1), tokenFor(2));
     EXPECT_EQ(1u, store.stats().entries);
-    EXPECT_EQ(2u, store.find(keyFor(1))->cycles);
+    EXPECT_EQ(2u, cyclesOf(store.find(keyFor(1))));
 }
 
 TEST(ResultStore, EvictsLruUnderByteBudget)
 {
     // One shard so the LRU order is global; a budget of ~8 entries.
     ResultStore probe(0, 1);
-    probe.insert(keyFor(0), resultFor(0));
+    probe.insert(keyFor(0), tokenFor(0));
     const std::uint64_t perEntry = probe.stats().bytes;
     ASSERT_GT(perEntry, 0u);
 
     ResultStore store(std::size_t(perEntry * 8), 1);
     for (std::uint64_t n = 0; n < 32; ++n)
-        store.insert(keyFor(n), resultFor(n));
+        store.insert(keyFor(n), tokenFor(n));
 
     ResultStoreStats stats = store.stats();
     EXPECT_GT(stats.evictions, 0u);
@@ -112,15 +123,15 @@ TEST(ResultStore, EvictsLruUnderByteBudget)
 TEST(ResultStore, FindRefreshesLruOrder)
 {
     ResultStore probe(0, 1);
-    probe.insert(keyFor(0), resultFor(0));
+    probe.insert(keyFor(0), tokenFor(0));
     const std::uint64_t perEntry = probe.stats().bytes;
 
     ResultStore store(std::size_t(perEntry * 4), 1);
     for (std::uint64_t n = 0; n < 4; ++n)
-        store.insert(keyFor(n), resultFor(n));
+        store.insert(keyFor(n), tokenFor(n));
     // Touch the oldest; the next insert must evict key 1, not key 0.
     ASSERT_NE(nullptr, store.find(keyFor(0)));
-    store.insert(keyFor(100), resultFor(100));
+    store.insert(keyFor(100), tokenFor(100));
     EXPECT_NE(nullptr, store.find(keyFor(0)));
     EXPECT_EQ(nullptr, store.find(keyFor(1)));
 }
@@ -129,7 +140,7 @@ TEST(ResultStore, UnboundedStoreNeverEvicts)
 {
     ResultStore store(0, 4);
     for (std::uint64_t n = 0; n < 512; ++n)
-        store.insert(keyFor(n), resultFor(n));
+        store.insert(keyFor(n), tokenFor(n));
     ResultStoreStats stats = store.stats();
     EXPECT_EQ(0u, stats.evictions);
     EXPECT_EQ(512u, stats.entries);
@@ -139,22 +150,50 @@ TEST(ResultStore, UnboundedStoreNeverEvicts)
 TEST(ResultStore, EvictionNeverInvalidatesHandedOutResults)
 {
     ResultStore probe(0, 1);
-    probe.insert(keyFor(0), resultFor(0));
+    probe.insert(keyFor(0), tokenFor(0));
     const std::uint64_t perEntry = probe.stats().bytes;
 
     ResultStore store(std::size_t(perEntry * 2), 1);
-    store.insert(keyFor(1), resultFor(11));
-    ResultStore::ResultPtr held = store.find(keyFor(1));
+    store.insert(keyFor(1), tokenFor(11));
+    ResultStore::TokenPtr held = store.find(keyFor(1));
     for (std::uint64_t n = 2; n < 10; ++n)
-        store.insert(keyFor(n), resultFor(n));
+        store.insert(keyFor(n), tokenFor(n));
     EXPECT_EQ(nullptr, store.find(keyFor(1))) << "should be evicted";
-    EXPECT_EQ(11u, held->cycles) << "held pointer must stay valid";
+    EXPECT_EQ(11u, cyclesOf(held)) << "held pointer must stay valid";
+}
+
+TEST(ResultStore, LargerTokensEvictSooner)
+{
+    // An entry is charged its token's bytes, so under one budget a
+    // larger token leaves room for fewer entries.
+    ResultStore probe(0, 1);
+    probe.insert(keyFor(0), tokenFor(0));
+    const std::uint64_t perEntry = probe.stats().bytes;
+    const std::size_t smallToken = tokenFor(0)->size();
+
+    auto fill = [&](std::size_t tokenBytes) {
+        ResultStore store(std::size_t(perEntry * 8), 1);
+        for (std::uint64_t n = 0; n < 32; ++n)
+            store.insert(keyFor(n), std::make_shared<const std::string>(
+                                        tokenBytes, 'x'));
+        return store.stats();
+    };
+    ResultStoreStats small = fill(smallToken);
+    // One entry's worth more token: each entry now costs two.
+    ResultStoreStats large = fill(smallToken + std::size_t(perEntry));
+
+    EXPECT_EQ(8u, small.entries);
+    EXPECT_EQ(24u, small.evictions);
+    EXPECT_EQ(4u, large.entries);
+    EXPECT_EQ(28u, large.evictions);
+    EXPECT_EQ(small.bytes, large.bytes);
+    EXPECT_LE(large.bytes, large.budgetBytes);
 }
 
 TEST(ResultStore, ClearDropsEntriesKeepsCounters)
 {
     ResultStore store(0, 4);
-    store.insert(keyFor(1), resultFor(1));
+    store.insert(keyFor(1), tokenFor(1));
     ASSERT_NE(nullptr, store.find(keyFor(1)));
     store.clear();
     EXPECT_EQ(nullptr, store.find(keyFor(1)));
@@ -175,11 +214,11 @@ TEST(ResultStore, ConcurrentHammerStaysConsistent)
         threads.emplace_back([&store, t]() {
             for (std::uint64_t n = 0; n < 200; ++n) {
                 std::uint64_t key = (t * 50 + n) % 300;
-                if (ResultStore::ResultPtr hit =
+                if (ResultStore::TokenPtr hit =
                         store.find(keyFor(key))) {
-                    EXPECT_EQ(key, hit->cycles);
+                    EXPECT_EQ(key, cyclesOf(hit));
                 } else {
-                    store.insert(keyFor(key), resultFor(key));
+                    store.insert(keyFor(key), tokenFor(key));
                 }
             }
         });
