@@ -191,7 +191,8 @@ class EntryStore
         publishOccupancy();
     }
 
-    /** Fold @p mask into the entry at @p index (coalescing). */
+    /** Fold @p mask into the entry at @p index (coalescing); in
+     *  recency order the merge is also a use. */
     WBSIM_HOT void
     merge(std::size_t index, std::uint32_t mask)
     {
@@ -201,6 +202,8 @@ class EntryStore
             static_cast<std::uint8_t>(popcount32(valid_mask_[index]));
         if (selector_active_)
             selectorAttachOrMerge(index);
+        if (order_ == EntryOrder::Recency)
+            touch(index);
     }
 
     /** Move the entry to the most-recent end (recency order only). */

@@ -192,8 +192,6 @@ RetirementEngine::advanceToSlow(Cycle now)
 Cycle
 RetirementEngine::waitForFreeEntry(Cycle now, StallStats &stalls)
 {
-    if (store_.hasFree())
-        return now;
     // Buffer-full stall: wait for the next entry to free.
     ++stalls.bufferFullEvents;
     if (!retire_in_flight_) {

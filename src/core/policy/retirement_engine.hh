@@ -77,20 +77,22 @@ class RetirementEngine
     WBSIM_HOT Cycle drainBelow(unsigned target, Cycle now);
 
     /**
-     * The buffer-full stall on the store path: wait for the
-     * in-flight retirement (starting one on the spot if none is
-     * underway) and charge the stall. @return the cycle the freed
-     * slot is available. No-op returning @p now if a slot is free.
+     * The store path's full-buffer handling; call advanceTo(now)
+     * first. A write in flight is waited for. With none in flight,
+     * the write cache evicts through its register (evictVictim) and
+     * the write buffer starts a retirement on the spot and waits for
+     * it (waitForFreeEntry). Stalls are charged to @p stalls.
+     * @return the cycle a slot is free (@p now if one already is).
      */
-    WBSIM_HOT Cycle waitForFreeEntry(Cycle now, StallStats &stalls);
-
-    /**
-     * The write cache's eviction register: move the victim's data to
-     * the one-deep outgoing register and reuse its slot immediately
-     * while the write drains in the background; stall only when the
-     * register is still busy. @return the cycle the slot is free.
-     */
-    WBSIM_HOT Cycle evictVictim(Cycle now, StallStats &stalls);
+    WBSIM_HOT Cycle
+    makeRoom(Cycle now, StallStats &stalls)
+    {
+        if (store_.hasFree())
+            return now;
+        if (!retire_in_flight_ && config_.kind == BufferKind::WriteCache)
+            return evictVictim(now, stalls);
+        return waitForFreeEntry(now, stalls);
+    }
 
     /** Begin retiring @p index at @p start (must match the port). */
     WBSIM_HOT void startRetirement(std::size_t index, Cycle start,
@@ -177,6 +179,21 @@ class RetirementEngine
     WBSIM_COLD void verifyAll() const { store_.verifyIntegrity(); }
 
   private:
+    /**
+     * The buffer-full stall: wait for the in-flight retirement
+     * (starting one on the spot if none is underway) and charge the
+     * stall. @return the cycle the freed slot is available.
+     */
+    WBSIM_HOT Cycle waitForFreeEntry(Cycle now, StallStats &stalls);
+
+    /**
+     * The write cache's eviction register: move the victim's data to
+     * the one-deep outgoing register and reuse its slot immediately
+     * while the write drains in the background; stall only when the
+     * register is still busy. @return the cycle the slot is free.
+     */
+    WBSIM_HOT Cycle evictVictim(Cycle now, StallStats &stalls);
+
     /** The one publish site for the retire-words handle
      *  (WL-PUB-UNIQUE): every write path samples through it. */
     WBSIM_HOT void

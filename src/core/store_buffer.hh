@@ -1,14 +1,8 @@
 /**
  * @file
- * Abstract interface shared by the FIFO write buffer and the
- * write-cache variant, plus common statistics.
- *
- * Timing protocol: the store buffer runs its own retirement engine
- * lazily. Before every interaction at CPU time `now`, callers invoke
- * advanceTo(now), which replays any retirements that would have
- * started strictly before `now` (hence "read-bypassing": a load
- * arriving at `now` wins a tie for the L2 port against a retirement
- * that becomes eligible at `now`).
+ * Types shared by the store buffer (core/write_buffer.hh) and its
+ * policy layer: the L2 write hook, the statistics, and the load-probe
+ * and hazard results.
  */
 
 #ifndef WBSIM_CORE_STORE_BUFFER_HH
@@ -16,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "core/config.hh"
 #include "core/stall_stats.hh"
@@ -25,13 +18,6 @@
 
 namespace wbsim
 {
-
-class L2Port;
-
-namespace obs
-{
-class MetricsRegistry;
-} // namespace obs
 
 /**
  * Performs the functional L2 write for one buffer entry and returns
@@ -47,7 +33,7 @@ using L2WriteHook = std::function<Cycle(Addr base, unsigned valid_words,
                                         unsigned total_words,
                                         Cycle start)>;
 
-/** Statistics common to all store-buffer organisations. */
+/** Statistics common to both store-buffer organisations. */
 struct StoreBufferStats
 {
     Count stores = 0;       //!< stores presented
@@ -91,81 +77,6 @@ struct HazardResult
     /** True if the load was served from the buffer and needs no L2
      *  access and no L1 fill. */
     bool servedFromBuffer = false;
-};
-
-/** Interface between the Simulator and a store-buffer organisation. */
-class StoreBuffer
-{
-  public:
-    virtual ~StoreBuffer() = default;
-
-    /** Replay retirement activity up to (strictly before) @p now. */
-    virtual void advanceTo(Cycle now) = 0;
-
-    /**
-     * Present a store at @p now. Merges or allocates; on buffer-full
-     * waits for an entry and charges @p stalls.
-     * @return cycle at which the store completes (== now unless the
-     *         store stalled).
-     */
-    virtual Cycle store(Addr addr, unsigned size, Cycle now,
-                        StallStats &stalls) = 0;
-
-    /** Probe for a load; call advanceTo(now) first. */
-    virtual LoadProbe probeLoad(Addr addr, unsigned size) const = 0;
-
-    /**
-     * Resolve a load hazard at @p now per the configured policy.
-     * Counts the hazard; flush waits are charged by the caller using
-     * (result.done - now).
-     */
-    virtual HazardResult handleLoadHazard(const LoadProbe &probe,
-                                          Addr addr, unsigned size,
-                                          Cycle now) = 0;
-
-    /** Currently occupied entries (a retiring entry counts). */
-    virtual unsigned occupancy() const = 0;
-
-    /**
-     * True when the buffer holds nothing and no write is in flight,
-     * i.e. advanceTo would do no retirement work. Lets callers skip
-     * the engine entirely on the (common) empty-buffer fast path.
-     */
-    virtual bool quiescent() const { return occupancy() == 0; }
-
-    /**
-     * Retire entries until occupancy < @p target (UltraSPARC-style
-     * priority inversion, memory-barrier draining, end of run).
-     * @return cycle when done.
-     */
-    virtual Cycle drainBelow(unsigned target, Cycle now) = 0;
-
-    virtual const WriteBufferConfig &config() const = 0;
-    virtual const StoreBufferStats &stats() const = 0;
-
-    /** Reset statistics; buffered contents are retained. */
-    virtual void resetStats() = 0;
-
-    /**
-     * Publish occupancy and retirement metrics into @p metrics
-     * (nullptr detaches). Registration is idempotent by name, so
-     * re-attaching after Simulator::restore() is safe. Clones made
-     * by cloneRebound() start detached.
-     */
-    virtual void attachMetrics(obs::MetricsRegistry *metrics)
-    {
-        (void)metrics;
-    }
-
-    /**
-     * Deep-copy this buffer — contents, in-flight retirement,
-     * trigger state, statistics — rebound to @p port and @p hook
-     * (the copy cannot share the source's references: a restored
-     * simulator owns its own port and write callback). Used by
-     * Simulator::snapshot()/restore() to capture warm state.
-     */
-    virtual std::unique_ptr<StoreBuffer>
-    cloneRebound(L2Port &port, L2WriteHook hook) const = 0;
 };
 
 } // namespace wbsim

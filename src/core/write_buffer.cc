@@ -10,15 +10,13 @@ namespace wbsim
 WriteBuffer::WriteBuffer(const WriteBufferConfig &config, L2Port &port,
                          L2WriteHook hook, unsigned line_bytes)
     : config_(config), port_(port), hook_(std::move(hook)),
-      store_(config_, line_bytes, EntryOrder::Allocation),
+      store_(config_, line_bytes, entryOrderFor(config_.kind)),
       selector_(makeVictimSelector(config_)),
       hazard_(makeHazardHandler(config_)),
       engine_(store_, port_, hook_, config_, stats_, *selector_,
               makeRetirementTriggers(config_))
 {
     config_.validate();
-    wbsim_assert(config_.kind == BufferKind::WriteBuffer,
-                 "WriteBuffer built from a write-cache config");
     wbsim_assert(hook_ != nullptr, "write buffer needs an L2 write hook");
     store_.setSelector(selector_.get());
 }
@@ -62,7 +60,7 @@ WriteBuffer::store(Addr addr, unsigned size, Cycle now,
         }
     }
 
-    Cycle t = engine_.waitForFreeEntry(now, stalls);
+    Cycle t = engine_.makeRoom(now, stalls);
     store_.allocate(base, mask, t);
     ++stats_.allocations;
     engine_.noteOccupancyChange(t);

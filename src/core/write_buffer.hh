@@ -1,11 +1,31 @@
 /**
  * @file
- * The paper's coalescing FIFO write buffer (§2.2), assembled from
- * the shared policy layer: an EntryStore holds the slots and
- * indexes, a RetirementEngine replays background writes, and the
- * pluggable trigger/victim/hazard policies (core/policy/) say when,
- * which, and how hazards resolve. Stall cycles are attributed per
- * Table 3.
+ * The store buffer, assembled from the shared policy layer: an
+ * EntryStore holds the slots and indexes, a RetirementEngine replays
+ * background writes, and the pluggable trigger/victim/hazard
+ * policies (core/policy/) say when, which, and how hazards resolve.
+ * Stall cycles are attributed per Table 3.
+ *
+ * One class models both organisations; WriteBufferConfig::kind picks
+ * the policies and the entry order:
+ *  - BufferKind::WriteBuffer: the paper's coalescing FIFO write
+ *    buffer (§2.2), in allocation order.
+ *  - BufferKind::WriteCache: Jouppi's write cache (paper §1 related
+ *    work; our ablation A5), a fully-associative cache of write
+ *    blocks in LRU order. Under occupancy mode it never retires
+ *    autonomously: a block is written to L2 only when it is evicted
+ *    to make room (through the engine's one-deep eviction register)
+ *    or when a load hazard forces a flush. Under fixed-rate mode (or
+ *    with an age timeout) it retires in the background exactly like
+ *    the write buffer. FlushPartial has no FIFO meaning here and
+ *    behaves as FlushFull.
+ *
+ * Timing protocol: the buffer runs its retirement engine lazily.
+ * Before every interaction at CPU time `now`, callers invoke
+ * advanceTo(now), which replays any retirements that would have
+ * started strictly before `now` (hence "read-bypassing": a load
+ * arriving at `now` wins a tie for the L2 port against a retirement
+ * that becomes eligible at `now`).
  */
 
 #ifndef WBSIM_CORE_WRITE_BUFFER_HH
@@ -23,12 +43,12 @@
 namespace wbsim
 {
 
-/** The coalescing FIFO write buffer. */
-class WriteBuffer final : public StoreBuffer
+/** The store buffer: the FIFO write buffer or the write cache. */
+class WriteBuffer final
 {
   public:
     /**
-     * @param config validated configuration (kind == WriteBuffer).
+     * @param config validated configuration (either kind).
      * @param port the shared L2 port.
      * @param hook functional L2 write callback.
      * @param line_bytes L1 line size, the granularity of load-hazard
@@ -38,52 +58,89 @@ class WriteBuffer final : public StoreBuffer
     WriteBuffer(const WriteBufferConfig &config, L2Port &port,
                 L2WriteHook hook, unsigned line_bytes = 32);
 
-    WBSIM_HOT void
-    advanceTo(Cycle now) override
-    {
-        engine_.advanceTo(now);
-    }
+    /** Replay retirement activity up to (strictly before) @p now. */
+    WBSIM_HOT void advanceTo(Cycle now) { engine_.advanceTo(now); }
 
+    /**
+     * Present a store at @p now. Merges or allocates; on buffer-full
+     * makes room for an entry and charges @p stalls.
+     * @return cycle at which the store completes (== now unless the
+     *         store stalled).
+     */
     WBSIM_HOT Cycle store(Addr addr, unsigned size, Cycle now,
-                          StallStats &stalls) override;
+                          StallStats &stalls);
 
+    /** Probe for a load; call advanceTo(now) first. */
     LoadProbe
-    probeLoad(Addr addr, unsigned size) const override
+    probeLoad(Addr addr, unsigned size) const
     {
         return store_.probeLoad(addr, size);
     }
 
+    /**
+     * Resolve a load hazard at @p now per the configured policy.
+     * Counts the hazard; flush waits are charged by the caller using
+     * (result.done - now).
+     */
     HazardResult handleLoadHazard(const LoadProbe &probe, Addr addr,
-                                  unsigned size, Cycle now) override;
+                                  unsigned size, Cycle now);
 
+    /** Currently occupied entries (a retiring entry counts). */
     unsigned
-    occupancy() const override
+    occupancy() const
     {
         if (store_.naiveScan() || store_.crossCheck())
             return store_.occupancySlow();
         return store_.validCount();
     }
-    bool quiescent() const override { return store_.validCount() == 0; }
 
+    /**
+     * True when the buffer holds nothing, i.e. advanceTo would do no
+     * retirement work. Lets callers skip the engine entirely on the
+     * (common) empty-buffer fast path.
+     */
+    bool quiescent() const { return store_.validCount() == 0; }
+
+    /**
+     * Retire entries until occupancy < @p target (UltraSPARC-style
+     * priority inversion, memory-barrier draining, end of run).
+     * @return cycle when done.
+     */
     Cycle
-    drainBelow(unsigned target, Cycle now) override
+    drainBelow(unsigned target, Cycle now)
     {
         return engine_.drainBelow(target, now);
     }
 
-    const WriteBufferConfig &config() const override { return config_; }
-    const StoreBufferStats &stats() const override { return stats_; }
-    void resetStats() override { stats_.reset(); }
-    void attachMetrics(obs::MetricsRegistry *metrics) override;
+    const WriteBufferConfig &config() const { return config_; }
+    const StoreBufferStats &stats() const { return stats_; }
 
-    std::unique_ptr<StoreBuffer>
-    cloneRebound(L2Port &port, L2WriteHook hook) const override
+    /** Reset statistics; buffered contents are retained. */
+    void resetStats() { stats_.reset(); }
+
+    /**
+     * Publish occupancy and retirement metrics into @p metrics
+     * (nullptr detaches). Registration is idempotent by name, so
+     * re-attaching after Simulator::restore() is safe. Clones made
+     * by cloneRebound() start detached.
+     */
+    void attachMetrics(obs::MetricsRegistry *metrics);
+
+    /**
+     * Deep-copy this buffer — contents, in-flight retirement,
+     * trigger state, statistics — rebound to @p port and @p hook
+     * (the copy cannot share the source's references: a restored
+     * simulator owns its own port and write callback). Used by
+     * Simulator::snapshot()/restore() to capture warm state.
+     */
+    std::unique_ptr<WriteBuffer>
+    cloneRebound(L2Port &port, L2WriteHook hook) const
     {
-        return std::unique_ptr<StoreBuffer>(
+        return std::unique_ptr<WriteBuffer>(
             new WriteBuffer(*this, port, std::move(hook)));
     }
 
-    /** True if a retirement is in flight (for tests). */
+    /** True if a background retirement is in flight. */
     bool retirementUnderway() const { return engine_.inFlight(); }
 
     /** How far the retirement engine has been advanced (tests). */

@@ -1,12 +1,9 @@
 #include "sim/simulator.hh"
 
-#include "core/write_buffer.hh"
-
 #include <algorithm>
 
-#include "util/bits.hh"
-#include "core/write_cache.hh"
 #include "obs/metrics.hh"
+#include "util/bits.hh"
 #include "util/logging.hh"
 
 namespace wbsim
@@ -24,16 +21,9 @@ Simulator::Simulator(const MachineConfig &config)
     entry_write_cycles_ = writeCycles(entry_words_);
     entry_covers_line_ =
         config_.writeBuffer.entryBytes >= config_.l1d.lineBytes;
-    auto line = static_cast<unsigned>(config_.l1d.lineBytes);
-    if (config_.writeBuffer.kind == BufferKind::WriteCache) {
-        buffer_ = std::make_unique<WriteCache>(config_.writeBuffer,
-                                               port_, makeL2WriteHook(),
-                                               line);
-    } else {
-        buffer_ = std::make_unique<WriteBuffer>(config_.writeBuffer,
-                                                port_, makeL2WriteHook(),
-                                                line);
-    }
+    buffer_ = std::make_unique<WriteBuffer>(
+        config_.writeBuffer, port_, makeL2WriteHook(),
+        static_cast<unsigned>(config_.l1d.lineBytes));
 }
 
 void
@@ -77,6 +67,7 @@ Simulator::snapshot() const
                      memory_,
                      std::make_unique<L2Port>(port_),
                      nullptr,
+                     buffer_pending_at_reset_,
                      cycle_,
                      cycle_base_,
                      instructions_,
@@ -118,6 +109,7 @@ Simulator::restore(const SimSnapshot &snap)
     port_ = *snap.port;
     port_.attachBus(bus, bus_core);
     buffer_ = snap.buffer->cloneRebound(port_, makeL2WriteHook());
+    buffer_pending_at_reset_ = snap.bufferPendingAtReset;
     cycle_ = snap.cycle;
     cycle_base_ = snap.cycleBase;
     instructions_ = snap.instructions;
@@ -598,6 +590,7 @@ Simulator::resetStats()
     l2_.resetStats();
     memory_.resetStats();
     buffer_->resetStats();
+    buffer_pending_at_reset_ = bufferPending();
 }
 
 SimResults
@@ -639,11 +632,15 @@ Simulator::results(const std::string &workload) const
     r.storeFetchCycles = store_fetch_cycles_;
 #ifndef NDEBUG
     // Conservation over the measured region: every store merges or
-    // allocates, and attributed stalls fit inside the cycles run.
+    // allocates, every allocation is written to L2 or still pending,
+    // and attributed stalls fit inside the cycles run.
     Count stalled = r.stalls.totalCycles() + r.barrierStallCycles
         + r.l2IFetchStallCycles;
     wbsim_assert(r.wbMerges + r.wbAllocations == r.stores,
                  "stores not conserved (", r.machine, ")");
+    wbsim_assert(r.wbAllocations + buffer_pending_at_reset_
+                     == r.wbEntriesWritten + bufferPending(),
+                 "allocations not conserved (", r.machine, ")");
     wbsim_assert(stalled <= r.cycles, "stalls exceed cycles (",
                  r.machine, ")");
 #endif

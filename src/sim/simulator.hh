@@ -14,7 +14,7 @@
 #include <memory>
 #include <type_traits>
 
-#include "core/store_buffer.hh"
+#include "core/write_buffer.hh"
 #include "mem/l1_dcache.hh"
 #include "mem/l1_icache.hh"
 #include "mem/l2_cache.hh"
@@ -53,7 +53,8 @@ struct SimSnapshot
     L2Cache l2;
     MainMemory memory;
     std::unique_ptr<L2Port> port;
-    std::unique_ptr<StoreBuffer> buffer;
+    std::unique_ptr<WriteBuffer> buffer;
+    Count bufferPendingAtReset = 0;
     Cycle cycle = 0;
     Cycle cycleBase = 0;
     Count instructions = 0;
@@ -151,7 +152,7 @@ class Simulator
     /// @{
     Cycle now() const { return cycle_; }
     const StallStats &stalls() const { return stalls_; }
-    StoreBuffer &buffer() { return *buffer_; }
+    WriteBuffer &buffer() { return *buffer_; }
     L1DataCache &l1d() { return l1d_; }
     L2Cache &l2() { return l2_; }
     L2Port &port() { return port_; }
@@ -213,7 +214,7 @@ class Simulator
     L2Cache l2_;
     L2Port port_;
     MainMemory memory_;
-    std::unique_ptr<StoreBuffer> buffer_;
+    std::unique_ptr<WriteBuffer> buffer_;
 
     /** @name l2Write() constants for a full-width entry (every
      *  production retirement), fixed by the config. */
@@ -241,6 +242,9 @@ class Simulator
     Count barrier_stall_cycles_ = 0;
     Count store_fetches_ = 0;
     Count store_fetch_cycles_ = 0;
+    /** Resident entries not yet counted as written at the last
+     *  resetStats() (the allocation-conservation check's start). */
+    Count buffer_pending_at_reset_ = 0;
     EventLog *event_log_ = nullptr;
 
     /** @name Observability sinks (null = detached = no-op). */
@@ -255,6 +259,16 @@ class Simulator
 
     /** The L2 write callback handed to store-buffer instances. */
     L2WriteHook makeL2WriteHook();
+
+    /** Resident entries whose L2 write is not yet counted: an entry
+     *  is counted when its retirement starts, so the one in flight
+     *  is excluded. */
+    Count
+    bufferPending() const
+    {
+        return buffer_->occupancy()
+            - (buffer_->retirementUnderway() ? 1 : 0);
+    }
 
     /** Record an event if a log is attached. */
     void note(SimEventKind kind, Addr addr = 0, Count a = 0,

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/write_buffer.hh"
-#include "core/write_cache.hh"
 #include "mem/l2_port.hh"
 
 namespace wbsim::test
@@ -44,7 +43,7 @@ struct Rig
 {
     std::unique_ptr<L2Port> port = std::make_unique<L2Port>();
     std::vector<Write> writes;
-    std::unique_ptr<StoreBuffer> buffer;
+    std::unique_ptr<WriteBuffer> buffer;
 
     L2WriteHook
     recorder()
@@ -60,12 +59,7 @@ struct Rig
     void
     build(const WriteBufferConfig &config)
     {
-        if (config.kind == BufferKind::WriteCache)
-            buffer = std::make_unique<WriteCache>(config, *port,
-                                                  recorder());
-        else
-            buffer = std::make_unique<WriteBuffer>(config, *port,
-                                                   recorder());
+        buffer = std::make_unique<WriteBuffer>(config, *port, recorder());
     }
 };
 
@@ -151,7 +145,7 @@ class PolicyMatrix : public ::testing::TestWithParam<PolicyCase>
     /** A workload mixing merges, allocations, full-buffer waits, a
      *  load hazard, and a partial drain. @return the end cycle. */
     static Cycle
-    drive(StoreBuffer &buffer, Cycle t)
+    drive(WriteBuffer &buffer, Cycle t)
     {
         StallStats stalls;
         for (unsigned i = 0; i < 10; ++i) {
@@ -253,13 +247,7 @@ TEST_P(PolicyMatrix, CloneCapturesInFlightRetirement)
     bool expect_in_flight = config.kind == BufferKind::WriteBuffer
         || config.retirementMode == RetirementMode::FixedRate
         || config.retirementMode == RetirementMode::Paced;
-    bool in_flight = false;
-    if (auto *wb = dynamic_cast<WriteBuffer *>(original.buffer.get()))
-        in_flight = wb->retirementUnderway();
-    else if (auto *wc =
-                 dynamic_cast<WriteCache *>(original.buffer.get()))
-        in_flight = wc->retirementUnderway();
-    EXPECT_EQ(in_flight, expect_in_flight);
+    EXPECT_EQ(original.buffer->retirementUnderway(), expect_in_flight);
 
     Rig clone;
     *clone.port = *original.port;

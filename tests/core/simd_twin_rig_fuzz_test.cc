@@ -43,17 +43,8 @@ class LevelRig
             writes.push_back({base, valid, total, start});
             return Cycle{6};
         };
-        if (config.kind == BufferKind::WriteCache) {
-            auto cache =
-                std::make_unique<WriteCache>(config, port, hook);
-            cache->entryStore().setLevel(level);
-            buffer = std::move(cache);
-        } else {
-            auto wb =
-                std::make_unique<WriteBuffer>(config, port, hook);
-            wb->entryStore().setLevel(level);
-            buffer = std::move(wb);
-        }
+        buffer = std::make_unique<WriteBuffer>(config, port, hook);
+        buffer->entryStore().setLevel(level);
     }
 
     LevelRig(const LevelRig &) = delete;
@@ -61,7 +52,7 @@ class LevelRig
 
     L2Port port;
     std::vector<RecordedWrite> writes;
-    std::unique_ptr<StoreBuffer> buffer;
+    std::unique_ptr<WriteBuffer> buffer;
     StallStats stalls;
 };
 

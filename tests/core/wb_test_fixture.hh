@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/write_buffer.hh"
-#include "core/write_cache.hh"
 #include "mem/l2_port.hh"
 
 namespace wbsim::test
@@ -45,10 +44,7 @@ class WriteBufferFixture : public ::testing::Test
             writes.push_back({base, valid, total, start});
             return kTransfer;
         };
-        if (config.kind == BufferKind::WriteCache)
-            buffer = std::make_unique<WriteCache>(config, *port, hook);
-        else
-            buffer = std::make_unique<WriteBuffer>(config, *port, hook);
+        buffer = std::make_unique<WriteBuffer>(config, *port, hook);
     }
 
     /** Baseline-ish config helper. */
@@ -71,7 +67,7 @@ class WriteBufferFixture : public ::testing::Test
     }
 
     std::unique_ptr<L2Port> port;
-    std::unique_ptr<StoreBuffer> buffer;
+    std::unique_ptr<WriteBuffer> buffer;
     std::vector<RecordedWrite> writes;
     StallStats stalls;
 };

@@ -55,14 +55,13 @@ class WriteBufferFuzz
         EXPECT_EQ(s.entriesWritten, s.retirements + s.flushes);
         // Every allocated entry is either still resident or written;
         // an entry mid-retirement is momentarily both.
-        auto *wb = static_cast<WriteBuffer *>(buffer.get());
-        Count in_flight = wb->retirementUnderway() ? 1 : 0;
+        Count in_flight = buffer->retirementUnderway() ? 1 : 0;
         EXPECT_EQ(s.allocations + in_flight,
                   s.entriesWritten + buffer->occupancy());
         EXPECT_GE(s.wordsWritten, s.entriesWritten);
         EXPECT_LE(s.wordsWritten,
                   Count{s.entriesWritten} * config.wordsPerEntry());
-        wb->verifyIndexIntegrity();
+        buffer->verifyIndexIntegrity();
     }
 };
 
@@ -164,32 +163,18 @@ class BufferRig
             writes.push_back({base, valid, total, start});
             return Cycle{6}; // the fixture's fixed transfer time
         };
-        if (config.kind == BufferKind::WriteCache) {
-            buffer = std::make_unique<WriteCache>(config, port, hook,
-                                                  line_bytes);
-        } else {
-            buffer = std::make_unique<WriteBuffer>(config, port, hook,
-                                                   line_bytes);
-        }
+        buffer = std::make_unique<WriteBuffer>(config, port, hook,
+                                               line_bytes);
     }
 
     BufferRig(const BufferRig &) = delete;
     BufferRig &operator=(const BufferRig &) = delete;
 
-    void
-    verify(const WriteBufferConfig &config) const
-    {
-        if (config.kind == BufferKind::WriteCache)
-            static_cast<WriteCache *>(buffer.get())
-                ->verifyIndexIntegrity();
-        else
-            static_cast<WriteBuffer *>(buffer.get())
-                ->verifyIndexIntegrity();
-    }
+    void verify() const { buffer->verifyIndexIntegrity(); }
 
     L2Port port;
     std::vector<RecordedWrite> writes;
-    std::unique_ptr<StoreBuffer> buffer;
+    std::unique_ptr<WriteBuffer> buffer;
     StallStats stalls;
 };
 
@@ -293,8 +278,8 @@ TEST_P(StoreBufferEquivalence, NaiveAndIndexedPathsAgree)
     }
     naive.buffer->drainBelow(1, now + 1);
     indexed.buffer->drainBelow(1, now + 1);
-    naive.verify(c);
-    indexed.verify(c);
+    naive.verify();
+    indexed.verify();
 
     // Identical L2 write streams, cycle for cycle.
     ASSERT_EQ(naive.writes.size(), indexed.writes.size());

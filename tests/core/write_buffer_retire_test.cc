@@ -123,12 +123,10 @@ TEST_F(WriteBufferRetire, ReaderWinsTies)
     // The retirement trigger is exactly cycle 2. A reader arriving
     // at cycle 2 must win the port: advanceTo(2) may not start it.
     buffer->advanceTo(2);
-    EXPECT_FALSE(
-        static_cast<WriteBuffer *>(buffer.get())->retirementUnderway());
+    EXPECT_FALSE(buffer->retirementUnderway());
     // A reader at cycle 3 loses: the write began at 2.
     buffer->advanceTo(3);
-    EXPECT_TRUE(
-        static_cast<WriteBuffer *>(buffer.get())->retirementUnderway());
+    EXPECT_TRUE(buffer->retirementUnderway());
     EXPECT_EQ(writes[0].start, 2u);
 }
 
@@ -291,11 +289,10 @@ TEST_F(WriteBufferRetire, FlushOrderStaysFifoUnderFullestFirst)
 TEST_F(WriteBufferRetire, EngineTimeAdvances)
 {
     build(config(4, 2));
-    auto *wb = static_cast<WriteBuffer *>(buffer.get());
     buffer->advanceTo(17);
-    EXPECT_EQ(wb->engineTime(), 17u);
+    EXPECT_EQ(buffer->engineTime(), 17u);
     buffer->advanceTo(5); // going backwards must not rewind
-    EXPECT_EQ(wb->engineTime(), 17u);
+    EXPECT_EQ(buffer->engineTime(), 17u);
 }
 
 } // namespace

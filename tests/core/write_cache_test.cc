@@ -73,6 +73,35 @@ TEST_F(WriteCacheTest, BusyEvictionRegisterStallsNextEviction)
     EXPECT_EQ(stalls.bufferFullCycles, 5u);
 }
 
+TEST_F(WriteCacheTest, FullCacheWaitsForBackgroundRetirement)
+{
+    WriteBufferConfig c = cacheConfig(2);
+    c.retirementMode = RetirementMode::FixedRate;
+    c.fixedRatePeriod = 8;
+    build(c);
+    store(0x1000, 1);
+    store(0x2000, 2);
+    // The fixed-rate attempt at 8 retires the LRU block: [8, 14).
+    buffer->advanceTo(10);
+    ASSERT_TRUE(buffer->retirementUnderway());
+    ASSERT_EQ(writes.size(), 1u);
+    EXPECT_EQ(writes[0].base, 0x1000u);
+    EXPECT_EQ(writes[0].start, 8u);
+
+    // Full, with a write in flight: the store waits for that write
+    // to free its slot instead of evicting through the register.
+    Cycle done = store(0x3000, 10);
+    EXPECT_EQ(done, 14u);
+    EXPECT_EQ(stalls.bufferFullEvents, 1u);
+    EXPECT_EQ(stalls.bufferFullCycles, 14u - 10u);
+    EXPECT_EQ(stalls.bufferFullMaxEpisode, 14u - 10u);
+    EXPECT_EQ(writes.size(), 1u) << "the eviction register wrote";
+    EXPECT_EQ(buffer->stats().retirements, 1u);
+    EXPECT_FALSE(buffer->retirementUnderway());
+    EXPECT_TRUE(buffer->probeLoad(0x2000, 8).blockHit);
+    EXPECT_TRUE(buffer->probeLoad(0x3000, 8).blockHit);
+}
+
 TEST_F(WriteCacheTest, ReadFromWbServesLoads)
 {
     build(cacheConfig(4, LoadHazardPolicy::ReadFromWB));
