@@ -71,9 +71,12 @@ DispatchQueue::tryPushBatch(std::vector<DispatchJob> jobs)
 {
     if (jobs.empty())
         return true;
+    std::size_t cells = 0;
+    for (const DispatchJob &job : jobs)
+        cells += job.cells;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (closed_ || entries_.size() + jobs.size() > capacity_) {
+        if (closed_ || cells_ + cells > capacity_) {
             ++rejected_;
             return false;
         }
@@ -81,12 +84,13 @@ DispatchQueue::tryPushBatch(std::vector<DispatchJob> jobs)
             Entry entry;
             entry.priority = job.priority;
             entry.seq = nextSeq_++;
+            entry.cells = job.cells;
             entry.run = std::move(job.run);
             entries_.push_back(std::move(entry));
-            ++pushed_;
         }
-        highWater_ = std::max<std::uint64_t>(highWater_,
-                                             entries_.size());
+        cells_ += cells;
+        pushed_ += cells;
+        highWater_ = std::max<std::uint64_t>(highWater_, cells_);
     }
     // Wake one worker per admitted job; any worker can run any job.
     for (std::size_t i = 0; i < jobs.size(); ++i)
@@ -111,8 +115,10 @@ DispatchQueue::pop(DispatchJob &out)
     if (entries_.empty())
         return false; // closed and drained
     Entry entry = takeLocked();
-    ++popped_;
+    cells_ -= entry.cells;
+    popped_ += entry.cells;
     out.priority = entry.priority;
+    out.cells = entry.cells;
     out.run = std::move(entry.run);
     return true;
 }
@@ -158,7 +164,7 @@ DispatchQueue::stats() const
     out.rejected = rejected_;
     out.popped = popped_;
     out.highWater = highWater_;
-    out.depth = entries_.size();
+    out.depth = cells_;
     return out;
 }
 

@@ -49,14 +49,17 @@ DispatchDiscipline parseDispatchDiscipline(std::string_view name);
 bool tryParseDispatchDiscipline(std::string_view name,
                                 DispatchDiscipline &out);
 
-/** One unit of worker work: simulate one cell and publish it. */
+/** One unit of worker work: simulate some cells and publish them. */
 struct DispatchJob
 {
     std::uint32_t priority = 0;
+    /** Cells the job simulates: what it is charged against the
+     *  queue's capacity, which is counted in cells. */
+    std::size_t cells = 1;
     std::function<void()> run;
 };
 
-/** Counters for one DispatchQueue. */
+/** Counters for one DispatchQueue, in cells (DispatchJob::cells). */
 struct DispatchQueueStats
 {
     std::uint64_t pushed = 0;
@@ -70,12 +73,13 @@ struct DispatchQueueStats
 class DispatchQueue
 {
   public:
-    /** @param capacity max queued jobs (>= 1). */
+    /** @param capacity max queued cells (>= 1). */
     DispatchQueue(std::size_t capacity,
                   DispatchDiscipline discipline);
 
     /** Admit every job of @p jobs, or none of them (false when the
-     *  batch does not fit or the queue is closed). Never blocks. */
+     *  batch's cells do not fit or the queue is closed). Never
+     *  blocks. */
     bool tryPushBatch(std::vector<DispatchJob> jobs);
 
     /** Single-job convenience over tryPushBatch. */
@@ -83,7 +87,7 @@ class DispatchQueue
 
     /** Block until a job is available (true) or the queue is closed
      *  and drained (false). Hot: the serve worker loop's entire
-     *  per-cell overhead is this call — it must not allocate
+     *  per-job overhead is this call — it must not allocate
      *  (WL-HOT-ALLOC), only move the admitted closure out. */
     WBSIM_HOT bool pop(DispatchJob &out);
 
@@ -101,16 +105,19 @@ class DispatchQueue
         std::uint32_t priority = 0;
         /** Admission order; breaks priority ties FIFO. */
         std::uint64_t seq = 0;
+        std::size_t cells = 1;
         std::function<void()> run;
     };
 
     /** Pick and remove the next entry per the discipline. Hot: this
-     *  is the scheduling decision made once per simulated cell. */
+     *  is the scheduling decision made once per job. */
     WBSIM_HOT WBSIM_REQUIRES(mutex_) Entry takeLocked();
 
     mutable std::mutex mutex_;
     std::condition_variable notEmpty_;
     WBSIM_GUARDED_BY(mutex_) std::deque<Entry> entries_;
+    /** Cells of every queued entry. */
+    WBSIM_GUARDED_BY(mutex_) std::size_t cells_ = 0;
     std::size_t capacity_;
     DispatchDiscipline discipline_;
     WBSIM_GUARDED_BY(mutex_) bool closed_ = false;

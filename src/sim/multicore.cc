@@ -11,9 +11,6 @@ namespace wbsim
 namespace
 {
 
-/// Run items pulled from a core's TraceSource per refill.
-constexpr std::size_t kFeedBatch = 256;
-
 std::vector<MachineConfig>
 replicate(const MachineConfig &config)
 {
@@ -88,7 +85,7 @@ MultiCoreSystem::MultiCoreSystem(
         CoreState core;
         core.sim = std::make_unique<Simulator>(configs[i]);
         core.sim->attachBus(&bus_, static_cast<unsigned>(i));
-        core.runs.resize(kFeedBatch);
+        core.runs.resize(Simulator::kFeedBatch);
         cores_.push_back(std::move(core));
     }
     bus_.setScheduler(this);
@@ -122,7 +119,8 @@ bool
 MultiCoreSystem::refill(unsigned i)
 {
     CoreState &core = cores_[i];
-    core.have = core.source->nextRuns(core.runs.data(), kFeedBatch);
+    core.have = core.source->nextRuns(core.runs.data(),
+                                      Simulator::kFeedBatch);
     core.pos = 0;
     if (core.have == 0) {
         clocks_[i] = kExhausted;

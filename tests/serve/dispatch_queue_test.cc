@@ -1,8 +1,8 @@
 /**
  * @file
  * DispatchQueue tests: FCFS and priority ordering, all-or-nothing
- * batch admission (the backpressure primitive), and close/drain
- * semantics.
+ * batch admission (the backpressure primitive) counted in cells, and
+ * close/drain semantics.
  */
 
 #include <gtest/gtest.h>
@@ -101,6 +101,31 @@ TEST(DispatchQueue, BatchAdmissionIsAllOrNothing)
     EXPECT_TRUE(queue.tryPushBatch(std::move(fits)));
     EXPECT_EQ(4u, queue.stats().depth);
     EXPECT_FALSE(queue.tryPush(job(0, order, 9)));
+}
+
+TEST(DispatchQueue, CapacityCountsCellsNotJobs)
+{
+    // A job that simulates several cells is charged all of them.
+    DispatchQueue queue(4, DispatchDiscipline::Fcfs);
+    std::vector<int> order;
+    DispatchJob group = job(0, order, 0);
+    group.cells = 3;
+    ASSERT_TRUE(queue.tryPush(std::move(group)));
+    DispatchJob pair = job(0, order, 1);
+    pair.cells = 2;
+    EXPECT_FALSE(queue.tryPush(std::move(pair))); // 3 + 2 > 4
+    EXPECT_TRUE(queue.tryPush(job(0, order, 2)));  // 3 + 1 fits
+
+    DispatchQueueStats stats = queue.stats();
+    EXPECT_EQ(4u, stats.pushed);
+    EXPECT_EQ(4u, stats.depth);
+    EXPECT_EQ(4u, stats.highWater);
+    DispatchJob popped;
+    ASSERT_TRUE(queue.pop(popped));
+    EXPECT_EQ(3u, popped.cells);
+    stats = queue.stats();
+    EXPECT_EQ(3u, stats.popped);
+    EXPECT_EQ(1u, stats.depth);
 }
 
 TEST(DispatchQueue, CloseDrainsThenStops)
