@@ -1,5 +1,7 @@
 #include "util/thread_pool.hh"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <exception>
 #include <mutex>
@@ -103,6 +105,16 @@ defaultThreads()
     if (hw == 0)
         hw = 1;
     return std::min(hw, 64u);
+}
+
+unsigned
+usableCpus()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof set, &set) == 0)
+        return std::max(unsigned(CPU_COUNT(&set)), 1u);
+    return std::max(std::thread::hardware_concurrency(), 1u);
 }
 
 } // namespace wbsim

@@ -42,6 +42,10 @@ void parallelFor(std::size_t count, unsigned threads,
 /** Hardware concurrency clamped to [1, 64], honours WBSIM_THREADS. */
 unsigned defaultThreads();
 
+/** CPUs the calling thread may run on now (its affinity mask), at
+ *  least 1; hardware concurrency when the mask cannot be read. */
+unsigned usableCpus();
+
 /**
  * A set of long-lived worker threads for services (wbsim-serve).
  * Unlike parallelFor's scoped fork/join, the workers here run one
