@@ -1,5 +1,7 @@
 #include "harness/experiment.hh"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <future>
 #include <list>
@@ -61,6 +63,14 @@ approxSnapshotBytes(const MachineConfig &machine)
  * while later askers block on a shared_future, so concurrent grid
  * cells never duplicate work.
  *
+ * A trace pays off only when it is replayed: building one costs a
+ * generation plus an encode, against a generation alone to stream
+ * it. Lookups with checkpoints always build (a checkpoint resumes
+ * into the trace). Lookups without them (reusedTrace) admit a trace
+ * on its second use: a first sighting only records the key's hash
+ * in a small ring of recent keys and returns nothing, and the
+ * caller streams from the generator.
+ *
  * The cache is byte-bounded: when a budget is set (WBSIM_GRID_CACHE_MB
  * or setGridCacheByteBudget) and a build pushes the resident
  * footprint past it, the least-recently-used *resolved* entries are
@@ -90,21 +100,24 @@ class GridCache
                   * 1024 * 1024;
     }
 
+    /** The trace of (@p profile, @p seed, @p length): resident, or
+     *  built now. */
     TracePtr trace(const BenchmarkProfile &profile, std::uint64_t seed,
                    Count length)
     {
-        std::ostringstream key;
-        key << profile.name << '#' << seed << '#' << length;
-        return dedupe<TracePtr>(
-            /*isTrace=*/true, key.str(),
-            [&]() {
-                SyntheticSource source(profile, length, seed);
-                return std::make_shared<const MaterializedTrace>(
-                    MaterializedTrace::build(source));
-            },
-            [](const TracePtr &t) {
-                return t->encodedBytes() + kEntryOverhead;
-            });
+        return traceLookup(profile, seed, length, /*onReuse=*/false);
+    }
+
+    /**
+     * The trace if it is resident, or built now if its key was asked
+     * for recently; nullptr on a first sighting, which the caller
+     * streams from the generator instead. A trace used once is then
+     * never encoded, decoded or kept.
+     */
+    TracePtr reusedTrace(const BenchmarkProfile &profile,
+                         std::uint64_t seed, Count length)
+    {
+        return traceLookup(profile, seed, length, /*onReuse=*/true);
     }
 
     SnapPtr checkpoint(const BenchmarkProfile &profile,
@@ -153,6 +166,8 @@ class GridCache
         traces_.clear();
         snapshots_.clear();
         lru_.clear();
+        recent_ = {};
+        recentCount_ = 0;
         bytes_ = 0;
         ++generation_;
         stats_ = GridCacheStats{};
@@ -189,9 +204,47 @@ class GridCache
         return snapshots_;
     }
 
+    /** Trace keys whose first sighting streamed, remembered so a
+     *  second sighting builds: hashes of the last kRecentTraceKeys,
+     *  a ring. */
+    static constexpr std::size_t kRecentTraceKeys = 64;
+
+    TracePtr traceLookup(const BenchmarkProfile &profile,
+                         std::uint64_t seed, Count length, bool onReuse)
+    {
+        std::ostringstream key;
+        key << profile.name << '#' << seed << '#' << length;
+        return dedupe<TracePtr>(
+            /*isTrace=*/true, key.str(),
+            [&]() {
+                SyntheticSource source(profile, length, seed);
+                return std::make_shared<const MaterializedTrace>(
+                    MaterializedTrace::build(source));
+            },
+            [](const TracePtr &t) {
+                return t->encodedBytes() + kEntryOverhead;
+            },
+            onReuse);
+    }
+
+    /** Whether @p key was sighted recently; if not, remember it. */
+    WBSIM_REQUIRES(mutex_) bool sightedBefore(const std::string &key)
+    {
+        const std::uint64_t hash = std::hash<std::string>{}(key);
+        const auto seen = recent_.begin()
+            + std::ptrdiff_t(std::min(recentCount_, recent_.size()));
+        if (std::find(recent_.begin(), seen, hash) != seen)
+            return true;
+        recent_[recentCount_++ % recent_.size()] = hash;
+        return false;
+    }
+
+    /** Find or build @p key's value. With @p onReuse, a key neither
+     *  resident nor sighted recently builds nothing: the call
+     *  returns nullptr and counts a stream. */
     template <typename Ptr, typename Build, typename SizeOf>
     Ptr dedupe(bool isTrace, const std::string &key, Build build,
-               SizeOf sizeOf)
+               SizeOf sizeOf, bool onReuse = false)
     {
         std::promise<Ptr> promise;
         std::shared_future<Ptr> future;
@@ -201,6 +254,10 @@ class GridCache
             std::lock_guard<std::mutex> lock(mutex_);
             Map<Ptr> &map = mapFor(static_cast<const Ptr *>(nullptr));
             auto it = map.find(key);
+            if (it == map.end() && onReuse && !sightedBefore(key)) {
+                ++stats_.traceStreams;
+                return nullptr;
+            }
             if (it == map.end()) {
                 future = promise.get_future().share();
                 Slot<Ptr> slot;
@@ -273,6 +330,11 @@ class GridCache
     WBSIM_GUARDED_BY(mutex_) std::size_t bytes_ = 0;
     WBSIM_GUARDED_BY(mutex_) std::size_t budget_ = 0;
     WBSIM_GUARDED_BY(mutex_) std::uint64_t generation_ = 0;
+    WBSIM_GUARDED_BY(mutex_)
+    std::array<std::uint64_t, kRecentTraceKeys> recent_{};
+    /** Keys ever written to recent_ (the ring's next slot, mod its
+     *  size). */
+    WBSIM_GUARDED_BY(mutex_) std::size_t recentCount_ = 0;
 };
 
 GridCache &
@@ -431,19 +493,23 @@ runCells(const BenchmarkProfile &profile,
         return results;
 
     // Checkpoints imply materialize: a checkpoint is built from, and
-    // resumes into, the cached trace.
+    // resumes into, the cached trace. Without them a trace is cached
+    // on its key's second use; a first use streams from the
+    // generator.
     GridCache &cache = gridCache();
     const Count length = options.instructions + options.warmup;
     GridCache::TracePtr trace;
+    if (options.checkpoints)
+        trace = cache.trace(profile, seed, length);
+    else if (options.materialize)
+        trace = cache.reusedTrace(profile, seed, length);
     std::optional<MaterializedCursor> cursor;
     std::optional<SyntheticSource> generator;
     TraceSource *source = nullptr;
-    if (options.materialize || options.checkpoints) {
-        trace = cache.trace(profile, seed, length);
+    if (trace)
         source = &cursor.emplace(*trace);
-    } else {
+    else
         source = &generator.emplace(profile, length, seed);
-    }
 
     if (options.warmup > 0) {
         if (options.checkpoints) {

@@ -62,7 +62,11 @@ struct RunnerOptions
     std::uint64_t seed = 1;
     /** Materialize each (benchmark, seed, length) trace once and
      *  replay it for every variant, instead of regenerating it per
-     *  cell; WBSIM_MATERIALIZE=0 disables. */
+     *  cell; WBSIM_MATERIALIZE=0 disables. Without checkpoints, a
+     *  trace is materialized on its key's second use within the
+     *  grid cache's recent-key table: its first use streams from the
+     *  generator, so a trace used once (a serve miss with its own
+     *  seed) is never encoded or cached. */
     bool materialize = true;
     /** Reuse warm-state checkpoints between cells with identical
      *  (benchmark, seed, warmup, machine fingerprint); implies
@@ -85,10 +89,12 @@ struct RunnerOptions
  *
  * Every single-core machine is fed from one pass over the trace —
  * the grid cache's materialized trace, or the generator when neither
- * @p options.materialize nor @p options.checkpoints is set. Each
- * simulator is warmed by restoring its cached checkpoint
- * (@p options.checkpoints) or by executing the warmup records in
- * lockstep with the others and then resetStats(). Each batch of
+ * @p options.materialize nor @p options.checkpoints is set, or when
+ * only materialize is and this is the trace key's first sighting
+ * (RunnerOptions::materialize). Each simulator is warmed by
+ * restoring its cached checkpoint (@p options.checkpoints) or by
+ * executing the warmup records in lockstep with the others and then
+ * resetStats(). Each batch of
  * measured run items then goes to every simulator in turn.
  * Multi-core machines run one by one through runMultiCore and yield
  * its aggregate() view. @p options.obs sinks attach to every
@@ -162,6 +168,9 @@ struct GridCacheStats
 {
     std::size_t traceBuilds = 0;
     std::size_t traceHits = 0;
+    /** Lookups without checkpoints that found a trace key neither
+     *  resident nor sighted recently, and streamed it instead. */
+    std::size_t traceStreams = 0;
     std::size_t checkpointBuilds = 0;
     std::size_t checkpointHits = 0;
     /** LRU evictions forced by the byte budget. */
@@ -188,7 +197,8 @@ GridCacheStats gridCacheStats();
  */
 void setGridCacheByteBudget(std::size_t bytes);
 
-/** Drop all cached traces and checkpoints and zero the counters.
+/** Drop all cached traces and checkpoints, forget the recently
+ *  sighted trace keys, and zero the counters.
  *  Callers must not race this with an in-flight runExperiment. */
 void clearGridCaches();
 

@@ -60,6 +60,16 @@ struct CellKey
     std::uint64_t hash() const;
 };
 
+/** CellKey::hash() as a hash-container hasher. */
+struct CellKeyHash
+{
+    std::size_t
+    operator()(const CellKey &key) const
+    {
+        return std::size_t(key.hash());
+    }
+};
+
 /** Counters for one ResultStore (monotonic since construction). */
 struct ResultStoreStats
 {
@@ -112,16 +122,8 @@ class ResultStore
             std::size_t bytes = 0;
             std::list<CellKey>::iterator lru;
         };
-        struct KeyHash
-        {
-            std::size_t
-            operator()(const CellKey &key) const
-            {
-                return std::size_t(key.hash());
-            }
-        };
         WBSIM_GUARDED_BY(mutex)
-        std::unordered_map<CellKey, Slot, KeyHash> map;
+        std::unordered_map<CellKey, Slot, CellKeyHash> map;
         WBSIM_GUARDED_BY(mutex) std::size_t bytes = 0;
     };
 

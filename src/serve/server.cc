@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string_view>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "harness/experiment.hh"
@@ -306,9 +307,11 @@ ServeServer::handleSweep(const Request &request)
             return rejectCell(error);
     }
 
-    // Admission: answer store hits directly; group the misses that
-    // share a trace, split each group into passes, one job each, and
-    // admit the jobs all-or-nothing, charged their cells.
+    // Admission: answer store hits directly; simulate each distinct
+    // missing key once, whatever number of cells name it; group the
+    // misses that share a trace, split each group into passes, one
+    // job each, and admit the jobs all-or-nothing, charged their
+    // cells.
     struct Latch
     {
         std::mutex mutex;
@@ -322,14 +325,25 @@ ServeServer::handleSweep(const Request &request)
     std::map<std::tuple<std::string_view, std::uint64_t, Count, Count>,
              std::size_t>
         groupOf;
+    // Each distinct miss's cell index, and every later cell naming
+    // the same key with the index of the cell whose token it copies.
+    std::unordered_map<CellKey, std::size_t, CellKeyHash> firstMiss;
+    std::vector<std::pair<std::size_t, std::size_t>> repeats;
     std::size_t misses = 0;
+    std::size_t hits = 0;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         CellKey key = keyOf(cells[i]);
+        if (auto seen = firstMiss.find(key); seen != firstMiss.end()) {
+            repeats.emplace_back(i, seen->second);
+            continue;
+        }
         if (ResultStore::TokenPtr cached = store_.find(key)) {
             tokens[i] = std::move(cached);
             fromStore[i] = 1;
+            ++hits;
             continue;
         }
+        firstMiss.emplace(key, i);
         const CellSpec &spec = cells[i];
         auto [it, fresh] = groupOf.try_emplace(
             {spec.benchmark, spec.seed, spec.instructions, spec.warmup},
@@ -339,8 +353,7 @@ ServeServer::handleSweep(const Request &request)
         groups[it->second].push_back({i, std::move(key)});
         ++misses;
     }
-    cellsFromStore_.fetch_add(cells.size() - misses,
-                              std::memory_order_relaxed);
+    cellsFromStore_.fetch_add(hits, std::memory_order_relaxed);
 
     if (misses != 0) {
         // A miss batch larger than the whole queue can never be
@@ -411,6 +424,8 @@ ServeServer::handleSweep(const Request &request)
         latch.done.wait(lock,
                         [&]() { return latch.remaining == 0; });
     }
+    for (const auto &[cell, first] : repeats)
+        tokens[cell] = tokens[first];
 
     sweeps_.fetch_add(1, std::memory_order_relaxed);
     cellsServed_.fetch_add(cells.size(), std::memory_order_relaxed);
@@ -564,6 +579,7 @@ ServeServer::statsJson()
     json.key("grid_cache").beginObject();
     json.field("trace_builds", std::uint64_t(grid.traceBuilds));
     json.field("trace_hits", std::uint64_t(grid.traceHits));
+    json.field("trace_streams", std::uint64_t(grid.traceStreams));
     json.field("checkpoint_builds",
                std::uint64_t(grid.checkpointBuilds));
     json.field("checkpoint_hits",

@@ -14,19 +14,22 @@
  *                 frame per request
  *
  * A connection thread decodes one request frame at a time, answers
- * store hits immediately, groups the misses that share a trace
- * (benchmark, seed, instructions, warmup), splits each group into
- * one pass per worker that can run at once (more if a pass would
- * exceed kMaxCellsPerPass cells), and enqueues one job per pass as
- * one all-or-nothing batch, charged in cells. If the bounded queue
- * cannot take the batch the client gets RETRY_AFTER with a backoff
- * hint — the daemon never queues unboundedly and never drops a
- * request on the floor silently. A worker runs a pass's cells in one
- * runCells pass over the grid cache's materialized trace (traces are
- * shared across passes and requests; warm checkpoints are not built,
- * since a stored cell is never simulated again), renders each cell's
- * wire token once, and publishes it into the ResultStore; a Results
- * frame is the cells' stored tokens appended in order.
+ * store hits immediately, keeps one miss per distinct cell key (a
+ * repeat of a key gets that miss's token), groups the misses that
+ * share a trace (benchmark, seed, instructions, warmup), splits each
+ * group into one pass per worker that can run at once (more if a
+ * pass would exceed kMaxCellsPerPass cells), and enqueues one job per
+ * pass as one all-or-nothing batch, charged in cells. If the bounded
+ * queue cannot take the batch the client gets RETRY_AFTER with a
+ * backoff hint — the daemon never queues unboundedly and never drops
+ * a request on the floor silently. A worker runs a pass's cells in one
+ * runCells pass (warm checkpoints are not built, since a stored cell
+ * is never simulated again). Its trace streams from the generator on
+ * the trace key's first use and comes from the grid cache from its
+ * second use on, so a trace that only one request asks for is never
+ * encoded or cached. The worker then renders each cell's wire token
+ * once and publishes it into the ResultStore; a Results frame is the
+ * cells' stored tokens appended in order.
  *
  * Thread-safety contract: connection bookkeeping sits behind
  * mutex_; cross-thread sweep completion uses a per-request latch;

@@ -224,9 +224,15 @@ MaterializedTrace::build(TraceSource &source, Count limit)
 {
     MaterializedTrace trace;
     trace.name_ = source.name();
-    TraceRecord record;
-    while ((limit == 0 || trace.size_ < limit) && source.next(record))
-        trace.append(record);
+    const Count budget = limit == 0 ? TraceSource::kNoBudget : limit;
+    TraceRun items[kBuildItems];
+    while (std::size_t got = source.nextRuns(items, kBuildItems,
+                                             budget - trace.size_)) {
+        for (std::size_t i = 0; i < got; ++i) {
+            trace.appendRun(items[i].nonMemBefore);
+            trace.append(items[i].rec);
+        }
+    }
     trace.flushRun();
     // Slack so the decoder's fixed 8-byte delta loads never run off
     // the end of the buffer (the logical stream ends before them).
@@ -257,7 +263,7 @@ MaterializedTrace::flushRun()
 }
 
 void
-MaterializedTrace::append(const TraceRecord &record)
+MaterializedTrace::syncIfDue()
 {
     if (size_ % kSyncInterval == 0) {
         // Runs never span a sync point: the sync must describe the
@@ -266,7 +272,28 @@ MaterializedTrace::append(const TraceRecord &record)
         syncs_.push_back(Sync{bytes_.size(), enc_last_addr_,
                               enc_last_pc_});
     }
+}
 
+void
+MaterializedTrace::appendRun(Count count)
+{
+    // append() of each plain NonMem record would only grow the
+    // pending run, so grow it by whole stretches between syncs.
+    while (count > 0) {
+        syncIfDue();
+        Count take =
+            std::min(count, kSyncInterval - size_ % kSyncInterval);
+        size_ += take;
+        enc_run_ += static_cast<unsigned>(take);
+        enc_last_pc_ += 4 * take;
+        count -= take;
+    }
+}
+
+void
+MaterializedTrace::append(const TraceRecord &record)
+{
+    syncIfDue();
     ++size_;
 
     if (record.op == Op::NonMem && record.size == 0 && record.addr == 0

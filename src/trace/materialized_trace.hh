@@ -47,7 +47,10 @@ class MaterializedTrace
 
     /**
      * Drain @p source (up to @p limit records; 0 = to exhaustion)
-     * into a materialized trace named after the source.
+     * into a materialized trace named after the source. The source
+     * is read as run items (TraceSource::nextRuns), so a run costs
+     * one step per sync interval, not one per record; the bytes are
+     * those of appending every record one by one.
      */
     static MaterializedTrace build(TraceSource &source, Count limit = 0);
 
@@ -83,7 +86,17 @@ class MaterializedTrace
         Addr lastPc = 0;
     };
 
+    /** Run items pulled per nextRuns() call while building. */
+    static constexpr std::size_t kBuildItems = 256;
+
+    /** Start a sync point when the next record begins an interval. */
+    void syncIfDue();
+
     void append(const TraceRecord &record);
+
+    /** append() of @p count plain NonMem records, each continuing
+     *  the last pc by 4 (a run item's prefix). */
+    void appendRun(Count count);
 
     /** Emit any accumulated NonMem run as self-carried records
      *  (used when no following record can carry the prefix). */

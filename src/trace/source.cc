@@ -31,14 +31,17 @@ TraceSource::nextRuns(TraceRun *out, std::size_t max, Count budget)
         budget -= got;
         std::uint32_t run = 0;
         for (std::size_t i = 0; i < got; ++i) {
-            // A NonMem record that jumps is an item's own record.
-            if (chunk[i].op == Op::NonMem && next_pc == chunk[i].pc) {
+            // A NonMem record that jumps, or carries a size or an
+            // address, is an item's own record.
+            const TraceRecord &rec = chunk[i];
+            if (rec.op == Op::NonMem && rec.size == 0 && rec.addr == 0
+                && next_pc == rec.pc) {
                 ++run;
             } else {
-                out[produced++] = TraceRun{run, chunk[i]};
+                out[produced++] = TraceRun{run, rec};
                 run = 0;
             }
-            next_pc = chunk[i].pc + 4;
+            next_pc = rec.pc + 4;
         }
         // A run the chunk cut off travels in carrier form: its last
         // record is the item's own (NonMem) record.

@@ -82,12 +82,14 @@ class TraceSource
      * would cross the budget is cut exactly there: the records
      * within it travel as a carrier item, and the rest of its run
      * starts the next call. The default folds nextBatch() records:
-     * a NonMem record joins the pending run only when its pc is the
-     * previous record's pc + 4 and that record came from the same
-     * call, so the first NonMem record of a call is always an item's
-     * own record and the fold keeps no state between calls; a run cut
-     * by a fold chunk travels in carrier form. Sources with a native
-     * run encoding (materialized traces) override this.
+     * a plain NonMem record (size and address 0) joins the pending
+     * run only when its pc is the previous record's pc + 4 and that
+     * record came from the same call, so the first NonMem record of
+     * a call is always an item's own record and the fold keeps no
+     * state between calls; a run cut by a fold chunk travels in
+     * carrier form. Sources with a native
+     * run encoding (materialized traces) or a cheaper native fold
+     * (the synthetic generator) override this.
      * @return items produced; 0 only at end of stream or when
      *         @p budget or @p max is 0.
      */

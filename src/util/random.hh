@@ -93,18 +93,7 @@ class Rng
     std::size_t
     nextWeighted(const std::vector<double> &weights)
     {
-        return nextWeighted(weights, weightTotal(weights));
-    }
-
-    /**
-     * nextWeighted with the total precomputed by weightTotal() —
-     * callers that draw from a fixed weight vector per record hoist
-     * the summation. @p total MUST equal weightTotal(weights) (the
-     * left-to-right sum) or the draw mapping changes.
-     */
-    std::size_t
-    nextWeighted(const std::vector<double> &weights, double total)
-    {
+        const double total = weightTotal(weights);
         if (total <= 0.0)
             return 0;
         double draw = nextDouble() * total;
@@ -139,9 +128,83 @@ class Rng
         return length;
     }
 
+    /**
+     * The integer form of `nextDouble() < p`: that test passes
+     * exactly when `(next() >> 11) < doubleCut(p)`, because
+     * nextDouble() is (next() >> 11) * 2^-53 and p * 2^53 is exact,
+     * so the cut is ceil(p * 2^53), clamped to [0, 2^53].
+     */
+    static std::uint64_t doubleCut(double p);
+
+    /** nextDouble() < p for the @p cut = doubleCut(p): the same draw
+     *  and answer, as one integer compare. */
+    bool nextUnder(std::uint64_t cut) { return (next() >> 11) < cut; }
+
+    /**
+     * Integer cut points for nextWeighted(weights): a draw picks the
+     * first index i with `(next() >> 11) < cuts[i]`, else the last
+     * one. Empty when the weights total zero or less, where
+     * nextWeighted draws nothing. Each floating-point step of
+     * nextWeighted is monotone in the drawn integer, so bisection
+     * finds every cut exactly.
+     */
+    static std::vector<std::uint64_t>
+    weightedCuts(const std::vector<double> &weights);
+
+    /** nextWeighted(weights) for @p cuts = weightedCuts(weights):
+     *  the same draws and the same indices. */
+    std::size_t
+    nextWeighted(const std::vector<std::uint64_t> &cuts)
+    {
+        if (cuts.empty())
+            return 0;
+        const std::uint64_t draw = next() >> 11;
+        const std::size_t last = cuts.size() - 1;
+        for (std::size_t i = 0; i < last; ++i)
+            if (draw < cuts[i])
+                return i;
+        return last;
+    }
+
   private:
     std::uint64_t state0_;
     std::uint64_t state1_;
+};
+
+/**
+ * Rng::nextBool(p) for a fixed p, precomputed: the same draws and
+ * the same answers. A p outside (0, 1) draws nothing, as nextBool
+ * does; inside it the draw is one integer compare (Rng::doubleCut).
+ */
+class Bernoulli
+{
+  public:
+    Bernoulli() = default;
+    explicit Bernoulli(double p)
+        : cut_(p >= 1.0 ? 1 : Rng::doubleCut(p)),
+          draws_(p > 0.0 && p < 1.0)
+    {
+    }
+
+    bool
+    operator()(Rng &rng) const
+    {
+        return draws_ ? rng.nextUnder(cut_) : cut_ != 0;
+    }
+
+    /** Rng::nextBurst(p, cap) with this trial. */
+    unsigned
+    burst(Rng &rng, unsigned cap) const
+    {
+        unsigned length = 1;
+        while (length < cap && (*this)(rng))
+            ++length;
+        return length;
+    }
+
+  private:
+    std::uint64_t cut_ = 0;
+    bool draws_ = false;
 };
 
 /** splitmix64 step; used for seed expansion and hashing. */

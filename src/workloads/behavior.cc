@@ -27,198 +27,51 @@ behaviorKindName(BehaviorKind kind)
     return "?";
 }
 
-namespace
+Behavior::Behavior(const BehaviorSpec &spec, Addr base,
+                   std::uint64_t seed)
+    : kind_(spec.kind), base_(base), access_(spec.accessBytes),
+      rng_(seed)
 {
-
-/** Sequential walk over [base, base+region), wrapping. */
-class LoopBehavior : public Behavior
-{
-  public:
-    LoopBehavior(const BehaviorSpec &spec, Addr base)
-        : base_(base), region_(spec.region), access_(spec.accessBytes)
-    {
+    wbsim_assert(spec.accessBytes > 0 && isPowerOfTwo(spec.accessBytes),
+                 "behaviour access size must be a power of two");
+    switch (kind_) {
+      case BehaviorKind::Loop:
+        region_ = spec.region;
         wbsim_assert(region_ >= access_, "loop region too small");
-    }
-
-    Addr
-    next() override
-    {
-        Addr addr = base_ + offset_;
-        offset_ += access_;
-        if (offset_ + access_ > region_)
-            offset_ = 0;
-        return addr;
-    }
-
-    unsigned accessBytes() const override { return access_; }
-
-  private:
-    Addr base_;
-    std::uint64_t region_;
-    unsigned access_;
-    std::uint64_t offset_ = 0;
-};
-
-/** Uniform random aligned accesses within [base, base+region). */
-class RandomBehavior : public Behavior
-{
-  public:
-    RandomBehavior(const BehaviorSpec &spec, Addr base, std::uint64_t seed)
-        : base_(base), slots_(spec.region / spec.accessBytes),
-          access_(spec.accessBytes), rng_(seed)
-    {
+        break;
+      case BehaviorKind::Random:
+        slots_ = spec.region / spec.accessBytes;
         wbsim_assert(slots_ > 0, "random region too small");
-    }
-
-    Addr
-    next() override
-    {
-        return base_ + rng_.nextBelow(slots_) * access_;
-    }
-
-    unsigned accessBytes() const override { return access_; }
-
-  private:
-    Addr base_;
-    std::uint64_t slots_;
-    unsigned access_;
-    Rng rng_;
-};
-
-/**
- * Column-major sweep: consecutive accesses are `stride` bytes apart
- * (one per "row"); after `columns` accesses the walk returns to the
- * top, shifted by one element; after `stride / accessBytes` sweeps
- * the whole matrix restarts.
- */
-class StridedBehavior : public Behavior
-{
-  public:
-    StridedBehavior(const BehaviorSpec &spec, Addr base)
-        : base_(base), stride_(spec.stride), access_(spec.accessBytes)
-    {
+        break;
+      case BehaviorKind::Strided:
+        stride_ = spec.stride;
         wbsim_assert(stride_ >= access_, "stride smaller than access");
         columns_ = std::max<std::uint64_t>(1, spec.region / stride_);
         sweeps_ = std::max<std::uint64_t>(1, stride_ / access_);
-    }
-
-    Addr
-    next() override
-    {
-        Addr addr = base_ + column_ * stride_ + sweep_ * access_;
-        if (++column_ >= columns_) {
-            column_ = 0;
-            if (++sweep_ >= sweeps_)
-                sweep_ = 0;
-        }
-        return addr;
-    }
-
-    unsigned accessBytes() const override { return access_; }
-
-  private:
-    Addr base_;
-    std::uint64_t stride_;
-    unsigned access_;
-    std::uint64_t columns_;
-    std::uint64_t sweeps_;
-    std::uint64_t column_ = 0;
-    std::uint64_t sweep_ = 0;
-};
-
-/** Bounded random walk over stack frames near the current top. */
-class StackBehavior : public Behavior
-{
-  public:
-    StackBehavior(const BehaviorSpec &spec, Addr base, std::uint64_t seed)
-        : base_(base), access_(spec.accessBytes), rng_(seed)
-    {
-        max_depth_ = std::max<std::uint64_t>(2, spec.region / kFrameBytes);
-    }
-
-    Addr
-    next() override
-    {
-        // Mostly touch the current frame; sometimes push or pop.
-        double r = rng_.nextDouble();
-        if (r < 0.06 && depth_ + 1 < max_depth_)
-            ++depth_;
-        else if (r < 0.12 && depth_ > 0)
-            --depth_;
-        std::uint64_t slot = rng_.nextBelow(kFrameBytes / access_);
-        return base_ + depth_ * kFrameBytes + slot * access_;
-    }
-
-    unsigned accessBytes() const override { return access_; }
-
-  private:
-    static constexpr std::uint64_t kFrameBytes = 64;
-    Addr base_;
-    unsigned access_;
-    Rng rng_;
-    std::uint64_t max_depth_;
-    std::uint64_t depth_ = 0;
-};
-
-/** Walk a fixed random permutation of cache-line-sized nodes. */
-class PointerChaseBehavior : public Behavior
-{
-  public:
-    PointerChaseBehavior(const BehaviorSpec &spec, Addr base,
-                         std::uint64_t seed)
-        : base_(base), access_(spec.accessBytes)
-    {
+        break;
+      case BehaviorKind::Stack:
+        slots_ = kLineBytes / access_;
+        max_depth_ = std::max<std::uint64_t>(2, spec.region / kLineBytes);
+        push_cut_ = Rng::doubleCut(0.06);
+        pop_cut_ = Rng::doubleCut(0.12);
+        break;
+      case BehaviorKind::PointerChase: {
         std::uint64_t nodes =
-            std::max<std::uint64_t>(2, spec.region / kNodeBytes);
+            std::max<std::uint64_t>(2, spec.region / kLineBytes);
         nodes = std::min<std::uint64_t>(nodes, 1u << 20);
-        next_.resize(nodes);
-        std::iota(next_.begin(), next_.end(), 0u);
+        chain_.resize(nodes);
+        std::iota(chain_.begin(), chain_.end(), 0u);
         // Sattolo's algorithm: one cycle through every node.
         Rng rng(seed);
         for (std::uint64_t i = nodes - 1; i >= 1; --i) {
             std::uint64_t j = rng.nextBelow(i);
-            std::swap(next_[i], next_[j]);
+            std::swap(chain_[i], chain_[j]);
         }
+        break;
+      }
+      default:
+        wbsim_panic("unknown behaviour kind");
     }
-
-    Addr
-    next() override
-    {
-        Addr addr = base_ + static_cast<Addr>(current_) * kNodeBytes;
-        current_ = next_[current_];
-        return addr;
-    }
-
-    unsigned accessBytes() const override { return access_; }
-
-  private:
-    static constexpr std::uint64_t kNodeBytes = 64;
-    Addr base_;
-    unsigned access_;
-    std::vector<std::uint32_t> next_;
-    std::uint32_t current_ = 0;
-};
-
-} // namespace
-
-std::unique_ptr<Behavior>
-Behavior::make(const BehaviorSpec &spec, Addr base, std::uint64_t seed)
-{
-    wbsim_assert(spec.accessBytes > 0 && isPowerOfTwo(spec.accessBytes),
-                 "behaviour access size must be a power of two");
-    switch (spec.kind) {
-      case BehaviorKind::Loop:
-        return std::make_unique<LoopBehavior>(spec, base);
-      case BehaviorKind::Random:
-        return std::make_unique<RandomBehavior>(spec, base, seed);
-      case BehaviorKind::Strided:
-        return std::make_unique<StridedBehavior>(spec, base);
-      case BehaviorKind::Stack:
-        return std::make_unique<StackBehavior>(spec, base, seed);
-      case BehaviorKind::PointerChase:
-        return std::make_unique<PointerChaseBehavior>(spec, base, seed);
-    }
-    wbsim_panic("unknown behaviour kind");
 }
 
 } // namespace wbsim

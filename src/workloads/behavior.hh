@@ -14,7 +14,6 @@
 #define WBSIM_WORKLOADS_BEHAVIOR_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "util/random.hh"
@@ -70,27 +69,107 @@ struct BehaviorSpec
     int shareWithLoad = -1;
 };
 
-/** A live address generator instantiated from a BehaviorSpec. */
+/**
+ * A live address generator instantiated from a BehaviorSpec. The
+ * kinds form a closed set, so next() dispatches with a switch on
+ * BehaviorKind: the generator draws one address per memory record,
+ * and an inlined switch costs less than a virtual call per record.
+ * Each member below serves the kinds named in its comment.
+ */
 class Behavior
 {
   public:
-    virtual ~Behavior() = default;
-
-    /** Produce the next address of this behaviour's stream. */
-    virtual Addr next() = 0;
-
-    /** Access size for this stream. */
-    virtual unsigned accessBytes() const = 0;
-
     /**
-     * Instantiate a behaviour.
      * @param spec declarative parameters.
      * @param base start of this behaviour's private address arena.
      * @param seed deterministic seed for any internal randomness.
      */
-    static std::unique_ptr<Behavior> make(const BehaviorSpec &spec,
-                                          Addr base,
-                                          std::uint64_t seed);
+    Behavior(const BehaviorSpec &spec, Addr base, std::uint64_t seed);
+
+    BehaviorKind kind() const { return kind_; }
+
+    /** Access size for this stream. */
+    unsigned accessBytes() const { return access_; }
+
+    /** Produce the next address of this behaviour's stream. */
+    Addr
+    next()
+    {
+        switch (kind_) {
+          case BehaviorKind::Loop: {
+            // Sequential walk over [base, base+region), wrapping.
+            Addr addr = base_ + offset_;
+            offset_ += access_;
+            if (offset_ + access_ > region_)
+                offset_ = 0;
+            return addr;
+          }
+          case BehaviorKind::Random:
+            // Uniform random aligned accesses within the region.
+            return base_ + rng_.nextBelow(slots_) * access_;
+          case BehaviorKind::Strided: {
+            // Column-major sweep: consecutive accesses are `stride`
+            // bytes apart (one per "row"); after `columns` accesses
+            // the walk returns to the top, shifted by one element;
+            // after `stride / accessBytes` sweeps the whole matrix
+            // restarts.
+            Addr addr = base_ + column_ * stride_ + sweep_ * access_;
+            if (++column_ >= columns_) {
+                column_ = 0;
+                if (++sweep_ >= sweeps_)
+                    sweep_ = 0;
+            }
+            return addr;
+          }
+          case BehaviorKind::Stack: {
+            // Mostly touch the current frame; sometimes push or pop.
+            std::uint64_t r = rng_.next() >> 11;
+            if (r < push_cut_ && depth_ + 1 < max_depth_)
+                ++depth_;
+            else if (r < pop_cut_ && depth_ > 0)
+                --depth_;
+            std::uint64_t slot = rng_.nextBelow(slots_);
+            return base_ + depth_ * kLineBytes + slot * access_;
+          }
+          case BehaviorKind::PointerChase: {
+            // Walk a fixed random permutation of line-sized nodes.
+            Addr addr = base_ + static_cast<Addr>(current_) * kLineBytes;
+            current_ = chain_[current_];
+            return addr;
+          }
+        }
+        return base_;
+    }
+
+  private:
+    /** Stack frame and pointer-chase node size. */
+    static constexpr std::uint64_t kLineBytes = 64;
+
+    BehaviorKind kind_;
+    Addr base_;
+    unsigned access_;
+    /** Loop: region bytes and the walk's offset into it. */
+    std::uint64_t region_ = 0;
+    std::uint64_t offset_ = 0;
+    /** Random: slots in the region; Stack: slots in a frame. */
+    std::uint64_t slots_ = 0;
+    /** Strided: the walk's geometry and position. */
+    std::uint64_t stride_ = 0;
+    std::uint64_t columns_ = 0;
+    std::uint64_t sweeps_ = 0;
+    std::uint64_t column_ = 0;
+    std::uint64_t sweep_ = 0;
+    /** Stack: frame depth bound and position; push and pop draw
+     *  below Rng::doubleCut of 0.06 and 0.12. */
+    std::uint64_t max_depth_ = 0;
+    std::uint64_t depth_ = 0;
+    std::uint64_t push_cut_ = 0;
+    std::uint64_t pop_cut_ = 0;
+    /** PointerChase: the permutation and the current node. */
+    std::vector<std::uint32_t> chain_;
+    std::uint32_t current_ = 0;
+    /** Random, Stack: the behaviour's own stream. */
+    Rng rng_;
 };
 
 } // namespace wbsim

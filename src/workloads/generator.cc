@@ -40,12 +40,21 @@ SyntheticSource::SyntheticSource(BenchmarkProfile profile,
     double mean_burst = expectedBurstLength(profile_.storeBurstContinue,
                                             profile_.storeBurstCap);
     double f = profile_.pctStores;
-    p_burst_start_ = f / (mean_burst * (1.0 - f) + f);
-    double expansion = 1.0 + p_burst_start_ * (mean_burst - 1.0);
-    p_load_draw_ = profile_.pctLoads * expansion;
-    if (p_burst_start_ + p_load_draw_ > 1.0)
+    double p_burst_start = f / (mean_burst * (1.0 - f) + f);
+    double expansion = 1.0 + p_burst_start * (mean_burst - 1.0);
+    double p_load_draw = profile_.pctLoads * expansion;
+    if (p_burst_start + p_load_draw > 1.0)
         wbsim_fatal(profile_.name,
                     ": burst parameters push op probabilities over 1");
+    burst_cut_ = Rng::doubleCut(p_burst_start);
+    load_cut_ = Rng::doubleCut(p_burst_start + p_load_draw);
+    burst_continue_ = Bernoulli(profile_.storeBurstContinue);
+    run_continue_ = Bernoulli(profile_.storeRunContinue);
+    raw_ = Bernoulli(profile_.rawFraction);
+    barrier_ = Bernoulli(profile_.barrierFraction);
+    jump_ = Bernoulli(profile_.codeJumpProb);
+    loops_ = std::max<std::uint64_t>(
+        1, profile_.codeFootprint / profile_.codeLoop);
     rebuild();
 }
 
@@ -57,11 +66,10 @@ SyntheticSource::rebuild()
         name_hash = hashCombine(name_hash, static_cast<std::uint64_t>(c));
     std::uint64_t master = hashCombine(seed_, name_hash);
 
-    rng_ = Rng(hashCombine(master, 0xa11ce));
     load_behaviors_.clear();
     store_behaviors_.clear();
-    load_weights_.clear();
-    store_weights_.clear();
+    std::vector<double> load_weights;
+    std::vector<double> store_weights;
 
     // Stagger each arena's base within cache index space; regions
     // starting at identical set indices would conflict artificially
@@ -76,10 +84,9 @@ SyntheticSource::rebuild()
     std::vector<Addr> load_bases;
     for (const BehaviorSpec &spec : profile_.loadBehaviors) {
         load_bases.push_back(arena_base(index));
-        load_behaviors_.push_back(
-            Behavior::make(spec, load_bases.back(),
-                           hashCombine(master, index)));
-        load_weights_.push_back(spec.weight);
+        load_behaviors_.emplace_back(spec, load_bases.back(),
+                                     hashCombine(master, index));
+        load_weights.push_back(spec.weight);
         ++index;
     }
     for (const BehaviorSpec &spec : profile_.storeBehaviors) {
@@ -92,23 +99,19 @@ SyntheticSource::rebuild()
             base = load_bases[static_cast<std::size_t>(
                 spec.shareWithLoad)];
         }
-        store_behaviors_.push_back(
-            Behavior::make(spec, base, hashCombine(master, index)));
-        store_weights_.push_back(spec.weight);
+        store_behaviors_.emplace_back(spec, base,
+                                      hashCombine(master, index));
+        store_weights.push_back(spec.weight);
         ++index;
     }
-    load_weight_total_ = Rng::weightTotal(load_weights_);
-    store_weight_total_ = Rng::weightTotal(store_weights_);
+    load_cuts_ = Rng::weightedCuts(load_weights);
+    store_cuts_ = Rng::weightedCuts(store_weights);
 
-    emitted_ = 0;
-    burst_left_ = 0;
-    store_run_left_ = 0;
-    store_run_behavior_ = 0;
-    recent_head_ = 0;
-    recent_count_ = 0;
-    code_base_ = kCodeBase;
-    loop_base_ = code_base_;
-    pc_ = code_base_;
+    cursor_ = Cursor{};
+    cursor_.rng = Rng(hashCombine(master, 0xa11ce));
+    cursor_.loopBase = kCodeBase;
+    cursor_.pc = kCodeBase;
+    cursor_.lastPc = kCodeBase;
 }
 
 void
@@ -117,121 +120,182 @@ SyntheticSource::reset()
     rebuild();
 }
 
-Addr
-SyntheticSource::nextPc()
+[[gnu::always_inline]] inline Addr
+SyntheticSource::nextPc(Cursor &c)
 {
-    Addr pc = pc_;
-    pc_ += 4;
-    if (pc_ >= loop_base_ + profile_.codeLoop)
-        pc_ = loop_base_; // close the inner loop
-    if (profile_.codeJumpProb > 0.0
-        && rng_.nextBool(profile_.codeJumpProb)) {
+    Addr pc = c.pc;
+    c.pc += 4;
+    if (c.pc >= c.loopBase + profile_.codeLoop)
+        c.pc = c.loopBase; // close the inner loop
+    if (jump_(c.rng)) {
         // Jump to another loop within the code footprint.
-        std::uint64_t loops =
-            std::max<std::uint64_t>(1,
-                                    profile_.codeFootprint
-                                        / profile_.codeLoop);
-        loop_base_ = code_base_
-            + rng_.nextBelow(loops) * profile_.codeLoop;
-        pc_ = loop_base_;
+        c.loopBase =
+            kCodeBase + c.rng.nextBelow(loops_) * profile_.codeLoop;
+        c.pc = c.loopBase;
     }
     return pc;
 }
 
-TraceRecord
-SyntheticSource::makeLoad()
+[[gnu::always_inline]] inline TraceRecord
+SyntheticSource::makeLoad(Cursor &c)
 {
-    if (profile_.rawFraction > 0.0 && recent_count_ > 0
-        && rng_.nextBool(profile_.rawFraction)) {
+    if (c.recentCount > 0 && raw_(c.rng)) {
         unsigned span = profile_.rawDistanceMax - profile_.rawDistanceMin;
         auto back = static_cast<std::size_t>(
             profile_.rawDistanceMin
-            + (span ? rng_.nextBelow(span + 1) : 0));
-        if (back > recent_count_)
-            back = recent_count_;
+            + (span ? c.rng.nextBelow(span + 1) : 0));
+        if (back > c.recentCount)
+            back = c.recentCount;
         std::size_t slot =
-            (recent_head_ + recent_.size() - back) % recent_.size();
+            (c.recentHead + recent_.size() - back) % recent_.size();
         const RecentStore &rs = recent_[slot];
         return TraceRecord::load(rs.addr,
                                  static_cast<std::uint8_t>(rs.size));
     }
-    std::size_t which =
-        rng_.nextWeighted(load_weights_, load_weight_total_);
-    Behavior &behavior = *load_behaviors_[which];
+    Behavior &behavior = load_behaviors_[c.rng.nextWeighted(load_cuts_)];
     return TraceRecord::load(
         behavior.next(),
         static_cast<std::uint8_t>(behavior.accessBytes()));
 }
 
-TraceRecord
-SyntheticSource::makeStore()
+[[gnu::always_inline]] inline TraceRecord
+SyntheticSource::makeStore(Cursor &c)
 {
     // Stores stick with one behaviour for a run: real code emits
     // runs of stores from a single loop, which is what makes
     // write-buffer coalescing work at eager retirement policies.
-    if (store_run_left_ == 0) {
-        store_run_behavior_ =
-            rng_.nextWeighted(store_weights_, store_weight_total_);
-        store_run_left_ = rng_.nextBurst(profile_.storeRunContinue,
-                                         profile_.storeRunCap);
+    if (c.storeRunLeft == 0) {
+        c.storeRunBehavior = c.rng.nextWeighted(store_cuts_);
+        c.storeRunLeft = run_continue_.burst(c.rng, profile_.storeRunCap);
     }
-    --store_run_left_;
-    Behavior &behavior = *store_behaviors_[store_run_behavior_];
+    --c.storeRunLeft;
+    Behavior &behavior = store_behaviors_[c.storeRunBehavior];
     Addr addr = behavior.next();
     unsigned size = behavior.accessBytes();
-    recent_[recent_head_] = RecentStore{addr, size};
-    recent_head_ = (recent_head_ + 1) % recent_.size();
-    if (recent_count_ < recent_.size())
-        ++recent_count_;
+    recent_[c.recentHead] = RecentStore{addr, size};
+    c.recentHead = (c.recentHead + 1) % recent_.size();
+    if (c.recentCount < recent_.size())
+        ++c.recentCount;
     return TraceRecord::store(addr, static_cast<std::uint8_t>(size));
 }
+
+template <typename Sink>
+[[gnu::always_inline]] inline void
+SyntheticSource::emit(Cursor &c, Sink &sink)
+{
+    ++c.emitted;
+
+    TraceRecord record;
+    if (c.burstLeft > 0) {
+        --c.burstLeft;
+        record = makeStore(c);
+    } else {
+        std::uint64_t draw = c.rng.next() >> 11;
+        if (draw < burst_cut_) {
+            c.burstLeft =
+                burst_continue_.burst(c.rng, profile_.storeBurstCap) - 1;
+            record = makeStore(c);
+        } else if (draw < load_cut_) {
+            record = makeLoad(c);
+        } else if (barrier_(c.rng)) {
+            record = TraceRecord::barrier();
+        } else {
+            sink.nonMem(nextPc(c));
+            return;
+        }
+    }
+    record.pc = nextPc(c);
+    sink.record(record);
+}
+
+namespace
+{
+
+/** Emit sink that stores each record at a cursor. */
+struct RecordSink
+{
+    TraceRecord *out;
+
+    void nonMem(Addr pc) { *out++ = TraceRecord::nonMem(pc); }
+    void record(const TraceRecord &rec) { *out++ = rec; }
+};
+
+/** Emit sink that folds records into run items: a NonMem record
+ *  joins the pending run when its pc continues the previous
+ *  record's by 4. */
+struct RunSink
+{
+    TraceRun *out;
+    Addr pc;
+    std::uint32_t run = 0;
+
+    void
+    nonMem(Addr at)
+    {
+        if (at == pc + 4) {
+            ++run;
+        } else {
+            *out++ = TraceRun{run, TraceRecord::nonMem(at)};
+            run = 0;
+        }
+        pc = at;
+    }
+
+    void
+    record(const TraceRecord &rec)
+    {
+        *out++ = TraceRun{run, rec};
+        run = 0;
+        pc = rec.pc;
+    }
+};
+
+} // namespace
 
 bool
 SyntheticSource::next(TraceRecord &record)
 {
-    if (emitted_ >= limit_)
+    if (cursor_.emitted >= limit_)
         return false;
-    emit(record);
+    RecordSink sink{&record};
+    emit(cursor_, sink);
+    cursor_.lastPc = record.pc;
     return true;
 }
 
 std::size_t
 SyntheticSource::nextBatch(TraceRecord *out, std::size_t max)
 {
-    Count left = limit_ - std::min(emitted_, limit_);
+    Cursor c = cursor_;
+    Count left = limit_ - std::min(c.emitted, limit_);
     std::size_t n = left < max ? static_cast<std::size_t>(left) : max;
+    RecordSink sink{out};
     for (std::size_t i = 0; i < n; ++i)
-        emit(out[i]);
+        emit(c, sink);
+    if (n > 0)
+        c.lastPc = out[n - 1].pc;
+    cursor_ = c;
     return n;
 }
 
-void
-SyntheticSource::emit(TraceRecord &record)
+std::size_t
+SyntheticSource::nextRuns(TraceRun *out, std::size_t max, Count budget)
 {
-    ++emitted_;
-
-    if (burst_left_ > 0) {
-        --burst_left_;
-        record = makeStore();
-    } else {
-        double draw = rng_.nextDouble();
-        if (draw < p_burst_start_) {
-            if (profile_.storeBurstContinue > 0.0) {
-                burst_left_ = rng_.nextBurst(profile_.storeBurstContinue,
-                                             profile_.storeBurstCap)
-                    - 1;
-            }
-            record = makeStore();
-        } else if (draw < p_burst_start_ + p_load_draw_) {
-            record = makeLoad();
-        } else if (profile_.barrierFraction > 0.0
-                   && rng_.nextBool(profile_.barrierFraction)) {
-            record = TraceRecord::barrier();
-        } else {
-            record = TraceRecord::nonMem();
-        }
-    }
-    record.pc = nextPc();
+    Cursor c = cursor_;
+    Count left = std::min(budget, limit_ - std::min(c.emitted, limit_));
+    RunSink sink{out, c.lastPc};
+    TraceRun *const end = out + max;
+    // A record joins the run only after the previous one fitted in
+    // an item, so the loop exits with a run pending only when the
+    // records ran out, never when the items did: the carrier has a
+    // slot.
+    for (; sink.out < end && left > 0; --left)
+        emit(c, sink);
+    if (sink.run > 0)
+        *sink.out++ = TraceRun{sink.run - 1, TraceRecord::nonMem(sink.pc)};
+    c.lastPc = sink.pc;
+    cursor_ = c;
+    return static_cast<std::size_t>(sink.out - out);
 }
 
 } // namespace wbsim

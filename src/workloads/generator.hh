@@ -8,7 +8,6 @@
 #define WBSIM_WORKLOADS_GENERATOR_HH
 
 #include <array>
-#include <memory>
 #include <vector>
 
 #include "trace/source.hh"
@@ -32,6 +31,20 @@ class SyntheticSource : public TraceSource
 
     bool next(TraceRecord &record) override;
     std::size_t nextBatch(TraceRecord *out, std::size_t max) override;
+
+    /**
+     * Native run items (see TraceRun): the records nextBatch() would
+     * deliver, folded as they are drawn, with no record batch in
+     * between. A NonMem record joins the pending run when its pc is
+     * the previous record's pc + 4, whichever call delivered that
+     * record, so a run may continue an earlier call's last item. A
+     * run cut by @p budget or the end of the stream travels in
+     * carrier form. next(), nextBatch() and nextRuns() share one
+     * emit core and may be interleaved freely.
+     */
+    std::size_t nextRuns(TraceRun *out, std::size_t max,
+                         Count budget = kNoBudget) override;
+
     void reset() override;
     std::string name() const override { return profile_.name; }
 
@@ -49,39 +62,69 @@ class SyntheticSource : public TraceSource
     Count limit_;
     std::uint64_t seed_;
 
-    Rng rng_{1};
-    std::vector<std::unique_ptr<Behavior>> load_behaviors_;
-    std::vector<std::unique_ptr<Behavior>> store_behaviors_;
-    std::vector<double> load_weights_;
-    std::vector<double> store_weights_;
-    /** Rng::weightTotal of the vectors above, hoisted out of the
-     *  per-record nextWeighted draws (same left-to-right sum). */
-    double load_weight_total_ = 0.0;
-    double store_weight_total_ = 0.0;
+    std::vector<Behavior> load_behaviors_;
+    std::vector<Behavior> store_behaviors_;
+    /** Rng::weightedCuts of the profile's behaviour weights. */
+    std::vector<std::uint64_t> load_cuts_;
+    std::vector<std::uint64_t> store_cuts_;
 
-    Count emitted_ = 0;
-    unsigned burst_left_ = 0;
-    unsigned store_run_left_ = 0;
-    std::size_t store_run_behavior_ = 0;
-    double p_burst_start_ = 0.0;
-    double p_load_draw_ = 0.0;
+    /** @name Per-record draws, precomputed from the profile.
+     *  Each is the integer form of the double test it replaces
+     *  (Rng::doubleCut, Bernoulli), so the stream is unchanged. */
+    /// @{
+    /** Op draw: a store burst starts below burst_cut_, a load is
+     *  drawn below load_cut_. */
+    std::uint64_t burst_cut_ = 0;
+    std::uint64_t load_cut_ = 0;
+    Bernoulli burst_continue_;
+    Bernoulli run_continue_;
+    Bernoulli raw_;
+    Bernoulli barrier_;
+    Bernoulli jump_;
+    /** Loops within the code footprint a jump picks from. */
+    std::uint64_t loops_ = 1;
+    /// @}
+
+    /**
+     * Everything the emit core advances per record. The batch loops
+     * run on a local copy, which the compiler keeps in registers:
+     * through a member, every output store might alias the Rng
+     * state, so each draw would reload it from memory.
+     */
+    struct Cursor
+    {
+        Rng rng{1};
+        Count emitted = 0;
+        unsigned burstLeft = 0;
+        unsigned storeRunLeft = 0;
+        std::size_t storeRunBehavior = 0;
+        /** Ring position and fill of recent_. */
+        std::size_t recentHead = 0;
+        std::size_t recentCount = 0;
+        /** Instruction-address model. */
+        Addr loopBase = 0;
+        Addr pc = 0;
+        /** pc of the last record delivered; before the first one, a
+         *  value the first record's pc does not continue. */
+        Addr lastPc = 0;
+    };
+    Cursor cursor_;
 
     /** Ring of recent stores feeding RAW loads. */
     std::array<RecentStore, 64> recent_;
-    std::size_t recent_head_ = 0;
-    std::size_t recent_count_ = 0;
-
-    /** Instruction-address model. */
-    Addr code_base_ = 0;
-    Addr loop_base_ = 0;
-    Addr pc_ = 0;
 
     void rebuild();
-    /** next() minus the end-of-stream check (batch inner loop). */
-    void emit(TraceRecord &record);
-    TraceRecord makeLoad();
-    TraceRecord makeStore();
-    Addr nextPc();
+    /**
+     * The emit core of next(), nextBatch() and nextRuns(): draw the
+     * stream's next record, advancing @p c, and hand it to @p sink —
+     * sink.nonMem(pc) for a plain NonMem record, sink.record(rec)
+     * for any other (the caller checks the limit). Keeping the
+     * NonMem path apart lets the run fold test its pc alone.
+     */
+    template <typename Sink> void emit(Cursor &c, Sink &sink);
+    TraceRecord makeLoad(Cursor &c);
+    TraceRecord makeStore(Cursor &c);
+    Addr nextPc(Cursor &c);
 };
 
 } // namespace wbsim

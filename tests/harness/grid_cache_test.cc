@@ -145,6 +145,59 @@ TEST(GridCache, ReplicatedRunsUseDistinctSeedsThroughTheCache)
     }
 }
 
+TEST(GridCache, TraceIsAdmittedOnItsSecondUseWithoutCheckpoints)
+{
+    // Without checkpoints, a trace key's first use streams from the
+    // generator, its second builds the trace and its third replays
+    // it; every run matches the uncached reference.
+    clearGridCaches();
+    BenchmarkProfile profile = spec92::profile("li");
+    MachineConfig machine;
+    RunnerOptions options = tinyOptions(1, true, false);
+    const SimResults reference =
+        runOne(profile, machine, options.instructions, options.seed,
+               options.warmup);
+    auto expectStats = [](std::size_t streams, std::size_t builds,
+                          std::size_t hits) {
+        GridCacheStats stats = gridCacheStats();
+        EXPECT_EQ(stats.traceStreams, streams);
+        EXPECT_EQ(stats.traceBuilds, builds);
+        EXPECT_EQ(stats.traceHits, hits);
+        EXPECT_EQ(stats.checkpointBuilds, 0u);
+    };
+
+    EXPECT_EQ(runOne(profile, machine, options, options.seed), reference);
+    expectStats(1, 0, 0);
+    EXPECT_EQ(gridCacheStats().cachedBytes, 0u);
+    EXPECT_EQ(runOne(profile, machine, options, options.seed), reference);
+    expectStats(1, 1, 0);
+    EXPECT_GT(gridCacheStats().cachedBytes, 0u);
+    EXPECT_EQ(runOne(profile, machine, options, options.seed), reference);
+    expectStats(1, 1, 1);
+
+    // clearGridCaches() forgets the sighted keys: the key streams
+    // again, as if never seen.
+    clearGridCaches();
+    EXPECT_EQ(runOne(profile, machine, options, options.seed), reference);
+    expectStats(1, 0, 0);
+
+    // A lookup with checkpoints builds on first use, and a later
+    // lookup without them finds the trace resident.
+    clearGridCaches();
+    RunnerOptions warm = tinyOptions(1, true, true);
+    EXPECT_EQ(runOne(profile, machine, warm, 5),
+              runOne(profile, machine, warm.instructions, 5,
+                     warm.warmup));
+    GridCacheStats stats = gridCacheStats();
+    EXPECT_EQ(stats.traceStreams, 0u);
+    EXPECT_EQ(stats.traceBuilds, 1u);
+    EXPECT_EQ(stats.checkpointBuilds, 1u);
+    runOne(profile, machine, options, 5);
+    EXPECT_EQ(gridCacheStats().traceStreams, 0u);
+    EXPECT_EQ(gridCacheStats().traceHits, 1u);
+    clearGridCaches();
+}
+
 /**
  * The CI cross-check fuzz: random-ish machine variants, each run
  * fork-resumed (cached) and from scratch (uncached), compared bit

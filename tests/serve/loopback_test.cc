@@ -408,6 +408,34 @@ TEST(Loopback, MissGroupsServeTheLocalBytes)
     EXPECT_EQ(pushed + misses, fixture.server.queueStats().pushed);
 }
 
+TEST(Loopback, RepeatedCellIsSimulatedOnce)
+{
+    // A sweep naming one fresh cell three times simulates it once and
+    // answers every repeat with that one token. Admission counts the
+    // one distinct miss: three cells would not fit this queue.
+    ServeConfig config;
+    config.queueCapacity = 2;
+    ServerFixture fixture(config);
+    ServeClient client = fixture.client();
+    const CellSpec cell = cellFor("espresso", machineOfDepth(3));
+    const std::uint64_t simulated = cellsSimulated(fixture.server);
+    const std::uint64_t pushed = fixture.server.queueStats().pushed;
+
+    Response response;
+    std::string error;
+    ASSERT_TRUE(client.sweep({cell, cell, cell}, 0, response, error))
+        << error;
+    ASSERT_EQ(ResponseType::Results, response.type) << response.error;
+    ASSERT_EQ(3u, response.cells.size());
+    const std::string expected = localRender(cell);
+    for (const CellResult &served : response.cells) {
+        EXPECT_FALSE(served.cacheHit);
+        EXPECT_EQ(expected, served.resultJson);
+    }
+    EXPECT_EQ(simulated + 1, cellsSimulated(fixture.server));
+    EXPECT_EQ(pushed + 1, fixture.server.queueStats().pushed);
+}
+
 TEST(Loopback, RejectsInvalidSweeps)
 {
     ServeConfig config;

@@ -325,6 +325,63 @@ TEST(MaterializedCursor, EveryRunBudgetCutsItemsExactly)
     }
 }
 
+/** Hands out every record of @p inner as its own run item, so
+ *  MaterializedTrace::build appends the stream one record at a
+ *  time: the record-by-record encoding, for comparison. */
+class PerRecordItems final : public TraceSource
+{
+  public:
+    explicit PerRecordItems(TraceSource &inner) : inner_(inner) {}
+
+    bool next(TraceRecord &record) override { return inner_.next(record); }
+
+    std::size_t
+    nextRuns(TraceRun *out, std::size_t max, Count budget) override
+    {
+        std::size_t n = 0;
+        while (n < max && n < budget && inner_.next(out[n].rec))
+            out[n++].nonMemBefore = 0;
+        return n;
+    }
+
+    void reset() override { inner_.reset(); }
+    std::string name() const override { return inner_.name(); }
+
+  private:
+    TraceSource &inner_;
+};
+
+TEST(MaterializedTrace, BuildFromRunItemsMatchesBuildFromRecords)
+{
+    // Native generator items, and the default fold over a record
+    // stream with runs cut by sync points, the 255-record prefix and
+    // jumps, must encode to exactly the record-by-record bytes, with
+    // and without a limit that cuts a run.
+    auto expectSameBytes = [](TraceSource &items, TraceSource &records,
+                              Count limit) {
+        MaterializedTrace a = MaterializedTrace::build(items, limit);
+        MaterializedTrace b = MaterializedTrace::build(records, limit);
+        EXPECT_EQ(a.size(), b.size());
+        EXPECT_EQ(a.encodedBytes(), b.encodedBytes());
+        EXPECT_EQ(a.fingerprint(), b.fingerprint());
+    };
+    for (const std::string &name : spec92::benchmarkNames()) {
+        SCOPED_TRACE(name);
+        BenchmarkProfile profile = spec92::profile(name);
+        for (Count limit : {Count{0}, Count{9'001}}) {
+            SyntheticSource native(profile, 20'000, 5);
+            SyntheticSource inner(profile, 20'000, 5);
+            PerRecordItems records(inner);
+            expectSameBytes(native, records, limit);
+        }
+    }
+    std::vector<TraceRecord> stream = budgetStream();
+    MemoryTrace folded(stream);
+    MemoryTrace inner(stream);
+    PerRecordItems records(inner);
+    expectSameBytes(folded, records, 0);
+}
+
 TEST(MaterializedCursor, ResetRestartsFromRecordZero)
 {
     BenchmarkProfile profile = spec92::profile("li");

@@ -120,6 +120,97 @@ TEST(Rng, WeightedAllZeroReturnsFirst)
     EXPECT_EQ(rng.nextWeighted(weights), 0u);
 }
 
+TEST(Rng, BernoulliDrawsAsNextBool)
+{
+    // The integer test must give nextBool's answers and take its
+    // draws, including the edges where nextBool draws nothing.
+    Rng pick(27);
+    std::vector<double> ps = {0.0,  -0.5, 1.0, 1.5, 1e-300, 0.5,
+                              0.06, 0.12, 1.0 - 0x1.0p-53};
+    for (int i = 0; i < 200; ++i)
+        ps.push_back(pick.nextDouble());
+    for (double p : ps) {
+        Rng a(29), b(29);
+        Bernoulli chance(p);
+        for (int i = 0; i < 500; ++i)
+            ASSERT_EQ(chance(a), b.nextBool(p)) << "p " << p;
+        ASSERT_EQ(chance.burst(a, 6), b.nextBurst(p, 6)) << "p " << p;
+        ASSERT_EQ(a.next(), b.next()) << "p " << p;
+    }
+}
+
+TEST(Rng, DoubleCutIsTheExactBoundary)
+{
+    constexpr std::uint64_t kOne = std::uint64_t{1} << 53;
+    Rng pick(31);
+    for (int i = 0; i < 2000; ++i) {
+        double p = i % 2 ? pick.nextDouble()
+                         : static_cast<double>(pick.next() >> 11)
+                               * 0x1.0p-53;
+        std::uint64_t cut = Rng::doubleCut(p);
+        ASSERT_LE(cut, kOne);
+        if (cut > 0) {
+            EXPECT_LT(static_cast<double>(cut - 1) * 0x1.0p-53, p);
+        }
+        if (cut < kOne) {
+            EXPECT_GE(static_cast<double>(cut) * 0x1.0p-53, p);
+        }
+    }
+}
+
+/** nextWeighted's index for the draw @p draw (= next() >> 11). */
+std::size_t
+weightedIndex(const std::vector<double> &weights, std::uint64_t draw)
+{
+    double left = static_cast<double>(draw) * 0x1.0p-53
+        * Rng::weightTotal(weights);
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+        left -= weights[i];
+        if (left < 0.0)
+            return i;
+    }
+    return weights.size() - 1;
+}
+
+TEST(Rng, WeightedCutsMatchWeightedDraws)
+{
+    constexpr std::uint64_t kOne = std::uint64_t{1} << 53;
+    Rng pick(33);
+    std::vector<std::vector<double>> cases = {
+        {1.0}, {0.1, 0.2, 0.7}, {0.0, 1.0, 0.0}, {3.0, 0.0},
+        {0.45, 0.35, 0.1, 0.1}, {1e-9, 1.0, 1e9}};
+    for (int i = 0; i < 40; ++i) {
+        std::vector<double> weights(1 + pick.nextBelow(6));
+        for (double &w : weights)
+            w = pick.nextBelow(4) == 0 ? 0.0 : pick.nextDouble();
+        cases.push_back(weights);
+    }
+    for (const std::vector<double> &weights : cases) {
+        std::vector<std::uint64_t> cuts = Rng::weightedCuts(weights);
+        if (Rng::weightTotal(weights) <= 0.0) {
+            EXPECT_TRUE(cuts.empty());
+            continue;
+        }
+        ASSERT_EQ(cuts.size(), weights.size());
+        Rng a(35), b(35);
+        for (int i = 0; i < 2000; ++i)
+            ASSERT_EQ(a.nextWeighted(cuts), b.nextWeighted(weights));
+        // Each cut is exactly where the double walk moves past i.
+        for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+            if (cuts[i] > 0) {
+                EXPECT_LE(weightedIndex(weights, cuts[i] - 1), i);
+            }
+            if (cuts[i] < kOne) {
+                EXPECT_GT(weightedIndex(weights, cuts[i]), i);
+            }
+        }
+    }
+    // No cuts: index 0 and no draw, as with all-zero weights.
+    Rng a(37), b(37);
+    EXPECT_EQ(a.nextWeighted(std::vector<std::uint64_t>{}), 0u);
+    EXPECT_EQ(a.next(), b.next());
+}
+
 TEST(Rng, BurstBounds)
 {
     Rng rng(23);
