@@ -4,18 +4,20 @@
 #include <array>
 #include <cmath>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <sstream>
+#include <string>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 
 #include "sim/simulator.hh"
 #include "trace/materialized_trace.hh"
 #include "util/logging.hh"
+#include "util/lru_cache.hh"
 #include "util/options.hh"
+#include "util/random.hh"
 #include "util/thread_pool.hh"
 #include "workloads/generator.hh"
 
@@ -55,38 +57,65 @@ approxSnapshotBytes(const MachineConfig &machine)
     return count * 32 + 4 * 1024 + kEntryOverhead;
 }
 
+/** Identity of one grid-cache entry. A trace is keyed by
+ *  (benchmark, seed, length), a checkpoint by (benchmark, seed,
+ *  warmup, machine state fingerprint). */
+struct GridKey
+{
+    enum class Kind : std::uint8_t { Trace, Checkpoint };
+
+    Kind kind = Kind::Trace;
+    std::string benchmark;
+    std::uint64_t seed = 0;
+    /** A trace's length, or a checkpoint's warmup. */
+    Count length = 0;
+    /** A checkpoint's machine fingerprint; 0 for a trace. */
+    std::uint64_t machine = 0;
+
+    bool operator==(const GridKey &) const = default;
+};
+
+struct GridKeyHash
+{
+    std::size_t
+    operator()(const GridKey &key) const
+    {
+        std::uint64_t h = std::hash<std::string>{}(key.benchmark);
+        h = hashCombine(h, std::uint64_t(key.kind));
+        h = hashCombine(h, key.seed);
+        h = hashCombine(h, key.length);
+        return std::size_t(hashCombine(h, key.machine));
+    }
+};
+
 /**
- * The process-wide grid caches: materialized traces keyed by
- * (benchmark, seed, length) and warm-state checkpoints keyed by
- * (benchmark, seed, warmup, machine state fingerprint). Both are
- * build-once: the first worker to ask for a key builds the value
- * while later askers block on a shared_future, so concurrent grid
- * cells never duplicate work.
+ * The process-wide grid cache: materialized traces and warm-state
+ * checkpoints in one one-shard LruCache, so the two kinds share one
+ * byte budget and one LRU order. Lookups are build-once: the first
+ * worker to ask for a key builds the value while later askers block
+ * on a shared_future held beside the resolved entries, so concurrent
+ * grid cells never duplicate work.
  *
  * A trace pays off only when it is replayed: building one costs a
  * generation plus an encode, against a generation alone to stream
  * it. Lookups with checkpoints always build (a checkpoint resumes
- * into the trace). Lookups without them (reusedTrace) admit a trace
+ * into the trace). Lookups without them (onReuse) admit a trace
  * on its second use: a first sighting only records the key's hash
  * in a small ring of recent keys and returns nothing, and the
  * caller streams from the generator.
  *
- * The cache is byte-bounded: when a budget is set (WBSIM_GRID_CACHE_MB
- * or setGridCacheByteBudget) and a build pushes the resident
- * footprint past it, the least-recently-used *resolved* entries are
- * evicted across both maps until the footprint fits. In-flight
- * builds are never evicted, and eviction never invalidates a value a
- * caller already holds (values are shared_ptr; the map only drops
- * its reference), so a too-small budget degrades throughput, never
- * correctness.
+ * Under a byte budget (setGridCacheByteBudget), resolved entries of
+ * either kind are evicted least recently used first. In-flight
+ * builds are not in the LruCache, so they are never evicted, and an
+ * evicted value stays valid for whoever holds it (shared_ptr), so a
+ * too-small budget degrades throughput, never correctness.
  *
- * Thread-safety contract: maps, LRU list and counters are only
- * touched under mutex_ (WBSIM_GUARDED_BY on every such member, so
- * wbsim-lint's WL-LOCK-GUARD proves it statically); the values are
- * immutable once the future resolves (shared_ptr<const>), so
- * readers never race with the builder. Verified race-free by CI's
- * `tsan` job, which runs the harness tests under ThreadSanitizer
- * with no suppressions.
+ * Thread-safety contract: everything, the LruCache included, is
+ * touched only under mutex_, so no lookup sees a key both resolved
+ * and in flight. Values are immutable once the future resolves
+ * (shared_ptr<const>), so readers never race with the builder. CI's
+ * `tsan` job runs the harness tests under ThreadSanitizer with no
+ * suppressions.
  */
 class GridCache
 {
@@ -94,41 +123,38 @@ class GridCache
     using TracePtr = std::shared_ptr<const MaterializedTrace>;
     using SnapPtr = std::shared_ptr<const SimSnapshot>;
 
-    GridCache()
-    {
-        budget_ = std::size_t(envUint("WBSIM_GRID_CACHE_MB", 0))
-                  * 1024 * 1024;
-    }
-
-    /** The trace of (@p profile, @p seed, @p length): resident, or
-     *  built now. */
-    TracePtr trace(const BenchmarkProfile &profile, std::uint64_t seed,
-                   Count length)
-    {
-        return traceLookup(profile, seed, length, /*onReuse=*/false);
-    }
-
     /**
-     * The trace if it is resident, or built now if its key was asked
-     * for recently; nullptr on a first sighting, which the caller
-     * streams from the generator instead. A trace used once is then
-     * never encoded, decoded or kept.
+     * The trace of (@p profile, @p seed, @p length): resident, or
+     * built now. With @p onReuse, it is built only if its key was
+     * asked for recently; a first sighting returns nullptr, and the
+     * caller streams from the generator instead, so a trace used once
+     * is never encoded, decoded or kept.
      */
-    TracePtr reusedTrace(const BenchmarkProfile &profile,
-                         std::uint64_t seed, Count length)
+    TracePtr trace(const BenchmarkProfile &profile, std::uint64_t seed,
+                   Count length, bool onReuse = false)
     {
-        return traceLookup(profile, seed, length, /*onReuse=*/true);
+        GridKey key{GridKey::Kind::Trace, profile.name, seed, length, 0};
+        return lookup<TracePtr>(
+            key,
+            [&]() {
+                SyntheticSource source(profile, length, seed);
+                return std::make_shared<const MaterializedTrace>(
+                    MaterializedTrace::build(source));
+            },
+            [](const TracePtr &t) {
+                return t->encodedBytes() + kEntryOverhead;
+            },
+            onReuse);
     }
 
     SnapPtr checkpoint(const BenchmarkProfile &profile,
                        const MachineConfig &machine, std::uint64_t seed,
                        Count warmup, const MaterializedTrace &trace)
     {
-        std::ostringstream key;
-        key << profile.name << '#' << seed << '#' << warmup << '#'
-            << machine.stateFingerprint();
-        return dedupe<SnapPtr>(
-            /*isTrace=*/false, key.str(),
+        GridKey key{GridKey::Kind::Checkpoint, profile.name, seed,
+                    warmup, machine.stateFingerprint()};
+        return lookup<SnapPtr>(
+            key,
             [&]() {
                 Simulator simulator(machine);
                 MaterializedCursor cursor(trace);
@@ -148,89 +174,41 @@ class GridCache
     {
         std::lock_guard<std::mutex> lock(mutex_);
         GridCacheStats out = stats_;
-        out.cachedBytes = bytes_;
-        out.budgetBytes = budget_;
+        LruCacheStats resident = resolved_.stats();
+        out.cachedBytes = resident.bytes;
+        out.budgetBytes = resident.budgetBytes;
         return out;
     }
 
     void setByteBudget(std::size_t bytes)
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        budget_ = bytes;
-        evictLocked();
+        resolved_.setBudget(bytes, EvictionCounter{stats_});
     }
 
     void clear()
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        traces_.clear();
-        snapshots_.clear();
-        lru_.clear();
+        resolved_.clear();
+        building_.clear();
         recent_ = {};
         recentCount_ = 0;
-        bytes_ = 0;
-        ++generation_;
         stats_ = GridCacheStats{};
     }
 
   private:
-    /** MRU at the back; only resolved entries are listed. */
-    using LruList = std::list<std::pair<bool, std::string>>;
-
-    template <typename Ptr> struct Slot
-    {
-        std::shared_future<Ptr> future;
-        std::size_t bytes = 0;
-        bool resolved = false;
-        /** clear() epoch at insert; a stale builder must not book
-         *  bytes against a slot re-created after a clear(). */
-        std::uint64_t generation = 0;
-        LruList::iterator lru{};
-    };
-
-    template <typename Ptr>
-    using Map = std::unordered_map<std::string, Slot<Ptr>>;
-
-    /** The map holding entries of @p Ptr's kind. Tag-pointer
-     *  overloads (not a template) so the WBSIM_REQUIRES contract is
-     *  visible to the analyzer: the returned reference is guarded
-     *  state and every caller selects it under mutex_. */
-    WBSIM_REQUIRES(mutex_) Map<TracePtr> &mapFor(const TracePtr *)
-    {
-        return traces_;
-    }
-    WBSIM_REQUIRES(mutex_) Map<SnapPtr> &mapFor(const SnapPtr *)
-    {
-        return snapshots_;
-    }
+    /** A resolved entry: a trace or a checkpoint. */
+    using Value = std::variant<TracePtr, SnapPtr>;
 
     /** Trace keys whose first sighting streamed, remembered so a
      *  second sighting builds: hashes of the last kRecentTraceKeys,
      *  a ring. */
     static constexpr std::size_t kRecentTraceKeys = 64;
 
-    TracePtr traceLookup(const BenchmarkProfile &profile,
-                         std::uint64_t seed, Count length, bool onReuse)
-    {
-        std::ostringstream key;
-        key << profile.name << '#' << seed << '#' << length;
-        return dedupe<TracePtr>(
-            /*isTrace=*/true, key.str(),
-            [&]() {
-                SyntheticSource source(profile, length, seed);
-                return std::make_shared<const MaterializedTrace>(
-                    MaterializedTrace::build(source));
-            },
-            [](const TracePtr &t) {
-                return t->encodedBytes() + kEntryOverhead;
-            },
-            onReuse);
-    }
-
     /** Whether @p key was sighted recently; if not, remember it. */
-    WBSIM_REQUIRES(mutex_) bool sightedBefore(const std::string &key)
+    WBSIM_REQUIRES(mutex_) bool sightedBefore(const GridKey &key)
     {
-        const std::uint64_t hash = std::hash<std::string>{}(key);
+        const std::uint64_t hash = GridKeyHash{}(key);
         const auto seen = recent_.begin()
             + std::ptrdiff_t(std::min(recentCount_, recent_.size()));
         if (std::find(recent_.begin(), seen, hash) != seen)
@@ -239,97 +217,71 @@ class GridCache
         return false;
     }
 
-    /** Find or build @p key's value. With @p onReuse, a key neither
-     *  resident nor sighted recently builds nothing: the call
-     *  returns nullptr and counts a stream. */
-    template <typename Ptr, typename Build, typename SizeOf>
-    Ptr dedupe(bool isTrace, const std::string &key, Build build,
-               SizeOf sizeOf, bool onReuse = false)
+    /** The LruCache victim callback: counts evictions by kind. */
+    struct EvictionCounter
     {
-        std::promise<Ptr> promise;
-        std::shared_future<Ptr> future;
-        bool is_builder = false;
-        std::uint64_t my_generation = 0;
+        GridCacheStats &stats;
+
+        void operator()(const GridKey &key, std::size_t) const
+        {
+            ++(key.kind == GridKey::Kind::Trace ? stats.traceEvictions
+                                                : stats.checkpointEvictions);
+        }
+    };
+
+    /** Find or build @p key's value. With @p onReuse, a key neither
+     *  resident, in flight nor sighted recently builds nothing: the
+     *  call returns nullptr and counts a stream. */
+    template <typename Ptr, typename Build, typename SizeOf>
+    Ptr lookup(const GridKey &key, Build build, SizeOf sizeOf,
+               bool onReuse = false)
+    {
+        const bool isTrace = key.kind == GridKey::Kind::Trace;
+        std::promise<Value> promise;
+        std::shared_future<Value> future;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            Map<Ptr> &map = mapFor(static_cast<const Ptr *>(nullptr));
-            auto it = map.find(key);
-            if (it == map.end() && onReuse && !sightedBefore(key)) {
+            if (std::optional<Value> hit = resolved_.find(key)) {
+                ++(isTrace ? stats_.traceHits : stats_.checkpointHits);
+                return std::get<Ptr>(*hit);
+            }
+            auto it = building_.find(key);
+            if (it != building_.end()) {
+                ++(isTrace ? stats_.traceHits : stats_.checkpointHits);
+                future = it->second;
+            } else if (onReuse && !sightedBefore(key)) {
                 ++stats_.traceStreams;
                 return nullptr;
-            }
-            if (it == map.end()) {
-                future = promise.get_future().share();
-                Slot<Ptr> slot;
-                slot.future = future;
-                slot.generation = generation_;
-                my_generation = generation_;
-                map.emplace(key, std::move(slot));
-                is_builder = true;
+            } else {
                 ++(isTrace ? stats_.traceBuilds
                            : stats_.checkpointBuilds);
-            } else {
-                future = it->second.future;
-                ++(isTrace ? stats_.traceHits
-                           : stats_.checkpointHits);
-                if (it->second.resolved)
-                    lru_.splice(lru_.end(), lru_, it->second.lru);
+                building_.emplace(key, promise.get_future().share());
             }
         }
-        if (!is_builder)
-            return future.get();
+        if (future.valid())
+            return std::get<Ptr>(future.get());
 
         Ptr value = build();
         promise.set_value(value);
         std::lock_guard<std::mutex> lock(mutex_);
-        Map<Ptr> &map = mapFor(static_cast<const Ptr *>(nullptr));
-        auto it = map.find(key);
-        if (it != map.end() && !it->second.resolved
-            && it->second.generation == my_generation) {
-            it->second.resolved = true;
-            it->second.bytes = sizeOf(value);
-            it->second.lru =
-                lru_.insert(lru_.end(), {isTrace, key});
-            bytes_ += it->second.bytes;
-            evictLocked();
-        }
+        // Publish only while the key is still in flight. A builder
+        // that outlived a clear() may publish for a newer build of
+        // its key instead: both values are the same function of the
+        // key, and the newer builder then finds nothing to publish.
+        if (building_.erase(key) != 0)
+            resolved_.insert(key, value, sizeOf(value),
+                             EvictionCounter{stats_});
         return value;
     }
 
-    WBSIM_REQUIRES(mutex_) void evictLocked()
-    {
-        while (budget_ != 0 && bytes_ > budget_ && !lru_.empty()) {
-            const auto &[isTrace, key] = lru_.front();
-            if (isTrace)
-                evictFrom(traces_, key, stats_.traceEvictions);
-            else
-                evictFrom(snapshots_, key,
-                          stats_.checkpointEvictions);
-            lru_.pop_front();
-        }
-    }
-
-    template <typename Ptr>
-    WBSIM_REQUIRES(mutex_) void evictFrom(Map<Ptr> &map,
-                                          const std::string &key,
-                                          std::size_t &evictions)
-    {
-        auto it = map.find(key);
-        wbsim_assert(it != map.end() && it->second.resolved,
-                     "grid-cache LRU entry out of sync with its map");
-        bytes_ -= it->second.bytes;
-        map.erase(it);
-        ++evictions;
-    }
-
-    std::mutex mutex_;
-    WBSIM_GUARDED_BY(mutex_) Map<TracePtr> traces_;
-    WBSIM_GUARDED_BY(mutex_) Map<SnapPtr> snapshots_;
-    WBSIM_GUARDED_BY(mutex_) LruList lru_;
+    WBSIM_ACQUIRES_BEFORE(Shard::mutex) std::mutex mutex_;
+    /** Resolved entries of both kinds. */
+    WBSIM_GUARDED_BY(mutex_)
+    LruCache<GridKey, Value, GridKeyHash> resolved_{0};
+    WBSIM_GUARDED_BY(mutex_)
+    std::unordered_map<GridKey, std::shared_future<Value>, GridKeyHash>
+        building_;
     WBSIM_GUARDED_BY(mutex_) GridCacheStats stats_;
-    WBSIM_GUARDED_BY(mutex_) std::size_t bytes_ = 0;
-    WBSIM_GUARDED_BY(mutex_) std::size_t budget_ = 0;
-    WBSIM_GUARDED_BY(mutex_) std::uint64_t generation_ = 0;
     WBSIM_GUARDED_BY(mutex_)
     std::array<std::uint64_t, kRecentTraceKeys> recent_{};
     /** Keys ever written to recent_ (the ring's next slot, mod its
@@ -502,7 +454,7 @@ runCells(const BenchmarkProfile &profile,
     if (options.checkpoints)
         trace = cache.trace(profile, seed, length);
     else if (options.materialize)
-        trace = cache.reusedTrace(profile, seed, length);
+        trace = cache.trace(profile, seed, length, /*onReuse=*/true);
     std::optional<MaterializedCursor> cursor;
     std::optional<SyntheticSource> generator;
     TraceSource *source = nullptr;

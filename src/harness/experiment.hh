@@ -191,9 +191,9 @@ GridCacheStats gridCacheStats();
  * over the budget, least-recently-used resolved entries are evicted
  * (in-flight builds are never evicted; waiters hold their own
  * futures, so eviction only forces a rebuild on the *next* ask).
+ * Traces and checkpoints share the one budget and one LRU order.
  * Long-running services (wbsim-serve) must set a budget — an
- * unbounded cache over an unbounded query stream is a leak. The
- * WBSIM_GRID_CACHE_MB env var sets the initial budget.
+ * unbounded cache over an unbounded query stream is a leak.
  */
 void setGridCacheByteBudget(std::size_t bytes);
 

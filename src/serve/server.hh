@@ -79,7 +79,8 @@ struct ServeConfig
     /** Admission queue capacity, in cells. */
     std::size_t queueCapacity = 1024;
     DispatchDiscipline discipline = DispatchDiscipline::Fcfs;
-    /** ResultStore byte budget (0 = unbounded) and shard count. */
+    /** ResultStore byte budget (0 = unbounded) and shard count (1 in
+     *  tests that need one global LRU order). */
     std::size_t storeBudgetBytes = 256u << 20;
     std::size_t storeShards = 16;
     /** Backoff hint handed out with RETRY_AFTER. */

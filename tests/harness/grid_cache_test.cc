@@ -304,6 +304,44 @@ TEST(GridCacheBudget, ShrinkingTheBudgetEvictsImmediately)
     clearGridCaches();
 }
 
+TEST(GridCacheBudget, TracesAndCheckpointsShareOneLruOrder)
+{
+    clearGridCaches();
+    setGridCacheByteBudget(0);
+    BenchmarkProfile profile = spec92::profile("li");
+    MachineConfig machine;
+    RunnerOptions options = tinyOptions(1, true, true);
+    const SimResults reference =
+        runReference(profile, machine, options.instructions, 1,
+                     options.warmup);
+
+    // LRU to MRU: trace 1, checkpoint 1, trace 2, checkpoint 2; then
+    // seed 1 again refreshes trace 1 and checkpoint 1, which leaves
+    // seed 2's trace the least recently used entry of either kind.
+    runOne(profile, machine, options, 1);
+    runOne(profile, machine, options, 2);
+    EXPECT_EQ(runOne(profile, machine, options, 1), reference);
+
+    setGridCacheByteBudget(gridCacheStats().cachedBytes - 1);
+    GridCacheStats stats = gridCacheStats();
+    EXPECT_EQ(stats.traceEvictions, 1u);
+    EXPECT_EQ(stats.checkpointEvictions, 0u);
+
+    // Next in line is seed 2's checkpoint.
+    setGridCacheByteBudget(gridCacheStats().cachedBytes - 1);
+    stats = gridCacheStats();
+    EXPECT_EQ(stats.traceEvictions, 1u);
+    EXPECT_EQ(stats.checkpointEvictions, 1u);
+
+    // Seed 1 is still resident whole: replayed, not rebuilt.
+    EXPECT_EQ(runOne(profile, machine, options, 1), reference);
+    EXPECT_EQ(gridCacheStats().traceBuilds, 2u);
+    EXPECT_EQ(gridCacheStats().checkpointBuilds, 2u);
+
+    setGridCacheByteBudget(0);
+    clearGridCaches();
+}
+
 TEST(RunnerOptions, FromEnvironmentHonoursOverrides)
 {
     setenv("WBSIM_INSTRUCTIONS", "4242", 1);

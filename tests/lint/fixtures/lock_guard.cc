@@ -86,4 +86,31 @@ struct Driver
     }
 };
 
+/** Guarded members of a class template (util/lru_cache.hh's shard
+ *  layout): checked in the template's pattern, though no
+ *  instantiation exists. */
+template <typename T> class Cache
+{
+    struct Shard
+    {
+        std::mutex mutex;
+        GUARDED_BY(mutex) T item{};
+
+        void
+        put(T value)
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            item = value;
+        }
+
+        T
+        peek() const
+        {
+            return item; // EXPECT: WL-LOCK-GUARD
+        }
+    };
+
+    Shard shard_;
+};
+
 } // namespace fixture

@@ -42,7 +42,6 @@ main(int argc, char **argv)
     options.declare("store-mb",
                     "result store byte budget, MB (0 = unbounded)",
                     "256");
-    options.declare("store-shards", "result store shard count", "16");
     options.declare("grid-cache-mb",
                     "grid cache byte budget, MB (0 = unbounded; a "
                     "long-lived daemon should set one)",
@@ -68,7 +67,6 @@ main(int argc, char **argv)
     config.discipline =
         parseDispatchDiscipline(options.get("discipline"));
     config.storeBudgetBytes = options.getUint("store-mb") << 20;
-    config.storeShards = options.getUint("store-shards");
     config.retryAfterMs =
         std::uint32_t(options.getUint("retry-after-ms"));
     config.maxCellsPerRequest = options.getUint("max-cells");
