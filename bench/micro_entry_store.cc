@@ -2,9 +2,10 @@
  * @file
  * Google-benchmark microbenchmarks of the SoA EntryStore sweep
  * kernels in isolation — probe, coalescing merge-target lookup, and
- * the allocate/release eviction cycle — swept across buffer depths
- * 1..64 so the kernel cost curve (scalar vs vector lanes, filter
- * fast path) is visible per depth, without the simulator around it.
+ * the allocate/release eviction cycle — swept densely across the
+ * paper's buffer depths (2..16 in steps of 2, covering its 2-12
+ * sweep) so the kernel cost curve is visible per depth, without the
+ * simulator around it.
  */
 
 #include <benchmark/benchmark.h>
@@ -54,7 +55,7 @@ BM_EntryProbe(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EntryProbe)->RangeMultiplier(2)->Range(1, 64);
+BENCHMARK(BM_EntryProbe)->DenseRange(2, 16, 2);
 
 /** The coalescing path: merge-target lookup (newest-match sweep)
  *  plus the mask fold, cycling over every resident base. */
@@ -74,7 +75,7 @@ BM_EntryCoalesce(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EntryCoalesce)->RangeMultiplier(2)->Range(1, 64);
+BENCHMARK(BM_EntryCoalesce)->DenseRange(2, 16, 2);
 
 /** The eviction cycle at steady-state occupancy: find the oldest
  *  entry (oldest-valid sweep in recency order, O(1) here), release
@@ -97,7 +98,7 @@ BM_EntryEvict(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EntryEvict)->RangeMultiplier(2)->Range(1, 64);
+BENCHMARK(BM_EntryEvict)->DenseRange(2, 16, 2);
 
 } // namespace
 

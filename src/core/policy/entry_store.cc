@@ -18,8 +18,8 @@ constexpr bool kDebugBuild =
     true;
 #endif
 
-/** Lane count rounded up so the widest vector step never needs a
- *  scalar tail. */
+/** Lane count rounded up to a kLanePad multiple, so a vectorized
+ *  sweep never needs a scalar tail. */
 std::size_t
 paddedLanes(std::size_t depth)
 {
@@ -36,7 +36,7 @@ EntryStore::EntryStore(const WriteBufferConfig &config,
       line_shift_(exactLog2(line_bytes)),
       order_(order), naive_scan_(config.naiveScan),
       cross_check_(config.crossCheck || kDebugBuild),
-      level_(simd::defaultLevel()), depth_(config.depth),
+      depth_(config.depth),
       padded_(paddedLanes(config.depth))
 {
     base_.resize(padded_, 0);
@@ -89,7 +89,7 @@ EntryStore::occupancySlow() const
     if (cross_check_) {
         wbsim_assert(naive == valid_count_,
                      "occupancy counter diverged from the scan");
-        wbsim_assert(simd::countValid(lanes(), level_) == naive,
+        wbsim_assert(simd::countValid(lanes()) == naive,
                      "occupancy kernel diverged from the scan");
     }
     return naive_scan_ ? naive : valid_count_;
@@ -122,13 +122,12 @@ EntryStore::findMergeTargetSlow(Addr base, int exclude) const
         wbsim_assert(resident || naive < 0,
                      "line filter hid a merge target");
         wbsim_assert(
-            simd::newestMatch(lanes(), base, exclude, level_) == naive,
+            simd::newestMatch(lanes(), base, exclude) == naive,
             "merge-target kernel diverged from the scan");
     }
     if (naive_scan_)
         return naive;
-    return resident ? simd::newestMatch(lanes(), base, exclude, level_)
-                    : -1;
+    return resident ? simd::newestMatch(lanes(), base, exclude) : -1;
 }
 
 int
@@ -168,13 +167,12 @@ EntryStore::oldestBySeq() const
         if (naive_scan_ || cross_check_) {
             int naive = naiveOldestBySeq();
             if (cross_check_)
-                wbsim_assert(simd::oldestValid(lanes(), level_)
-                                 == naive,
+                wbsim_assert(simd::oldestValid(lanes()) == naive,
                              "oldest-seq kernel diverged from the scan");
             if (naive_scan_)
                 return naive;
         }
-        return simd::oldestValid(lanes(), level_);
+        return simd::oldestValid(lanes());
     }
     if (naive_scan_ || cross_check_) {
         int naive = naiveOldestBySeq();
@@ -206,14 +204,14 @@ EntryStore::oldestOverlapping(Addr line_base, Addr line_end) const
         if (cross_check_)
             wbsim_assert(
                 simd::oldestOverlapping(lanes(), line_base, line_end,
-                                        entry_bytes_, level_)
+                                        entry_bytes_)
                     == naive,
                 "overlap-victim kernel diverged from the scan");
         if (naive_scan_)
             return naive;
     }
     return simd::oldestOverlapping(lanes(), line_base, line_end,
-                                   entry_bytes_, level_);
+                                   entry_bytes_);
 }
 
 LoadProbe
@@ -246,7 +244,7 @@ EntryStore::kernelProbeLoad(Addr addr, unsigned size) const
     Addr line_base = alignDown(addr, line_bytes_);
     simd::ProbeHit hit = simd::probeSweep(
         lanes(), line_base, line_base + line_bytes_,
-        alignDown(addr, entry_bytes_), entry_bytes_, level_);
+        alignDown(addr, entry_bytes_), entry_bytes_);
     LoadProbe probe;
     probe.blockHit = hit.blockHit;
     probe.hitSeq = hit.hitSeq;
@@ -287,7 +285,7 @@ EntryStore::verifyIntegrity() const
     // Occupancy counter, bitmask, and free stack.
     unsigned valid = naiveCountValid();
     wbsim_assert(valid_count_ == valid, "occupancy counter diverged");
-    wbsim_assert(simd::countValid(lanes(), level_) == valid,
+    wbsim_assert(simd::countValid(lanes()) == valid,
                  "occupancy bitmask diverged");
     for (std::size_t i = depth_; i < padded_; ++i)
         wbsim_assert(!validAt(i), "pad lane marked occupied");

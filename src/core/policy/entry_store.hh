@@ -7,15 +7,11 @@
  * bitmask, with the intrusive ordering links packed into an
  * `int32_t` pair per slot. The load-hazard probe, the coalescing
  * merge-target lookup, and the flush victim scans are branch-free
- * sweeps over the contiguous lanes (src/util/simd.hh kernels, with
- * SSE2/AVX2/NEON specializations behind the WBSIM_SIMD knob); the
- * PR-1 base/line hash indexes they replace are gone.
+ * sweeps over the contiguous lanes (the src/util/simd.hh kernels).
  *
  * Every kernel answer has a naive O(depth) reference scan; the
  * `naiveScan` config serves queries from the scans and `crossCheck`
- * asserts both agree on every query (DESIGN.md "Performance") —
- * which is also what pins the vector kernels bit-for-bit to the
- * scalar reference.
+ * asserts both agree on every query (DESIGN.md "Performance").
  */
 
 #ifndef WBSIM_CORE_POLICY_ENTRY_STORE_HH
@@ -117,13 +113,6 @@ class EntryStore
     EntryOrder order() const { return order_; }
     bool naiveScan() const { return naive_scan_; }
     bool crossCheck() const { return cross_check_; }
-    /// @}
-
-    /** @name Kernel level (the twin-rig fuzzers force Scalar on one
-     *  rig and the detected vector level on the other). */
-    /// @{
-    simd::Level level() const { return level_; }
-    void setLevel(simd::Level level) { level_ = level; }
     /// @}
 
     /** The lane arrays as the sweep kernels see them (padded to a
@@ -248,7 +237,7 @@ class EntryStore
             return findMergeTargetSlow(base, exclude);
         if (!lineResident(base))
             return -1;
-        return simd::newestMatch(lanes(), base, exclude, level_);
+        return simd::newestMatch(lanes(), base, exclude);
     }
 
     /** Oldest valid entry by allocation order (FIFO flushes, the
@@ -375,7 +364,6 @@ class EntryStore
     EntryOrder order_;
     bool naive_scan_;
     bool cross_check_;
-    simd::Level level_;
 
     std::size_t depth_;  //!< logical entry count
     std::size_t padded_; //!< depth_ rounded up to simd::kLanePad

@@ -154,10 +154,6 @@ class WriteBuffer final
      */
     void verifyIndexIntegrity() const { store_.verifyIntegrity(); }
 
-    /** The slot store (the SIMD twin-rig fuzzers force the kernel
-     *  level here; see EntryStore::setLevel). */
-    EntryStore &entryStore() { return store_; }
-
   private:
     /** cloneRebound's copy: everything but the references. */
     WriteBuffer(const WriteBuffer &other, L2Port &port,

@@ -1,5 +1,8 @@
 #include "serve/result_store.hh"
 
+#include <functional>
+#include <string_view>
+
 #include "util/logging.hh"
 #include "util/random.hh"
 
@@ -27,9 +30,8 @@ entryBytes(const CellKey &key, const std::string &token)
 std::size_t
 CellKeyHash::operator()(const CellKey &key) const
 {
-    std::uint64_t h = 0x5e47e5707ull; // domain tag
-    for (char c : key.benchmark)
-        h = hashCombine(h, std::uint64_t(std::uint8_t(c)));
+    std::uint64_t h =
+        std::hash<std::string_view>{}(std::string_view(key.benchmark));
     h = hashCombine(h, key.machineFingerprint);
     h = hashCombine(h, key.seed);
     h = hashCombine(h, key.instructions);

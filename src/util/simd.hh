@@ -16,19 +16,15 @@
  *  - oldestOverlapping flush-item-only's victim scan
  *  - countValid        occupancy popcount
  *
- * Each kernel has a portable scalar form (auto-vectorizable; always
- * compiled, always the fallback) and explicit SSE2/AVX2/NEON
- * specializations selected by a `Level` value the caller caches. The
- * vector paths compile out entirely under `-DWBSIM_SIMD=OFF`
- * (WBSIM_SIMD_DISABLED); at runtime the `WBSIM_SIMD` environment
- * variable (on/off/1/0) gates `defaultLevel()`, and the crossCheck
- * twin-rig runs the scalar and vector paths against each other.
+ * Each kernel is one portable loop that executes the same
+ * instructions for every lane, so the compiler is free to
+ * auto-vectorize it. The O(depth) naive scans in EntryStore are the
+ * reference these kernels are cross-checked against (crossCheck).
  *
  * Lane arrays are padded to a multiple of kLanePad slots with their
- * occupancy bits clear, so the vector loops never need a tail pass;
- * invalid lanes are neutralized by mask selection, never skipped by
- * a branch. Results are bit-identical across every level by
- * construction: seq stamps are unique, so min/max reductions have a
+ * occupancy bits clear, so the loops never need a tail pass; invalid
+ * lanes are neutralized by mask selection, never skipped by a
+ * branch. seq stamps are unique, so every min/max reduction has a
  * single well-defined winner.
  */
 
@@ -41,44 +37,11 @@
 #include "util/lint.hh"
 #include "util/types.hh"
 
-#if !defined(WBSIM_SIMD_DISABLED)
-#if defined(__x86_64__) || defined(__i386__)
-#define WBSIM_SIMD_X86 1
-#include <immintrin.h>
-/** AVX2 bodies are compiled per-function (no global -mavx2), so the
- *  scalar build stays portable; dispatch checks cpuid at startup. */
-#define WBSIM_TARGET_AVX2 __attribute__((target("avx2")))
-#elif defined(__aarch64__)
-#define WBSIM_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
-#endif // !WBSIM_SIMD_DISABLED
-
 namespace wbsim::simd
 {
 
-/** Kernel implementation a store selects at construction. */
-enum class Level : std::uint8_t
-{
-    Scalar, //!< portable branch-free sweep (always available)
-    Sse2,   //!< x86-64 baseline: vector equality filters
-    Avx2,   //!< 4x64-bit lanes per step (runtime cpuid-gated)
-    Neon,   //!< aarch64 2x64-bit lanes
-};
-
-const char *levelName(Level level);
-
-/** Best vector level this build + CPU supports (Scalar when the
- *  vector paths are compiled out). */
-Level detectLevel();
-
-/** detectLevel() gated by the WBSIM_SIMD environment variable
- *  (off/0/scalar force Scalar; anything else, or unset, keeps the
- *  detected level). Read once and cached. */
-Level defaultLevel();
-
-/** Lane arrays must be sized to a multiple of this (the widest
- *  vector step), so kernels never need a scalar tail. */
+/** Lane arrays are sized to a multiple of this (one 4x64-bit
+ *  vector step), so a vectorized sweep never needs a scalar tail. */
 constexpr std::size_t kLanePad = 4;
 
 /** A read-only view of the store's parallel lane arrays. */
@@ -109,23 +72,23 @@ laneBit(const std::uint64_t *occ, std::size_t i)
     return (occ[i >> 6] >> (i & 63)) & 1u;
 }
 
+} // namespace detail
+
 // -------------------------------------------------------------------
-// Portable scalar kernels: one pass, conditional-select per lane.
-// The (0 - flag) idiom turns a 0/1 predicate into a 0/all-ones mask;
-// every lane executes the same instructions so the loop both
-// auto-vectorizes and serves as the reference the vector paths are
-// cross-checked against.
+// One pass, conditional-select per lane. The (0 - flag) idiom turns
+// a 0/1 predicate into a 0/all-ones mask, so every lane executes the
+// same instructions and the loops auto-vectorize.
 // -------------------------------------------------------------------
 
 WBSIM_HOT inline ProbeHit
-probeScalar(const Lanes &l, Addr line_base, Addr line_end,
-            Addr entry_base, Addr entry_bytes)
+probeSweep(const Lanes &l, Addr line_base, Addr line_end,
+           Addr entry_base, Addr entry_bytes)
 {
     std::uint64_t block = 0;
     std::uint64_t hit_seq = 0;
     std::uint32_t found = 0;
     for (std::size_t i = 0; i < l.n; ++i) {
-        const std::uint64_t lane = laneBit(l.occ, i);
+        const std::uint64_t lane = detail::laneBit(l.occ, i);
         const Addr b = l.base[i];
         const std::uint64_t overlap = lane
             & static_cast<std::uint64_t>(b < line_end)
@@ -142,12 +105,12 @@ probeScalar(const Lanes &l, Addr line_base, Addr line_end,
 }
 
 WBSIM_HOT inline int
-newestMatchScalar(const Lanes &l, Addr base, int exclude)
+newestMatch(const Lanes &l, Addr base, int exclude)
 {
     std::uint64_t best_key = 0;
     int best = -1;
     for (std::size_t i = 0; i < l.n; ++i) {
-        const std::uint64_t match = laneBit(l.occ, i)
+        const std::uint64_t match = detail::laneBit(l.occ, i)
             & static_cast<std::uint64_t>(l.base[i] == base)
             & static_cast<std::uint64_t>(static_cast<int>(i) != exclude);
         const std::uint64_t key = l.seq[i] & (0 - match);
@@ -158,12 +121,12 @@ newestMatchScalar(const Lanes &l, Addr base, int exclude)
 }
 
 WBSIM_HOT inline int
-oldestValidScalar(const Lanes &l)
+oldestValid(const Lanes &l)
 {
     std::uint64_t best_key = ~std::uint64_t{0};
     int best = -1;
     for (std::size_t i = 0; i < l.n; ++i) {
-        const std::uint64_t lane = laneBit(l.occ, i);
+        const std::uint64_t lane = detail::laneBit(l.occ, i);
         // Invalid lanes present the maximum key, which never wins
         // against a real seq (seqs are small counters).
         const std::uint64_t key = l.seq[i] | (lane - 1);
@@ -174,14 +137,14 @@ oldestValidScalar(const Lanes &l)
 }
 
 WBSIM_HOT inline int
-oldestOverlappingScalar(const Lanes &l, Addr line_base, Addr line_end,
-                        Addr entry_bytes)
+oldestOverlapping(const Lanes &l, Addr line_base, Addr line_end,
+                  Addr entry_bytes)
 {
     std::uint64_t best_key = ~std::uint64_t{0};
     int best = -1;
     for (std::size_t i = 0; i < l.n; ++i) {
         const Addr b = l.base[i];
-        const std::uint64_t overlap = laneBit(l.occ, i)
+        const std::uint64_t overlap = detail::laneBit(l.occ, i)
             & static_cast<std::uint64_t>(b < line_end)
             & static_cast<std::uint64_t>(b + entry_bytes > line_base);
         const std::uint64_t key = l.seq[i] | (overlap - 1);
@@ -192,294 +155,12 @@ oldestOverlappingScalar(const Lanes &l, Addr line_base, Addr line_end,
 }
 
 WBSIM_HOT inline unsigned
-countValidScalar(const Lanes &l)
+countValid(const Lanes &l)
 {
     unsigned count = 0;
     for (std::size_t w = 0; w < (l.n + 63) / 64; ++w)
         count += static_cast<unsigned>(__builtin_popcountll(l.occ[w]));
     return count;
-}
-
-#if defined(WBSIM_SIMD_X86)
-
-// -------------------------------------------------------------------
-// SSE2 (x86-64 baseline, no cpuid gate): vectorized 64-bit equality
-// filter for the merge-target lookup; the rare matching lanes reduce
-// scalar. SSE2 has no 64-bit compares, so equality is two 32-bit
-// compares ANDed across the halves.
-// -------------------------------------------------------------------
-
-WBSIM_HOT inline int
-newestMatchSse2(const Lanes &l, Addr base, int exclude)
-{
-    const __m128i target = _mm_set1_epi64x(static_cast<long long>(base));
-    std::uint64_t best_key = 0;
-    int best = -1;
-    for (std::size_t i = 0; i < l.n; i += 2) {
-        const std::uint64_t bits = (l.occ[i >> 6] >> (i & 63)) & 0x3;
-        if (bits == 0)
-            continue;
-        const __m128i vb = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(l.base + i));
-        const __m128i eq32 = _mm_cmpeq_epi32(vb, target);
-        const __m128i eq64 = _mm_and_si128(
-            eq32, _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
-        unsigned hits = static_cast<unsigned>(
-                            _mm_movemask_pd(_mm_castsi128_pd(eq64)))
-            & static_cast<unsigned>(bits);
-        while (hits != 0) {
-            const unsigned k = static_cast<unsigned>(
-                __builtin_ctz(hits));
-            hits &= hits - 1;
-            const std::size_t j = i + k;
-            const std::uint64_t key = l.seq[j];
-            if (static_cast<int>(j) != exclude && key > best_key) {
-                best_key = key;
-                best = static_cast<int>(j);
-            }
-        }
-    }
-    return best;
-}
-
-// -------------------------------------------------------------------
-// AVX2: 4x64-bit lanes per step. Unsigned 64-bit ordering uses the
-// sign-bias trick (x ^ 2^63 turns unsigned < into signed <); seq
-// stamps are counters far below 2^63, so their max reduction uses
-// the signed compare directly.
-// -------------------------------------------------------------------
-
-WBSIM_TARGET_AVX2 inline ProbeHit
-probeAvx2(const Lanes &l, Addr line_base, Addr line_end,
-          Addr entry_base, Addr entry_bytes)
-{
-    const __m256i sign = _mm256_set1_epi64x(
-        static_cast<long long>(0x8000000000000000ULL));
-    const __m256i end_b = _mm256_xor_si256(
-        _mm256_set1_epi64x(static_cast<long long>(line_end)), sign);
-    const __m256i lbase_b = _mm256_xor_si256(
-        _mm256_set1_epi64x(static_cast<long long>(line_base)), sign);
-    const __m256i target =
-        _mm256_set1_epi64x(static_cast<long long>(entry_base));
-    const __m256i ebytes =
-        _mm256_set1_epi64x(static_cast<long long>(entry_bytes));
-    const __m256i lane_sel = _mm256_set_epi64x(8, 4, 2, 1);
-    __m256i seq_acc = _mm256_setzero_si256();
-    int block_bits = 0;
-    std::uint32_t found = 0;
-    for (std::size_t i = 0; i < l.n; i += 4) {
-        const std::uint64_t bits = (l.occ[i >> 6] >> (i & 63)) & 0xF;
-        const __m256i valid = _mm256_cmpeq_epi64(
-            _mm256_and_si256(
-                _mm256_set1_epi64x(static_cast<long long>(bits)),
-                lane_sel),
-            lane_sel);
-        const __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(l.base + i));
-        const __m256i vb_b = _mm256_xor_si256(vb, sign);
-        const __m256i lt = _mm256_cmpgt_epi64(end_b, vb_b);
-        const __m256i vend_b = _mm256_xor_si256(
-            _mm256_add_epi64(vb, ebytes), sign);
-        const __m256i gt = _mm256_cmpgt_epi64(vend_b, lbase_b);
-        const __m256i overlap =
-            _mm256_and_si256(valid, _mm256_and_si256(lt, gt));
-        block_bits |= _mm256_movemask_pd(_mm256_castsi256_pd(overlap));
-        const __m256i vs = _mm256_and_si256(
-            overlap, _mm256_loadu_si256(
-                         reinterpret_cast<const __m256i *>(l.seq + i)));
-        seq_acc = _mm256_blendv_epi8(seq_acc, vs,
-                                     _mm256_cmpgt_epi64(vs, seq_acc));
-        const __m256i eq =
-            _mm256_and_si256(valid, _mm256_cmpeq_epi64(vb, target));
-        int eq_bits = _mm256_movemask_pd(_mm256_castsi256_pd(eq));
-        while (eq_bits != 0) {
-            const unsigned k = static_cast<unsigned>(
-                __builtin_ctz(static_cast<unsigned>(eq_bits)));
-            eq_bits &= eq_bits - 1;
-            found |= l.mask[i + k];
-        }
-    }
-    alignas(32) std::uint64_t s[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(s), seq_acc);
-    std::uint64_t hit_seq = s[0] > s[1] ? s[0] : s[1];
-    const std::uint64_t hi = s[2] > s[3] ? s[2] : s[3];
-    hit_seq = hit_seq > hi ? hit_seq : hi;
-    return {block_bits != 0, hit_seq, found};
-}
-
-WBSIM_TARGET_AVX2 inline int
-newestMatchAvx2(const Lanes &l, Addr base, int exclude)
-{
-    const __m256i target =
-        _mm256_set1_epi64x(static_cast<long long>(base));
-    const __m256i lane_sel = _mm256_set_epi64x(8, 4, 2, 1);
-    std::uint64_t best_key = 0;
-    int best = -1;
-    for (std::size_t i = 0; i < l.n; i += 4) {
-        const std::uint64_t bits = (l.occ[i >> 6] >> (i & 63)) & 0xF;
-        if (bits == 0)
-            continue;
-        const __m256i valid = _mm256_cmpeq_epi64(
-            _mm256_and_si256(
-                _mm256_set1_epi64x(static_cast<long long>(bits)),
-                lane_sel),
-            lane_sel);
-        const __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(l.base + i));
-        const __m256i eq =
-            _mm256_and_si256(valid, _mm256_cmpeq_epi64(vb, target));
-        int eq_bits = _mm256_movemask_pd(_mm256_castsi256_pd(eq));
-        while (eq_bits != 0) {
-            const unsigned k = static_cast<unsigned>(
-                __builtin_ctz(static_cast<unsigned>(eq_bits)));
-            eq_bits &= eq_bits - 1;
-            const std::size_t j = i + k;
-            const std::uint64_t key = l.seq[j];
-            if (static_cast<int>(j) != exclude && key > best_key) {
-                best_key = key;
-                best = static_cast<int>(j);
-            }
-        }
-    }
-    return best;
-}
-
-#elif defined(WBSIM_SIMD_NEON)
-
-// -------------------------------------------------------------------
-// NEON (aarch64): 2x64-bit lanes with native unsigned 64-bit
-// compares; no cpuid gate (Advanced SIMD is architectural).
-// -------------------------------------------------------------------
-
-WBSIM_HOT inline ProbeHit
-probeNeon(const Lanes &l, Addr line_base, Addr line_end,
-          Addr entry_base, Addr entry_bytes)
-{
-    const uint64x2_t vend = vdupq_n_u64(line_end);
-    const uint64x2_t vlbase = vdupq_n_u64(line_base);
-    const uint64x2_t vtarget = vdupq_n_u64(entry_base);
-    const uint64x2_t vebytes = vdupq_n_u64(entry_bytes);
-    uint64x2_t seq_acc = vdupq_n_u64(0);
-    uint64x2_t block_acc = vdupq_n_u64(0);
-    std::uint32_t found = 0;
-    for (std::size_t i = 0; i < l.n; i += 2) {
-        const std::uint64_t bits = (l.occ[i >> 6] >> (i & 63)) & 0x3;
-        const uint64x2_t valid = vcombine_u64(
-            vdup_n_u64(0 - (bits & 1)), vdup_n_u64(0 - (bits >> 1)));
-        const uint64x2_t vb = vld1q_u64(l.base + i);
-        const uint64x2_t overlap = vandq_u64(
-            valid, vandq_u64(vcltq_u64(vb, vend),
-                             vcgtq_u64(vaddq_u64(vb, vebytes), vlbase)));
-        block_acc = vorrq_u64(block_acc, overlap);
-        const uint64x2_t vs = vandq_u64(overlap, vld1q_u64(l.seq + i));
-        seq_acc = vbslq_u64(vcgtq_u64(vs, seq_acc), vs, seq_acc);
-        const uint64x2_t eq = vandq_u64(valid, vceqq_u64(vb, vtarget));
-        if (vgetq_lane_u64(eq, 0) != 0)
-            found |= l.mask[i];
-        if (vgetq_lane_u64(eq, 1) != 0)
-            found |= l.mask[i + 1];
-    }
-    const std::uint64_t s0 = vgetq_lane_u64(seq_acc, 0);
-    const std::uint64_t s1 = vgetq_lane_u64(seq_acc, 1);
-    const bool block = (vgetq_lane_u64(block_acc, 0)
-                        | vgetq_lane_u64(block_acc, 1))
-        != 0;
-    return {block, s0 > s1 ? s0 : s1, found};
-}
-
-WBSIM_HOT inline int
-newestMatchNeon(const Lanes &l, Addr base, int exclude)
-{
-    const uint64x2_t vtarget = vdupq_n_u64(base);
-    std::uint64_t best_key = 0;
-    int best = -1;
-    for (std::size_t i = 0; i < l.n; i += 2) {
-        const std::uint64_t bits = (l.occ[i >> 6] >> (i & 63)) & 0x3;
-        if (bits == 0)
-            continue;
-        const uint64x2_t vb = vld1q_u64(l.base + i);
-        const uint64x2_t eq = vceqq_u64(vb, vtarget);
-        const std::uint64_t hit0 = vgetq_lane_u64(eq, 0) & (bits & 1);
-        const std::uint64_t hit1 = vgetq_lane_u64(eq, 1) & (bits >> 1);
-        if (hit0 != 0 && static_cast<int>(i) != exclude
-            && l.seq[i] > best_key) {
-            best_key = l.seq[i];
-            best = static_cast<int>(i);
-        }
-        if (hit1 != 0 && static_cast<int>(i + 1) != exclude
-            && l.seq[i + 1] > best_key) {
-            best_key = l.seq[i + 1];
-            best = static_cast<int>(i + 1);
-        }
-    }
-    return best;
-}
-
-#endif // WBSIM_SIMD_NEON
-
-} // namespace detail
-
-// -------------------------------------------------------------------
-// Dispatch wrappers: the store caches a Level and passes it in; the
-// switch is perfectly predicted and the scalar fallback covers any
-// level a kernel has no specialization for.
-// -------------------------------------------------------------------
-
-WBSIM_HOT inline ProbeHit
-probeSweep(const Lanes &l, Addr line_base, Addr line_end,
-           Addr entry_base, Addr entry_bytes, Level level)
-{
-#if defined(WBSIM_SIMD_X86)
-    if (level == Level::Avx2)
-        return detail::probeAvx2(l, line_base, line_end, entry_base,
-                                 entry_bytes);
-#elif defined(WBSIM_SIMD_NEON)
-    if (level == Level::Neon)
-        return detail::probeNeon(l, line_base, line_end, entry_base,
-                                 entry_bytes);
-#endif
-    static_cast<void>(level);
-    return detail::probeScalar(l, line_base, line_end, entry_base,
-                               entry_bytes);
-}
-
-WBSIM_HOT inline int
-newestMatch(const Lanes &l, Addr base, int exclude, Level level)
-{
-#if defined(WBSIM_SIMD_X86)
-    if (level == Level::Avx2)
-        return detail::newestMatchAvx2(l, base, exclude);
-    if (level == Level::Sse2)
-        return detail::newestMatchSse2(l, base, exclude);
-#elif defined(WBSIM_SIMD_NEON)
-    if (level == Level::Neon)
-        return detail::newestMatchNeon(l, base, exclude);
-#endif
-    static_cast<void>(level);
-    return detail::newestMatchScalar(l, base, exclude);
-}
-
-WBSIM_HOT inline int
-oldestValid(const Lanes &l, Level level)
-{
-    static_cast<void>(level);
-    return detail::oldestValidScalar(l);
-}
-
-WBSIM_HOT inline int
-oldestOverlapping(const Lanes &l, Addr line_base, Addr line_end,
-                  Addr entry_bytes, Level level)
-{
-    static_cast<void>(level);
-    return detail::oldestOverlappingScalar(l, line_base, line_end,
-                                           entry_bytes);
-}
-
-WBSIM_HOT inline unsigned
-countValid(const Lanes &l, Level level)
-{
-    static_cast<void>(level);
-    return detail::countValidScalar(l);
 }
 
 } // namespace wbsim::simd

@@ -1,11 +1,11 @@
 /**
- * wbsim-lint fixture: the SoA sweep-kernel dispatch pattern of
- * src/util/simd.hh. A hot dispatch wrapper selects a per-level
- * kernel; the WL-HOT-ALLOC traversal must follow the call into every
- * reachable kernel body (they are plain inline functions, not
- * annotated themselves), flag an allocation hidden inside one, keep
- * quiet about the branch-free ones, and stop at the cold naive-scan
- * reference.
+ * wbsim-lint fixture: a hot wrapper that dispatches between two
+ * sweep kernels over SoA lanes (a synthetic shape; the kernels in
+ * src/util/simd.hh have no dispatch). The WL-HOT-ALLOC traversal
+ * must follow the call into every reachable kernel body (they are
+ * plain inline functions, not annotated themselves), flag an
+ * allocation hidden inside one, keep quiet about the branch-free
+ * one, and stop at the cold naive-scan reference.
  *
  * Lines tagged `EXPECT: <RULE>` must produce exactly one diagnostic
  * of that rule at that line.
@@ -95,8 +95,8 @@ newestMatchNaive(const Lanes &l, std::uint64_t base)
     return best;
 }
 
-/** The hot dispatch wrapper (simd.hh's newestMatch shape): the
- *  traversal enters both level kernels from here. */
+/** The hot dispatch wrapper: the traversal enters both level
+ *  kernels from here. */
 HOT inline int
 newestMatch(const Lanes &l, std::uint64_t base, Level level)
 {

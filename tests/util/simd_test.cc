@@ -1,18 +1,15 @@
 /**
  * @file
- * Unit tests for the SoA sweep kernels (util/simd.hh): every level
- * this build and CPU can run (scalar always, plus SSE2/AVX2 or NEON
- * where available) against a plain reference implementation, over
- * the mask edge cases the store relies on — empty store, full
- * store, duplicate-base chains, 0/partial/full validMask — plus a
- * randomized sweep with the occupancy bitmask crossing its 64-bit
- * word boundary.
+ * Unit tests for the SoA sweep kernels (util/simd.hh) against a
+ * plain reference implementation, over the mask edge cases the store
+ * relies on — empty store, full store, duplicate-base chains,
+ * 0/partial/full validMask — plus a randomized sweep with the
+ * occupancy bitmask crossing its 64-bit word boundary.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/random.hh"
@@ -67,19 +64,6 @@ struct LaneRig
     std::vector<std::uint64_t> seq;
     std::vector<std::uint64_t> occ;
 };
-
-/** Every kernel level this build + CPU can actually run. */
-std::vector<simd::Level>
-testLevels()
-{
-    std::vector<simd::Level> levels{simd::Level::Scalar};
-    simd::Level best = simd::detectLevel();
-    if (best == simd::Level::Avx2)
-        levels.push_back(simd::Level::Sse2);
-    if (best != simd::Level::Scalar)
-        levels.push_back(best);
-    return levels;
-}
 
 /** @name Plain reference implementations (mirror EntryStore's naive
  *  scans, the semantics the kernels must reproduce exactly). */
@@ -155,60 +139,39 @@ refOldestOverlapping(const LaneRig &rig, Addr line_base, Addr line_end,
 }
 /// @}
 
-/** Assert every level agrees with the reference on every query
+/** Assert every kernel agrees with the reference on every query
  *  against @p rig for a set of probe/match addresses. */
 void
 checkAllQueries(const LaneRig &rig, const std::vector<Addr> &addrs,
                 Addr entry_bytes, Addr line_bytes)
 {
-    for (simd::Level level : testLevels()) {
-        const std::string where = simd::levelName(level);
-        EXPECT_EQ(simd::countValid(rig.lanes(), level),
-                  [&] {
-                      unsigned n = 0;
-                      for (std::size_t i = 0; i < rig.depth; ++i)
-                          n += rig.valid(i) ? 1 : 0;
-                      return n;
-                  }())
-            << where;
-        EXPECT_EQ(simd::oldestValid(rig.lanes(), level),
-                  refOldestValid(rig))
-            << where;
-        for (Addr addr : addrs) {
-            Addr line_base = addr & ~(line_bytes - 1);
-            Addr line_end = line_base + line_bytes;
-            Addr entry_base = addr & ~(entry_bytes - 1);
-            simd::ProbeHit expect = refProbe(rig, line_base, line_end,
-                                             entry_base, entry_bytes);
-            simd::ProbeHit got =
-                simd::probeSweep(rig.lanes(), line_base, line_end,
-                                 entry_base, entry_bytes, level);
-            EXPECT_EQ(got.blockHit, expect.blockHit) << where;
-            EXPECT_EQ(got.hitSeq, expect.hitSeq) << where;
-            EXPECT_EQ(got.foundMask, expect.foundMask) << where;
-            for (int exclude = -1;
-                 exclude < static_cast<int>(rig.depth); ++exclude) {
-                EXPECT_EQ(simd::newestMatch(rig.lanes(), entry_base,
-                                            exclude, level),
-                          refNewestMatch(rig, entry_base, exclude))
-                    << where << " exclude=" << exclude;
-            }
-            EXPECT_EQ(simd::oldestOverlapping(rig.lanes(), line_base,
-                                              line_end, entry_bytes,
-                                              level),
-                      refOldestOverlapping(rig, line_base, line_end,
-                                           entry_bytes))
-                << where;
+    unsigned valid = 0;
+    for (std::size_t i = 0; i < rig.depth; ++i)
+        valid += rig.valid(i) ? 1 : 0;
+    EXPECT_EQ(simd::countValid(rig.lanes()), valid);
+    EXPECT_EQ(simd::oldestValid(rig.lanes()), refOldestValid(rig));
+    for (Addr addr : addrs) {
+        Addr line_base = addr & ~(line_bytes - 1);
+        Addr line_end = line_base + line_bytes;
+        Addr entry_base = addr & ~(entry_bytes - 1);
+        simd::ProbeHit expect = refProbe(rig, line_base, line_end,
+                                         entry_base, entry_bytes);
+        simd::ProbeHit got = simd::probeSweep(
+            rig.lanes(), line_base, line_end, entry_base, entry_bytes);
+        EXPECT_EQ(got.blockHit, expect.blockHit);
+        EXPECT_EQ(got.hitSeq, expect.hitSeq);
+        EXPECT_EQ(got.foundMask, expect.foundMask);
+        for (int exclude = -1; exclude < static_cast<int>(rig.depth);
+             ++exclude) {
+            EXPECT_EQ(simd::newestMatch(rig.lanes(), entry_base, exclude),
+                      refNewestMatch(rig, entry_base, exclude))
+                << "exclude=" << exclude;
         }
+        EXPECT_EQ(simd::oldestOverlapping(rig.lanes(), line_base,
+                                          line_end, entry_bytes),
+                  refOldestOverlapping(rig, line_base, line_end,
+                                       entry_bytes));
     }
-}
-
-TEST(SimdKernels, LevelNamesAreComplete)
-{
-    EXPECT_STREQ(simd::levelName(simd::Level::Scalar), "scalar");
-    EXPECT_STREQ(simd::levelName(simd::Level::Sse2), "sse2");
-    EXPECT_STREQ(simd::levelName(simd::Level::Avx2), "avx2");
-    EXPECT_STREQ(simd::levelName(simd::Level::Neon), "neon");
 }
 
 TEST(SimdKernels, EmptyStoreFindsNothing)
@@ -216,20 +179,17 @@ TEST(SimdKernels, EmptyStoreFindsNothing)
     for (std::size_t depth : {std::size_t{1}, std::size_t{5},
                               std::size_t{64}, std::size_t{65}}) {
         LaneRig rig(depth);
-        for (simd::Level level : testLevels()) {
-            EXPECT_EQ(simd::countValid(rig.lanes(), level), 0u);
-            EXPECT_EQ(simd::oldestValid(rig.lanes(), level), -1);
-            EXPECT_EQ(simd::newestMatch(rig.lanes(), 0x1000, -1, level),
-                      -1);
-            simd::ProbeHit hit = simd::probeSweep(
-                rig.lanes(), 0x1000, 0x1020, 0x1000, 32, level);
-            EXPECT_FALSE(hit.blockHit);
-            EXPECT_EQ(hit.hitSeq, 0u);
-            EXPECT_EQ(hit.foundMask, 0u);
-            EXPECT_EQ(simd::oldestOverlapping(rig.lanes(), 0x1000,
-                                              0x1020, 32, level),
-                      -1);
-        }
+        EXPECT_EQ(simd::countValid(rig.lanes()), 0u);
+        EXPECT_EQ(simd::oldestValid(rig.lanes()), -1);
+        EXPECT_EQ(simd::newestMatch(rig.lanes(), 0x1000, -1), -1);
+        simd::ProbeHit hit =
+            simd::probeSweep(rig.lanes(), 0x1000, 0x1020, 0x1000, 32);
+        EXPECT_FALSE(hit.blockHit);
+        EXPECT_EQ(hit.hitSeq, 0u);
+        EXPECT_EQ(hit.foundMask, 0u);
+        EXPECT_EQ(
+            simd::oldestOverlapping(rig.lanes(), 0x1000, 0x1020, 32),
+            -1);
     }
 }
 
@@ -256,19 +216,16 @@ TEST(SimdKernels, DuplicateBaseChainsResolveBySeq)
     rig.set(4, 0x2000, 0x01, 9);
     rig.set(6, 0x2000, 0x80, 2);
     rig.set(7, 0x2000, 0x18, 11);
-    for (simd::Level level : testLevels()) {
-        EXPECT_EQ(simd::newestMatch(rig.lanes(), 0x2000, -1, level), 2);
-        EXPECT_EQ(simd::newestMatch(rig.lanes(), 0x2000, 2, level), 7);
-        EXPECT_EQ(simd::newestMatch(rig.lanes(), 0x4000, -1, level), 3);
-        EXPECT_EQ(simd::newestMatch(rig.lanes(), 0x4000, 3, level), -1);
-        // The probe ORs every duplicate's mask at the base.
-        simd::ProbeHit hit = simd::probeSweep(rig.lanes(), 0x2000,
-                                              0x2020, 0x2000, 32,
-                                              level);
-        EXPECT_TRUE(hit.blockHit);
-        EXPECT_EQ(hit.hitSeq, 12u);
-        EXPECT_EQ(hit.foundMask, 0x0Fu | 0xF0u | 0x01u | 0x80u | 0x18u);
-    }
+    EXPECT_EQ(simd::newestMatch(rig.lanes(), 0x2000, -1), 2);
+    EXPECT_EQ(simd::newestMatch(rig.lanes(), 0x2000, 2), 7);
+    EXPECT_EQ(simd::newestMatch(rig.lanes(), 0x4000, -1), 3);
+    EXPECT_EQ(simd::newestMatch(rig.lanes(), 0x4000, 3), -1);
+    // The probe ORs every duplicate's mask at the base.
+    simd::ProbeHit hit =
+        simd::probeSweep(rig.lanes(), 0x2000, 0x2020, 0x2000, 32);
+    EXPECT_TRUE(hit.blockHit);
+    EXPECT_EQ(hit.hitSeq, 12u);
+    EXPECT_EQ(hit.foundMask, 0x0Fu | 0xF0u | 0x01u | 0x80u | 0x18u);
     checkAllQueries(rig, {0x2000, 0x4000, 0x6000}, 32, 32);
 }
 
@@ -278,21 +235,16 @@ TEST(SimdKernels, ValidMaskZeroPartialFull)
     rig.set(0, 0x1000, 0x00, 1); // zero mask: block hit, no words
     rig.set(1, 0x1020, 0x3C, 2); // partial
     rig.set(2, 0x1040, 0xFF, 3); // full
-    for (simd::Level level : testLevels()) {
-        simd::ProbeHit zero = simd::probeSweep(rig.lanes(), 0x1000,
-                                               0x1020, 0x1000, 32,
-                                               level);
-        EXPECT_TRUE(zero.blockHit);
-        EXPECT_EQ(zero.foundMask, 0x00u);
-        simd::ProbeHit partial = simd::probeSweep(rig.lanes(), 0x1020,
-                                                  0x1040, 0x1020, 32,
-                                                  level);
-        EXPECT_EQ(partial.foundMask, 0x3Cu);
-        simd::ProbeHit full = simd::probeSweep(rig.lanes(), 0x1040,
-                                               0x1060, 0x1040, 32,
-                                               level);
-        EXPECT_EQ(full.foundMask, 0xFFu);
-    }
+    simd::ProbeHit zero =
+        simd::probeSweep(rig.lanes(), 0x1000, 0x1020, 0x1000, 32);
+    EXPECT_TRUE(zero.blockHit);
+    EXPECT_EQ(zero.foundMask, 0x00u);
+    simd::ProbeHit partial =
+        simd::probeSweep(rig.lanes(), 0x1020, 0x1040, 0x1020, 32);
+    EXPECT_EQ(partial.foundMask, 0x3Cu);
+    simd::ProbeHit full =
+        simd::probeSweep(rig.lanes(), 0x1040, 0x1060, 0x1040, 32);
+    EXPECT_EQ(full.foundMask, 0xFFu);
     checkAllQueries(rig, {0x1000, 0x1020, 0x1040, 0x1060}, 32, 32);
 }
 
@@ -306,16 +258,12 @@ TEST(SimdKernels, OverlapBoundariesAreHalfOpen)
     rig.set(1, 0x1020, 0xF, 2); // first half
     rig.set(2, 0x1030, 0xF, 3); // second half
     rig.set(3, 0x1040, 0xF, 4); // [0x1040,...): misses the line
-    for (simd::Level level : testLevels()) {
-        simd::ProbeHit hit = simd::probeSweep(rig.lanes(), 0x1020,
-                                              0x1040, 0x1020, 16,
-                                              level);
-        EXPECT_TRUE(hit.blockHit);
-        EXPECT_EQ(hit.hitSeq, 3u);
-        EXPECT_EQ(simd::oldestOverlapping(rig.lanes(), 0x1020, 0x1040,
-                                          16, level),
-                  1);
-    }
+    simd::ProbeHit hit =
+        simd::probeSweep(rig.lanes(), 0x1020, 0x1040, 0x1020, 16);
+    EXPECT_TRUE(hit.blockHit);
+    EXPECT_EQ(hit.hitSeq, 3u);
+    EXPECT_EQ(simd::oldestOverlapping(rig.lanes(), 0x1020, 0x1040, 16),
+              1);
     checkAllQueries(rig, {0x1010, 0x1020, 0x1030, 0x1040}, 16, 32);
 }
 
