@@ -20,7 +20,7 @@
  * even when the means are flat (DESIGN.md §11). Extra knobs:
  *
  *   WBSIM_PERF_BASELINE=path  committed BENCH_core.json to gate
- *                             the tail lane against (off when unset)
+ *                             against (off when unset)
  *   WBSIM_TAIL_INJECT=pct     inflate the measured tail by pct%
  *                             (proves the gate trips; tests only)
  *   WBSIM_TAIL_ONLY=1         run just the tail lane (fast ctest)
@@ -35,23 +35,23 @@
  * own lanes the first time), so regenerating BENCH_core.json never
  * loosens the gate. Wall-clock ratios are only meaningful on a quiet
  * machine at full length, so smoke runs report them without gating.
+ * With a baseline set, every lane it records must also run here: a
+ * renamed lane fails the gate instead of switching its check off.
  *
- * The `serve_codec` lane times the wbsim-serve hit path's codec work
- * (an 8-cell sweep request decoded, its 8 stored result tokens
- * appended into a Results payload, and that payload client-decoded);
- * it is not gated.
- * Its ops are not instructions, so it also records `sim_simd_ratio`,
- * its rate over this run's sim_simd rate, which stays comparable
- * across host phases when the raw rate does not.
+ * The lanes are one table (laneTable), run in order. Every lane also
+ * records `sim_simd_ratio`, its rate over this run's sim_simd rate,
+ * which stays comparable across host phases when raw rates do not.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <iterator>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/write_buffer.hh"
@@ -86,7 +86,7 @@ struct GateResult
     /** Simulated cycles per wall-clock second (sim benches only). */
     double cyclesPerSec = 0.0;
     /** opsPerSec over this run's sim_simd rate, a host-speed
-     *  normalizer for lanes whose ops are not instructions. */
+     *  normalizer that compares across runs when raw rates do not. */
     double simSimdRatio = 0.0;
 };
 
@@ -99,29 +99,36 @@ now()
         .count();
 }
 
+/** The rates of @p ops operations (and @p cycles simulated cycles)
+ *  done in @p seconds. */
+GateResult
+rateOf(std::uint64_t ops, double seconds, Count cycles = 0)
+{
+    GateResult r;
+    r.iterations = ops;
+    r.seconds = seconds;
+    if (seconds > 0.0) {
+        r.opsPerSec = static_cast<double>(ops) / seconds;
+        r.cyclesPerSec = static_cast<double>(cycles) / seconds;
+    }
+    return r;
+}
+
 /**
  * Time @p body(iterations), doubling the iteration count until the
  * run lasts at least @p min_seconds, and record the final rate.
  */
 template <typename Body>
 GateResult
-timeLoop(const std::string &name, double min_seconds, Body &&body)
+timeLoop(double min_seconds, Body &&body)
 {
     std::uint64_t iterations = 1024;
     for (;;) {
         double start = now();
         body(iterations);
         double elapsed = now() - start;
-        if (elapsed >= min_seconds || iterations >= (1ull << 34)) {
-            GateResult r;
-            r.name = name;
-            r.iterations = iterations;
-            r.seconds = elapsed;
-            r.opsPerSec = elapsed > 0.0
-                ? static_cast<double>(iterations) / elapsed
-                : 0.0;
-            return r;
-        }
+        if (elapsed >= min_seconds || iterations >= (1ull << 34))
+            return rateOf(iterations, elapsed);
         // Aim straight for the target with one final doubling pass.
         iterations *= 2;
         if (elapsed > 0.0) {
@@ -133,6 +140,31 @@ timeLoop(const std::string &name, double min_seconds, Body &&body)
     }
 }
 
+/**
+ * The best of @p reps timed runs of @p run, each doing @p ops
+ * operations. The clock starts before run(stop) and stops when run
+ * sets @p stop, so what run builds is torn down outside the timed
+ * region; run returns the simulated cycles. Lanes that back a gate
+ * keep the best of several runs so the threshold trips on code
+ * regressions, not on a scheduler hiccup.
+ */
+template <typename Run>
+GateResult
+bestOf(std::uint64_t ops, int reps, Run &&run)
+{
+    GateResult best;
+    best.iterations = ops;
+    for (int rep = 0; rep < reps; ++rep) {
+        double start = now();
+        double stop = start;
+        Count cycles = run(stop);
+        GateResult r = rateOf(ops, stop - start, cycles);
+        if (r.opsPerSec > best.opsPerSec)
+            best = r;
+    }
+    return best;
+}
+
 WriteBufferConfig
 gateConfig(unsigned depth)
 {
@@ -142,228 +174,44 @@ gateConfig(unsigned depth)
     return config;
 }
 
-/** Sequential stores that coalesce heavily (BM_StoreMerge-class):
- *  the word-sized stride puts eight consecutive stores in each
- *  32-byte entry, so seven of eight take the merge path. */
-GateResult
-storeMergeDepth12(double min_seconds)
-{
-    return timeLoop("wb_store_merge_d12", min_seconds,
-                    [](std::uint64_t iterations) {
-        L2Port port;
-        WriteBuffer buffer(gateConfig(12), port,
-                           [](Addr, unsigned, unsigned, Cycle) {
-                               return Cycle{6};
-                           });
-        StallStats stalls;
-        Cycle t = 0;
-        for (std::uint64_t i = 0; i < iterations; ++i) {
-            t += 4;
-            Addr addr = t % (1 << 20);
-            buffer.store(addr, 4, t, stalls);
-        }
-    });
-}
-
-/** Random store addresses: allocate-heavy (BM_StoreScatter-class). */
-GateResult
-storeScatterDepth12(double min_seconds)
-{
-    return timeLoop("wb_store_scatter_d12", min_seconds,
-                    [](std::uint64_t iterations) {
-        L2Port port;
-        WriteBuffer buffer(gateConfig(12), port,
-                           [](Addr, unsigned, unsigned, Cycle) {
-                               return Cycle{6};
-                           });
-        StallStats stalls;
-        Cycle t = 0;
-        std::uint64_t x = 0x123456789ull;
-        for (std::uint64_t i = 0; i < iterations; ++i) {
-            t += 16;
-            x = x * 6364136223846793005ull + 1442695040888963407ull;
-            Addr addr = ((x >> 20) % (1 << 24)) & ~Addr{7};
-            buffer.store(addr, 8, t, stalls);
-        }
-    });
-}
-
-/** Load probes against a part-full 12-deep buffer
- *  (BM_ProbeLoad-class; most probes miss, the hot no-hazard path). */
-GateResult
-probeLoadDepth12(double min_seconds)
+/** The 12-deep gate buffer over a fixed 6-cycle L2 write. */
+struct GateBuffer
 {
     L2Port port;
-    WriteBuffer buffer(gateConfig(12), port,
+    WriteBuffer buffer{gateConfig(12), port,
                        [](Addr, unsigned, unsigned, Cycle) {
                            return Cycle{6};
-                       });
+                       }};
     StallStats stalls;
-    for (unsigned i = 0; i < 10; ++i)
-        buffer.store(i * 64, 8, i, stalls);
-    return timeLoop("wb_probe_load_d12", min_seconds,
-                    [&](std::uint64_t iterations) {
-        Addr addr = 0;
-        unsigned hits = 0;
-        for (std::uint64_t i = 0; i < iterations; ++i) {
-            addr = (addr + 32) % 4096;
-            hits += buffer.probeLoad(addr, 8).blockHit ? 1 : 0;
-        }
-        if (hits == ~0u) // defeat dead-code elimination
-            std::cerr << "";
-    });
-}
+};
 
-/** End-to-end simulator throughput (micro_simulator-class). */
-GateResult
-simulatorBaseline(Count instructions)
+/** @p records of compress (seed @p seed), materialized. */
+MaterializedTrace
+compressTrace(Count records, std::uint64_t seed)
 {
-    auto profile = spec92::profile("compress");
-    double start = now();
-    SyntheticSource source(profile, instructions, 1);
-    Simulator simulator(figures::baselineMachine());
-    SimResults results = simulator.run(source);
-    double elapsed = now() - start;
-    GateResult r;
-    r.name = "sim_baseline";
-    r.iterations = instructions;
-    r.seconds = elapsed;
-    r.opsPerSec = static_cast<double>(instructions) / elapsed;
-    r.cyclesPerSec = static_cast<double>(results.cycles) / elapsed;
-    return r;
+    SyntheticSource source(spec92::profile("compress"), records, seed);
+    return MaterializedTrace::build(source);
 }
 
 /**
- * The same end-to-end run with every observability sink attached
- * (metrics registry, timeline, event log). Comparing its rate against
- * sim_baseline puts a number on the always-on instrumentation
- * overhead; the gate thresholds treat both alike.
+ * End-to-end simulator throughput on @p machine: the best of @p reps
+ * runs, each fed by the source @p feed() builds inside the timed
+ * region, with @p sink attached when it has any sink.
  */
+template <typename Feed>
 GateResult
-simulatorObserved(Count instructions)
+simLane(const MachineConfig &machine, obs::ObsSink sink,
+        Count instructions, int reps, Feed &&feed)
 {
-    auto profile = spec92::profile("compress");
-    obs::MetricsRegistry metrics;
-    obs::Timeline timeline;
-    EventLog log;
-    double start = now();
-    SyntheticSource source(profile, instructions, 1);
-    Simulator simulator(figures::baselineMachine());
-    simulator.attachObs(obs::ObsSink{&metrics, &timeline, &log});
-    SimResults results = simulator.run(source);
-    double elapsed = now() - start;
-    GateResult r;
-    r.name = "sim_baseline_obs";
-    r.iterations = instructions;
-    r.seconds = elapsed;
-    r.opsPerSec = static_cast<double>(instructions) / elapsed;
-    r.cyclesPerSec = static_cast<double>(results.cycles) / elapsed;
-    return r;
-}
-
-/**
- * The baseline run again, but with every buffer policy resolved
- * through the parse*() names and the policy factory — the exact path
- * the figure binaries' override flags use. Tracks the cost of the
- * pluggable retirement engine against sim_baseline; the two should
- * stay within noise of each other.
- */
-GateResult
-simulatorPolicyLayer(Count instructions)
-{
-    auto profile = spec92::profile("compress");
-    MachineConfig machine = figures::baselineMachine();
-    machine.writeBuffer.hazardPolicy =
-        parseLoadHazardPolicy("flush-full");
-    machine.writeBuffer.retirementMode =
-        parseRetirementMode("occupancy");
-    machine.writeBuffer.retirementOrder = parseRetirementOrder("fifo");
-    machine.validate();
-    double start = now();
-    SyntheticSource source(profile, instructions, 1);
-    Simulator simulator(machine);
-    SimResults results = simulator.run(source);
-    double elapsed = now() - start;
-    GateResult r;
-    r.name = "sim_policy_layer";
-    r.iterations = instructions;
-    r.seconds = elapsed;
-    r.opsPerSec = static_cast<double>(instructions) / elapsed;
-    r.cyclesPerSec = static_cast<double>(results.cycles) / elapsed;
-    return r;
-}
-
-/**
- * End-to-end simulator throughput replaying a pre-built materialized
- * trace: the run-item feed over the SoA store and batched per-op
- * dispatch — the path every cached grid cell takes. The trace build
- * is untimed. This lane backs the speedup gate (>= 3x the pre-SoA
- * sim_baseline), so it keeps the best of @p reps replays rather than
- * a single shot: the threshold should trip on code regressions, not
- * on a scheduler hiccup.
- */
-GateResult
-simulatorSimd(Count instructions, int reps)
-{
-    auto profile = spec92::profile("compress");
-    SyntheticSource source(profile, instructions, 1);
-    MaterializedTrace trace = MaterializedTrace::build(source);
-    GateResult r;
-    r.name = "sim_simd";
-    r.iterations = instructions;
-    for (int rep = 0; rep < reps; ++rep) {
-        double start = now();
-        MaterializedCursor cursor(trace);
-        Simulator simulator(figures::baselineMachine());
-        SimResults results = simulator.run(cursor);
-        double elapsed = now() - start;
-        if (elapsed <= 0.0)
-            continue;
-        double rate = static_cast<double>(instructions) / elapsed;
-        if (rate > r.opsPerSec) {
-            r.opsPerSec = rate;
-            r.seconds = elapsed;
-            r.cyclesPerSec =
-                static_cast<double>(results.cycles) / elapsed;
-        }
-    }
-    return r;
-}
-
-/**
- * The sim_simd setup on abl09's real-I-cache machine (8 KB
- * direct-mapped I-cache): run items whose NonMem runs are charged
- * one fetch per I-cache line. The trace build is untimed; best of
- * @p reps replays.
- */
-GateResult
-simulatorICache(Count instructions, int reps)
-{
-    auto profile = spec92::profile("compress");
-    SyntheticSource source(profile, instructions, 1);
-    MaterializedTrace trace = MaterializedTrace::build(source);
-    MachineConfig machine = figures::baselineMachine();
-    machine.perfectICache = false;
-    GateResult r;
-    r.name = "sim_icache";
-    r.iterations = instructions;
-    for (int rep = 0; rep < reps; ++rep) {
-        double start = now();
-        MaterializedCursor cursor(trace);
+    return bestOf(instructions, reps, [&](double &stop) {
+        auto source = feed();
         Simulator simulator(machine);
-        SimResults results = simulator.run(cursor);
-        double elapsed = now() - start;
-        if (elapsed <= 0.0)
-            continue;
-        double rate = static_cast<double>(instructions) / elapsed;
-        if (rate > r.opsPerSec) {
-            r.opsPerSec = rate;
-            r.seconds = elapsed;
-            r.cyclesPerSec =
-                static_cast<double>(results.cycles) / elapsed;
-        }
-    }
-    return r;
+        if (sink.attached())
+            simulator.attachObs(sink);
+        SimResults results = simulator.run(source);
+        stop = now();
+        return results.cycles;
+    });
 }
 
 /**
@@ -377,169 +225,51 @@ simulatorICache(Count instructions, int reps)
  * schedule.
  */
 GateResult
-simulatorMultiCore(Count instructions, int reps)
+multiCoreLane(Count instructions, int reps)
 {
-    auto profile = spec92::profile("compress");
     MachineConfig machine = figures::baselineMachine();
     machine.cores = 2;
-    SyntheticSource first(profile, instructions, 1);
-    SyntheticSource second(profile, instructions, 2);
-    MaterializedTrace traces[] = {MaterializedTrace::build(first),
-                                  MaterializedTrace::build(second)};
-    GateResult r;
-    r.name = "sim_multicore";
-    r.iterations = 2 * instructions;
-    for (int rep = 0; rep < reps; ++rep) {
-        double start = now();
+    MaterializedTrace traces[] = {compressTrace(instructions, 1),
+                                  compressTrace(instructions, 2)};
+    return bestOf(2 * instructions, reps, [&](double &stop) {
         MaterializedCursor cursor0(traces[0]);
         MaterializedCursor cursor1(traces[1]);
         MultiCoreSystem system(machine);
         MultiCoreResults results = system.run({&cursor0, &cursor1});
-        double elapsed = now() - start;
-        if (elapsed <= 0.0)
-            continue;
-        double rate = static_cast<double>(2 * instructions) / elapsed;
-        if (rate > r.opsPerSec) {
-            Count cycles = 0;
-            for (const SimResults &core : results.perCore)
-                cycles = std::max(cycles, core.cycles);
-            r.opsPerSec = rate;
-            r.seconds = elapsed;
-            r.cyclesPerSec = static_cast<double>(cycles) / elapsed;
-        }
-    }
-    return r;
-}
-
-/** Figure 3 replay: the full benchmark grid at reduced length. */
-GateResult
-fig03Replay(Count instructions)
-{
-    Experiment experiment = figures::figure03();
-    auto profiles = spec92::allProfiles();
-    RunnerOptions options;
-    options.instructions = instructions;
-    options.warmup = instructions / 10;
-    options.threads = 1; // timing must not depend on core count
-    options.seed = 1;
-    double start = now();
-    ExperimentResults results =
-        runExperiment(experiment, profiles, options);
-    double elapsed = now() - start;
-    Count cycles = 0, instr = 0;
-    for (const auto &row : results) {
-        for (const SimResults &cell : row) {
-            cycles += cell.cycles;
-            instr += cell.instructions;
-        }
-    }
-    GateResult r;
-    r.name = "fig03_replay";
-    r.iterations = instr;
-    r.seconds = elapsed;
-    r.opsPerSec = static_cast<double>(instr) / elapsed;
-    r.cyclesPerSec = static_cast<double>(cycles) / elapsed;
-    return r;
-}
-
-/** Records/second decoding a materialized trace through the batched
- *  cursor — the per-variant replay cost that replaces per-variant
- *  generation in the grid. */
-GateResult
-traceReplay(double min_seconds)
-{
-    auto profile = spec92::profile("compress");
-    SyntheticSource source(profile, 200'000, 1);
-    MaterializedTrace trace = MaterializedTrace::build(source);
-    return timeLoop("trace_replay", min_seconds,
-                    [&](std::uint64_t iterations) {
-        MaterializedCursor cursor(trace);
-        TraceRecord batch[256];
-        Addr sink = 0;
-        std::uint64_t left = iterations;
-        while (left > 0) {
-            std::size_t want = static_cast<std::size_t>(
-                std::min<std::uint64_t>(left, 256));
-            std::size_t got = cursor.nextBatch(batch, want);
-            if (got == 0) {
-                cursor.reset();
-                continue;
-            }
-            sink += batch[got - 1].addr;
-            left -= got;
-        }
-        if (sink == ~Addr{0}) // defeat dead-code elimination
-            std::cerr << "";
+        stop = now();
+        return results.aggregate().cycles;
     });
 }
 
 /**
- * Records/second through the run-item decode (nextRuns): NonMem runs
- * come back as counts instead of materialized filler records — the
- * feed the simulator's batched dispatch actually consumes. The rate
- * counts records *covered* (runs fold in), which is what makes it
- * comparable to trace_replay's records-materialized rate; the
- * speedup gate holds it to >= 2.5x the pre-SoA trace_replay.
+ * Time @p passes runs of @p experiment over every benchmark,
+ * @p instructions measured after @p warmup, with the trace and
+ * checkpoint caches on or off per @p caches, after @p primes untimed
+ * runs and between cleared grid caches. Only the runExperiment calls
+ * are timed.
  */
 GateResult
-traceReplayRuns(double min_seconds)
+gridLane(const Experiment &experiment, Count instructions, Count warmup,
+         bool caches, int primes, int passes)
 {
-    auto profile = spec92::profile("compress");
-    SyntheticSource source(profile, 200'000, 1);
-    MaterializedTrace trace = MaterializedTrace::build(source);
-    return timeLoop("trace_replay_runs", min_seconds,
-                    [&](std::uint64_t iterations) {
-        MaterializedCursor cursor(trace);
-        TraceRun batch[256];
-        Addr sink = 0;
-        std::uint64_t left = iterations;
-        while (left > 0) {
-            std::size_t got = cursor.nextRuns(batch, 256);
-            if (got == 0) {
-                cursor.reset();
-                continue;
-            }
-            std::uint64_t covered = 0;
-            for (std::size_t i = 0; i < got; ++i)
-                covered += batch[i].nonMemBefore + 1;
-            sink += batch[got - 1].rec.addr;
-            left -= std::min(left, covered);
-        }
-        if (sink == ~Addr{0}) // defeat dead-code elimination
-            std::cerr << "";
-    });
-}
-
-/**
- * The Figure 4 grid (all benchmarks x buffer depths), run as a
- * session runs it: the same sweep repeated in one process (figure
- * re-renders, report iterations, cross-figure shared cells). One
- * untimed priming pass in both modes, then timed passes measure the
- * steady-state sweep cost. With the caches off every pass
- * regenerates every trace and re-simulates every warmup; with them
- * on, repeats replay materialized traces and fork measured runs off
- * warm-state checkpoints.
- */
-GateResult
-gridFig04(const std::string &name, bool cached, Count instructions,
-          int passes)
-{
-    Experiment experiment = figures::figure04();
     auto profiles = spec92::allProfiles();
     RunnerOptions options;
     options.instructions = instructions;
-    options.warmup = instructions / 2;
+    options.warmup = warmup;
     options.threads = 1; // timing must not depend on core count
     options.seed = 1;
-    options.materialize = cached;
-    options.checkpoints = cached;
+    options.materialize = caches;
+    options.checkpoints = caches;
     clearGridCaches();
-    runExperiment(experiment, profiles, options); // prime
-    double start = now();
+    for (int prime = 0; prime < primes; ++prime)
+        runExperiment(experiment, profiles, options);
+    double seconds = 0.0;
     Count cycles = 0, instr = 0;
     for (int pass = 0; pass < passes; ++pass) {
+        double start = now();
         ExperimentResults results =
             runExperiment(experiment, profiles, options);
+        seconds += now() - start;
         for (const auto &row : results) {
             for (const SimResults &cell : row) {
                 cycles += cell.cycles;
@@ -547,15 +277,50 @@ gridFig04(const std::string &name, bool cached, Count instructions,
             }
         }
     }
-    double elapsed = now() - start;
     clearGridCaches();
-    GateResult r;
-    r.name = name;
-    r.iterations = instr;
-    r.seconds = elapsed;
-    r.opsPerSec = static_cast<double>(instr) / elapsed;
-    r.cyclesPerSec = static_cast<double>(cycles) / elapsed;
-    return r;
+    return rateOf(instr, seconds, cycles);
+}
+
+/**
+ * Records/second decoding a 200k-record materialized trace through
+ * the batched cursor in batches of 256 Items: records (nextBatch) or
+ * run items (nextRuns, rated in the records they cover). The trace
+ * build is untimed.
+ */
+template <typename Item>
+GateResult
+decodeLane(double min_seconds)
+{
+    MaterializedTrace trace = compressTrace(200'000, 1);
+    return timeLoop(min_seconds, [&](std::uint64_t iterations) {
+        MaterializedCursor cursor(trace);
+        Item batch[256];
+        Addr sink = 0;
+        std::uint64_t left = iterations;
+        while (left > 0) {
+            std::uint64_t covered = 0;
+            if constexpr (std::is_same_v<Item, TraceRun>) {
+                std::size_t got = cursor.nextRuns(batch, 256);
+                for (std::size_t i = 0; i < got; ++i)
+                    covered += batch[i].nonMemBefore + 1;
+                if (got > 0)
+                    sink += batch[got - 1].rec.addr;
+            } else {
+                covered = cursor.nextBatch(
+                    batch, static_cast<std::size_t>(
+                               std::min<std::uint64_t>(left, 256)));
+                if (covered > 0)
+                    sink += batch[covered - 1].addr;
+            }
+            if (covered == 0) {
+                cursor.reset();
+                continue;
+            }
+            left -= std::min(left, covered);
+        }
+        if (sink == ~Addr{0}) // defeat dead-code elimination
+            std::cerr << "";
+    });
 }
 
 /**
@@ -607,13 +372,10 @@ serveCodec(int ops, int reps)
     }
     const std::string requestBytes = serve::encodeRequest(request);
 
-    GateResult r;
-    r.name = "serve_codec";
-    r.iterations = static_cast<std::uint64_t>(ops);
     std::size_t sink = 0;
     serve::Response back;
-    for (int rep = 0; rep < reps; ++rep) {
-        double start = now();
+    GateResult r = bestOf(static_cast<std::uint64_t>(ops), reps,
+                          [&](double &stop) {
         for (int op = 0; op < ops; ++op) {
             serve::Request decoded;
             std::string error;
@@ -629,13 +391,9 @@ serveCodec(int ops, int reps)
                 wbsim_panic("serve_codec: ", error);
             sink += back.cells.size();
         }
-        double elapsed = now() - start;
-        double rate = elapsed > 0.0 ? ops / elapsed : 0.0;
-        if (rate > r.opsPerSec) {
-            r.opsPerSec = rate;
-            r.seconds = elapsed;
-        }
-    }
+        stop = now();
+        return Count{0};
+    });
     wbsim_assert(sink == std::size_t(ops) * std::size_t(reps) * 8,
                  "serve_codec lost cells");
     for (std::size_t i = 0; i < documents.size(); ++i)
@@ -643,6 +401,183 @@ serveCodec(int ops, int reps)
                      "serve_codec: a stored token decoded to other "
                      "bytes");
     return r;
+}
+
+/** One lane of the gate: its BENCH_core.json name and its timer. */
+struct Lane
+{
+    const char *name;
+    std::function<GateResult()> run;
+};
+
+/**
+ * Every wall-clock lane, in emission order. Smoke runs shorten the
+ * timing loops, simulations and grids; the lanes and what each one
+ * times stay the same.
+ */
+std::vector<Lane>
+laneTable(bool smoke)
+{
+    double min_seconds = smoke ? 0.02 : 0.5;
+    Count sim = smoke ? 20'000 : 400'000; // per core in the sim_* lanes
+    Count fig = smoke ? 5'000 : 50'000;
+    Count grid = smoke ? 4'000 : 40'000;
+    int grid_passes = smoke ? 2 : 3;
+    int reps = smoke ? 2 : 5;
+    int codec_ops = smoke ? 20 : 200;
+    MachineConfig baseline = figures::baselineMachine();
+    auto profile = spec92::profile("compress");
+    auto generate = [=] { return SyntheticSource(profile, sim, 1); };
+    auto fig04 = [=](bool caches) {
+        return gridLane(figures::figure04(), grid, grid / 2, caches, 1,
+                        grid_passes);
+    };
+
+    return {
+        // Sequential stores that coalesce heavily (BM_StoreMerge-
+        // class): the word-sized stride puts eight consecutive stores
+        // in each 32-byte entry, so seven of eight take the merge
+        // path.
+        {"wb_store_merge_d12",
+         [=] {
+             return timeLoop(min_seconds, [](std::uint64_t iterations) {
+                 GateBuffer gate;
+                 Cycle t = 0;
+                 for (std::uint64_t i = 0; i < iterations; ++i) {
+                     t += 4;
+                     gate.buffer.store(t % (1 << 20), 4, t, gate.stalls);
+                 }
+             });
+         }},
+        // Random store addresses: allocate-heavy
+        // (BM_StoreScatter-class).
+        {"wb_store_scatter_d12",
+         [=] {
+             return timeLoop(min_seconds, [](std::uint64_t iterations) {
+                 GateBuffer gate;
+                 Cycle t = 0;
+                 std::uint64_t x = 0x123456789ull;
+                 for (std::uint64_t i = 0; i < iterations; ++i) {
+                     t += 16;
+                     x = x * 6364136223846793005ull
+                         + 1442695040888963407ull;
+                     Addr addr = ((x >> 20) % (1 << 24)) & ~Addr{7};
+                     gate.buffer.store(addr, 8, t, gate.stalls);
+                 }
+             });
+         }},
+        // Load probes against a part-full buffer (BM_ProbeLoad-class;
+        // most probes miss, the hot no-hazard path).
+        {"wb_probe_load_d12",
+         [=] {
+             GateBuffer gate;
+             for (unsigned i = 0; i < 10; ++i)
+                 gate.buffer.store(i * 64, 8, i, gate.stalls);
+             return timeLoop(min_seconds, [&](std::uint64_t iterations) {
+                 Addr addr = 0;
+                 unsigned hits = 0;
+                 for (std::uint64_t i = 0; i < iterations; ++i) {
+                     addr = (addr + 32) % 4096;
+                     hits += gate.buffer.probeLoad(addr, 8).blockHit ? 1 : 0;
+                 }
+                 if (hits == ~0u) // defeat dead-code elimination
+                     std::cerr << "";
+             });
+         }},
+        // Generator-fed, one shot (micro_simulator-class).
+        {"sim_baseline",
+         [=] { return simLane(baseline, {}, sim, 1, generate); }},
+        // Every observability sink attached (metrics registry,
+        // timeline, event log): its rate against sim_baseline puts a
+        // number on the always-on instrumentation overhead; the gate
+        // thresholds treat both alike.
+        {"sim_baseline_obs",
+         [=] {
+             obs::MetricsRegistry metrics;
+             obs::Timeline timeline;
+             EventLog log;
+             return simLane(baseline, {&metrics, &timeline, &log}, sim, 1,
+                            generate);
+         }},
+        // Every buffer policy resolved through the parse*() names and
+        // the policy factory, the path the figure binaries' override
+        // flags use. Tracks the cost of the pluggable retirement
+        // engine; it should stay within noise of sim_baseline.
+        {"sim_policy_layer",
+         [=] {
+             MachineConfig machine = baseline;
+             machine.writeBuffer.hazardPolicy =
+                 parseLoadHazardPolicy("flush-full");
+             machine.writeBuffer.retirementMode =
+                 parseRetirementMode("occupancy");
+             machine.writeBuffer.retirementOrder =
+                 parseRetirementOrder("fifo");
+             machine.validate();
+             return simLane(machine, {}, sim, 1, generate);
+         }},
+        // The run-item feed over the SoA store and batched per-op
+        // dispatch, the path every cached grid cell takes: a trace
+        // built untimed, replayed. Backs the speedup gate (>= 3x the
+        // pre-SoA sim_baseline).
+        {"sim_simd",
+         [=] {
+             MaterializedTrace trace = compressTrace(sim, 1);
+             return simLane(baseline, {}, sim, reps,
+                            [&] { return MaterializedCursor(trace); });
+         }},
+        {"sim_multicore", [=] { return multiCoreLane(sim, reps); }},
+        // abl09's real-I-cache machine (8 KB direct-mapped I-cache):
+        // run items whose NonMem runs are charged one fetch per
+        // I-cache line.
+        {"sim_icache",
+         [=] {
+             MachineConfig machine = baseline;
+             machine.perfectICache = false;
+             MaterializedTrace trace = compressTrace(sim, 1);
+             return simLane(machine, {}, sim, reps,
+                            [&] { return MaterializedCursor(trace); });
+         }},
+        // Figure 3 replay: the full benchmark grid at reduced length,
+        // one cold pass with the caches on.
+        {"fig03_replay",
+         [=] {
+             return gridLane(figures::figure03(), fig, fig / 10, true, 0,
+                             1);
+         }},
+        // The batched record-materializing decode: the per-variant
+        // replay cost that replaces per-variant generation in the
+        // grid.
+        {"trace_replay",
+         [=] { return decodeLane<TraceRecord>(min_seconds); }},
+        // The run-item decode (nextRuns): NonMem runs come back as
+        // counts instead of materialized filler records, the feed the
+        // simulator's batched dispatch consumes. Rated in records
+        // *covered*, which makes it comparable to trace_replay; the
+        // speedup gate holds it to >= 2.5x the pre-SoA trace_replay.
+        {"trace_replay_runs",
+         [=] { return decodeLane<TraceRun>(min_seconds); }},
+        // The Figure 4 grid (all benchmarks x buffer depths), run as
+        // a session runs it: the same sweep repeated in one process
+        // (figure re-renders, report iterations, cross-figure shared
+        // cells). One untimed priming pass in both modes, then timed
+        // passes measure the steady-state sweep cost. With the caches
+        // off every pass regenerates every trace and re-simulates
+        // every warmup; with them on, repeats replay materialized
+        // traces and fork measured runs off warm-state checkpoints.
+        {"grid_fig04_nocache", [=] { return fig04(false); }},
+        {"grid_fig04_cached", [=] { return fig04(true); }},
+        {"serve_codec", [=] { return serveCodec(codec_ops, 5); }},
+    };
+}
+
+/** The lane named @p name in @p results, or null. */
+const GateResult *
+findLane(const std::vector<GateResult> &results, const std::string &name)
+{
+    for (const GateResult &r : results)
+        if (r.name == name)
+            return &r;
+    return nullptr;
 }
 
 /**
@@ -713,6 +648,28 @@ measureTail()
 }
 
 /**
+ * Read and parse the baseline WBSIM_PERF_BASELINE names, once for
+ * every gate. @p doc stays null when none is named. @return false
+ * when one is named but cannot be read.
+ */
+bool
+readBaseline(obs::JsonValue &doc)
+{
+    const char *path = std::getenv("WBSIM_PERF_BASELINE");
+    if (path == nullptr || *path == '\0')
+        return true;
+    std::ifstream file(path);
+    if (!file) {
+        std::cerr << "perf_gate: cannot read baseline " << path << "\n";
+        return false;
+    }
+    std::string text((std::istreambuf_iterator<char>(file)),
+                     std::istreambuf_iterator<char>());
+    doc = obs::JsonValue::parse(text);
+    return true;
+}
+
+/**
  * Gate one tail metric: regressions beyond 10% (plus a two-cycle
  * absolute slack on the quantiles, which are bucket-quantised) fail.
  * @return true when acceptable.
@@ -731,27 +688,17 @@ tailMetricOk(const char *name, double measured, double baseline,
 }
 
 /**
- * Compare the measured tail against the committed baseline file, if
- * WBSIM_PERF_BASELINE names one with a tail block. @return false on
- * a tail regression.
+ * Compare the measured tail against the baseline @p doc's tail block,
+ * if it has one. @return false on a tail regression.
  */
 bool
-checkTailAgainstBaseline(const TailResult &tail)
+checkTailAgainstBaseline(const TailResult &tail, const obs::JsonValue &doc)
 {
-    const char *env = std::getenv("WBSIM_PERF_BASELINE");
-    if (env == nullptr || *env == '\0')
+    if (doc.isNull())
         return true;
-    std::ifstream file(env);
-    if (!file) {
-        std::cerr << "perf_gate: cannot read baseline " << env << "\n";
-        return false;
-    }
-    std::string text((std::istreambuf_iterator<char>(file)),
-                     std::istreambuf_iterator<char>());
-    obs::JsonValue doc = obs::JsonValue::parse(text);
     if (!doc.has("tail")) {
-        std::cout << "perf_gate: baseline " << env
-                  << " has no tail block; tail lane not gated\n";
+        std::cout << "perf_gate: baseline has no tail block; tail lane "
+                     "not gated\n";
         return true;
     }
     const obs::JsonValue &base = doc.at("tail");
@@ -768,6 +715,29 @@ checkTailAgainstBaseline(const TailResult &tail)
 }
 
 /**
+ * Every lane the baseline @p doc records must run here too; otherwise
+ * a renamed or dropped lane would silently leave its gate with
+ * nothing to check. @return false when one is missing.
+ */
+bool
+checkLanesAgainstBaseline(const std::vector<GateResult> &results,
+                          const obs::JsonValue &doc)
+{
+    if (!doc.has("results"))
+        return true;
+    bool ok = true;
+    for (const obs::JsonValue &entry : doc.at("results").array()) {
+        const std::string &name = entry.at("name").string();
+        if (findLane(results, name) == nullptr) {
+            std::cerr << "perf_gate: MISSING LANE: " << name
+                      << " is in the baseline but not in this run\n";
+            ok = false;
+        }
+    }
+    return ok;
+}
+
+/**
  * The pre-SoA reference rates the speedup gate divides by. Loaded
  * from the baseline file and copied forward into every file this
  * binary writes, so the reference survives regeneration.
@@ -780,24 +750,15 @@ struct SpeedupBaseline
 };
 
 /**
- * Read the speedup reference from WBSIM_PERF_BASELINE: prefer the
- * explicit `speedup_baseline` block; on a baseline that predates the
- * block (the pre-SoA BENCH_core.json itself), seed the reference
- * from its own sim_baseline / trace_replay lanes.
+ * The speedup reference in the baseline @p doc: prefer the explicit
+ * `speedup_baseline` block; on a baseline that predates the block
+ * (the pre-SoA BENCH_core.json itself), seed the reference from its
+ * own sim_baseline / trace_replay lanes.
  */
 SpeedupBaseline
-loadSpeedupBaseline()
+loadSpeedupBaseline(const obs::JsonValue &doc)
 {
     SpeedupBaseline base;
-    const char *env = std::getenv("WBSIM_PERF_BASELINE");
-    if (env == nullptr || *env == '\0')
-        return base;
-    std::ifstream file(env);
-    if (!file)
-        return base;
-    std::string text((std::istreambuf_iterator<char>(file)),
-                     std::istreambuf_iterator<char>());
-    obs::JsonValue doc = obs::JsonValue::parse(text);
     if (doc.has("speedup_baseline")) {
         const obs::JsonValue &block = doc.at("speedup_baseline");
         base.simBaseline =
@@ -824,7 +785,8 @@ loadSpeedupBaseline()
  * The speedup gate: sim_simd >= 3x the pre-SoA sim_baseline and
  * trace_replay_runs >= 2.5x the pre-SoA trace_replay. Ratios are
  * printed in every mode; only full mode fails on them (smoke lengths
- * are startup-dominated and CI runners are noisy).
+ * are startup-dominated and CI runners are noisy). A missing lane
+ * fails in every mode.
  * @return true when acceptable.
  */
 bool
@@ -833,16 +795,13 @@ checkSpeedupAgainstBaseline(const std::vector<GateResult> &results,
 {
     if (!base.present)
         return true;
-    auto find = [&](const char *name) -> const GateResult * {
-        for (const GateResult &r : results)
-            if (r.name == name)
-                return &r;
-        return nullptr;
-    };
-    const GateResult *simd = find("sim_simd");
-    const GateResult *runs = find("trace_replay_runs");
-    if (simd == nullptr || runs == nullptr)
-        return true;
+    const GateResult *simd = findLane(results, "sim_simd");
+    const GateResult *runs = findLane(results, "trace_replay_runs");
+    if (simd == nullptr || runs == nullptr) {
+        std::cerr << "perf_gate: MISSING LANE: the speedup gate needs "
+                     "sim_simd and trace_replay_runs\n";
+        return false;
+    }
     double sim_ratio = simd->opsPerSec / base.simBaseline;
     double replay_ratio = runs->opsPerSec / base.traceReplay;
     std::cout << "perf_gate: sim_simd = " << sim_ratio
@@ -928,12 +887,8 @@ int
 main()
 {
     bool smoke = envUint("WBSIM_PERF_SMOKE", 0) != 0;
-    double min_seconds = smoke ? 0.02 : 0.5;
-    Count sim_instructions = smoke ? 20'000 : 400'000;
-    Count fig_instructions = smoke ? 5'000 : 50'000;
-
-    Count grid_instructions = smoke ? 4'000 : 40'000;
-    int grid_passes = smoke ? 2 : 3;
+    obs::JsonValue baseline;
+    bool ok = readBaseline(baseline);
 
     if (envUint("WBSIM_TAIL_ONLY", 0) != 0) {
         TailResult tail = measureTail();
@@ -942,66 +897,37 @@ main()
                   << tail.p99ReadAccess << " episodes="
                   << tail.episodes << " max_episode="
                   << tail.maxEpisode << "\n";
-        return checkTailAgainstBaseline(tail) ? 0 : 1;
+        ok &= checkTailAgainstBaseline(tail, baseline);
+        return ok ? 0 : 1;
     }
 
     std::vector<GateResult> results;
-    results.push_back(storeMergeDepth12(min_seconds));
-    results.push_back(storeScatterDepth12(min_seconds));
-    results.push_back(probeLoadDepth12(min_seconds));
-    results.push_back(simulatorBaseline(sim_instructions));
-    results.push_back(simulatorObserved(sim_instructions));
-    {
-        const GateResult &plain = results[results.size() - 2];
-        const GateResult &observed = results.back();
-        std::cout << "perf_gate: sim_baseline_obs overhead = "
-                  << plain.opsPerSec / observed.opsPerSec << "x\n";
+    for (const Lane &lane : laneTable(smoke)) {
+        results.push_back(lane.run());
+        results.back().name = lane.name;
     }
-    results.push_back(simulatorPolicyLayer(sim_instructions));
-    results.push_back(simulatorSimd(sim_instructions, smoke ? 2 : 5));
-    {
-        const GateResult &plain = results[results.size() - 4];
-        const GateResult &simd = results.back();
-        std::cout << "perf_gate: sim_simd vs sim_baseline (this "
-                  << "build) = " << simd.opsPerSec / plain.opsPerSec
-                  << "x\n";
-    }
-    results.push_back(
-        simulatorMultiCore(sim_instructions, smoke ? 2 : 5));
-    {
-        const GateResult &simd = results[results.size() - 2];
-        const GateResult &multi = results.back();
-        std::cout << "perf_gate: sim_multicore per-instruction rate "
-                  << "= " << multi.opsPerSec / simd.opsPerSec
-                  << "x sim_simd\n";
-    }
-    results.push_back(simulatorICache(sim_instructions, smoke ? 2 : 5));
-    results.push_back(fig03Replay(fig_instructions));
-    results.push_back(traceReplay(min_seconds));
-    results.push_back(traceReplayRuns(min_seconds));
-    results.push_back(gridFig04("grid_fig04_nocache", false,
-                                grid_instructions, grid_passes));
-    results.push_back(gridFig04("grid_fig04_cached", true,
-                                grid_instructions, grid_passes));
-    {
-        const GateResult &nocache = results[results.size() - 2];
-        const GateResult &cached = results.back();
-        std::cout << "perf_gate: grid_fig04 cached speedup = "
-                  << cached.opsPerSec / nocache.opsPerSec << "x\n";
-    }
-    results.push_back(serveCodec(smoke ? 20 : 200, 5));
-    {
-        GateResult &codec = results.back();
-        for (const GateResult &r : results)
-            if (r.name == "sim_simd" && r.opsPerSec > 0.0)
-                codec.simSimdRatio = codec.opsPerSec / r.opsPerSec;
-        std::cout << "perf_gate: serve_codec = " << codec.opsPerSec
-                  << " ops/s (" << codec.simSimdRatio
-                  << "x sim_simd)\n";
-    }
+    auto rate = [&](const char *name) {
+        const GateResult *r = findLane(results, name);
+        return r != nullptr ? r->opsPerSec : 0.0;
+    };
+    double simd = rate("sim_simd");
+    for (GateResult &r : results)
+        if (simd > 0.0)
+            r.simSimdRatio = r.opsPerSec / simd;
+    std::cout << "perf_gate: sim_baseline_obs overhead = "
+              << rate("sim_baseline") / rate("sim_baseline_obs")
+              << "x\n"
+              << "perf_gate: sim_simd vs sim_baseline (this build) = "
+              << simd / rate("sim_baseline") << "x\n"
+              << "perf_gate: sim_multicore per-instruction rate = "
+              << rate("sim_multicore") / simd
+              << "x sim_simd\n"
+              << "perf_gate: grid_fig04 cached speedup = "
+              << rate("grid_fig04_cached") / rate("grid_fig04_nocache")
+              << "x\n";
 
     TailResult tail = measureTail();
-    SpeedupBaseline speedup_base = loadSpeedupBaseline();
+    SpeedupBaseline speedup_base = loadSpeedupBaseline(baseline);
 
     const char *env_out = std::getenv("WBSIM_PERF_OUT");
     std::string path = env_out ? env_out : "BENCH_core.json";
@@ -1013,7 +939,8 @@ main()
     writeJson(file, results, tail, speedup_base, smoke);
     writeJson(std::cout, results, tail, speedup_base, smoke);
     std::cout << "perf_gate: wrote " << path << "\n";
-    bool ok = checkTailAgainstBaseline(tail);
+    ok &= checkTailAgainstBaseline(tail, baseline);
+    ok &= checkLanesAgainstBaseline(results, baseline);
     ok &= checkSpeedupAgainstBaseline(results, speedup_base, smoke);
     return ok ? 0 : 1;
 }

@@ -307,8 +307,6 @@ RunnerOptions::fromEnvironment()
         envUint("WBSIM_WARMUP", options.instructions / 2);
     options.threads = defaultThreads();
     options.seed = envUint("WBSIM_SEED", 1);
-    options.materialize = envUint("WBSIM_MATERIALIZE", 1) != 0;
-    options.checkpoints = envUint("WBSIM_CHECKPOINTS", 1) != 0;
     return options;
 }
 

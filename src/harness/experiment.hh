@@ -62,15 +62,14 @@ struct RunnerOptions
     std::uint64_t seed = 1;
     /** Materialize each (benchmark, seed, length) trace once and
      *  replay it for every variant, instead of regenerating it per
-     *  cell; WBSIM_MATERIALIZE=0 disables. Without checkpoints, a
-     *  trace is materialized on its key's second use within the
-     *  grid cache's recent-key table: its first use streams from the
-     *  generator, so a trace used once (a serve miss with its own
-     *  seed) is never encoded or cached. */
+     *  cell. Without checkpoints, a trace is materialized on its
+     *  key's second use within the grid cache's recent-key table: its
+     *  first use streams from the generator, so a trace used once (a
+     *  serve miss with its own seed) is never encoded or cached. */
     bool materialize = true;
     /** Reuse warm-state checkpoints between cells with identical
      *  (benchmark, seed, warmup, machine fingerprint); implies
-     *  materialize. WBSIM_CHECKPOINTS=0 disables. */
+     *  materialize. */
     bool checkpoints = true;
     /** Observability sinks attached to every measured simulation
      *  (after warmup, so metrics cover the measured region only).

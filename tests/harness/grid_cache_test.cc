@@ -348,21 +348,15 @@ TEST(RunnerOptions, FromEnvironmentHonoursOverrides)
     setenv("WBSIM_WARMUP", "99", 1);
     setenv("WBSIM_SEED", "77", 1);
     setenv("WBSIM_THREADS", "3", 1);
-    setenv("WBSIM_MATERIALIZE", "0", 1);
-    setenv("WBSIM_CHECKPOINTS", "0", 1);
     RunnerOptions options = RunnerOptions::fromEnvironment();
     EXPECT_EQ(options.instructions, 4242u);
     EXPECT_EQ(options.warmup, 99u);
     EXPECT_EQ(options.seed, 77u);
     EXPECT_EQ(options.threads, 3u);
-    EXPECT_FALSE(options.materialize);
-    EXPECT_FALSE(options.checkpoints);
     unsetenv("WBSIM_INSTRUCTIONS");
     unsetenv("WBSIM_WARMUP");
     unsetenv("WBSIM_SEED");
     unsetenv("WBSIM_THREADS");
-    unsetenv("WBSIM_MATERIALIZE");
-    unsetenv("WBSIM_CHECKPOINTS");
 }
 
 TEST(RunnerOptions, FromEnvironmentDefaults)
@@ -371,8 +365,6 @@ TEST(RunnerOptions, FromEnvironmentDefaults)
     unsetenv("WBSIM_WARMUP");
     unsetenv("WBSIM_SEED");
     unsetenv("WBSIM_THREADS");
-    unsetenv("WBSIM_MATERIALIZE");
-    unsetenv("WBSIM_CHECKPOINTS");
     RunnerOptions options = RunnerOptions::fromEnvironment();
     EXPECT_EQ(options.instructions, 1'000'000u);
     EXPECT_EQ(options.warmup, 500'000u);
