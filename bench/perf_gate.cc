@@ -31,9 +31,10 @@
  * `trace_replay_runs` (run-item decode) >= 2.5x the pre-SoA
  * `trace_replay` rate. The pre-SoA reference rates ride along in the
  * baseline file's `speedup_baseline` block, which this binary copies
- * forward into every file it writes (seeding it from the baseline's
- * own lanes the first time), so regenerating BENCH_core.json never
- * loosens the gate. Wall-clock ratios are only meaningful on a quiet
+ * forward into every file it writes, so regenerating BENCH_core.json
+ * never moves the gate. A baseline with a `results` list but no such
+ * block fails in every mode: the reference is never re-derived from
+ * the current code's own lanes. Wall-clock ratios are only meaningful on a quiet
  * machine at full length, so smoke runs report them without gating.
  * With a baseline set, every lane it records must also run here: a
  * renamed lane fails the gate instead of switching its check off.
@@ -745,39 +746,26 @@ checkLanesAgainstBaseline(const std::vector<GateResult> &results,
 struct SpeedupBaseline
 {
     bool present = false;
+    /** The baseline has `results` but no `speedup_baseline` block. */
+    bool missing = false;
     double simBaseline = 0.0;  //!< pre-SoA sim_baseline ops/s
     double traceReplay = 0.0;  //!< pre-SoA trace_replay ops/s
 };
 
-/**
- * The speedup reference in the baseline @p doc: prefer the explicit
- * `speedup_baseline` block; on a baseline that predates the block
- * (the pre-SoA BENCH_core.json itself), seed the reference from its
- * own sim_baseline / trace_replay lanes.
- */
+/** The speedup reference in the baseline @p doc's
+ *  `speedup_baseline` block. */
 SpeedupBaseline
 loadSpeedupBaseline(const obs::JsonValue &doc)
 {
     SpeedupBaseline base;
-    if (doc.has("speedup_baseline")) {
-        const obs::JsonValue &block = doc.at("speedup_baseline");
-        base.simBaseline =
-            block.at("sim_baseline_ops_per_sec").number();
-        base.traceReplay =
-            block.at("trace_replay_ops_per_sec").number();
-        base.present = true;
+    if (!doc.has("speedup_baseline")) {
+        base.missing = doc.has("results");
         return base;
     }
-    if (!doc.has("results"))
-        return base;
-    for (const obs::JsonValue &entry : doc.at("results").array()) {
-        const std::string &name = entry.at("name").string();
-        if (name == "sim_baseline")
-            base.simBaseline = entry.at("ops_per_sec").number();
-        else if (name == "trace_replay")
-            base.traceReplay = entry.at("ops_per_sec").number();
-    }
-    base.present = base.simBaseline > 0.0 && base.traceReplay > 0.0;
+    const obs::JsonValue &block = doc.at("speedup_baseline");
+    base.simBaseline = block.at("sim_baseline_ops_per_sec").number();
+    base.traceReplay = block.at("trace_replay_ops_per_sec").number();
+    base.present = true;
     return base;
 }
 
@@ -785,14 +773,21 @@ loadSpeedupBaseline(const obs::JsonValue &doc)
  * The speedup gate: sim_simd >= 3x the pre-SoA sim_baseline and
  * trace_replay_runs >= 2.5x the pre-SoA trace_replay. Ratios are
  * printed in every mode; only full mode fails on them (smoke lengths
- * are startup-dominated and CI runners are noisy). A missing lane
- * fails in every mode.
+ * are startup-dominated and CI runners are noisy). A missing lane, or
+ * a baseline with `results` but no `speedup_baseline` block, fails in
+ * every mode.
  * @return true when acceptable.
  */
 bool
 checkSpeedupAgainstBaseline(const std::vector<GateResult> &results,
                             const SpeedupBaseline &base, bool smoke)
 {
+    if (base.missing) {
+        std::cerr << "perf_gate: MISSING BLOCK: the baseline has no "
+                     "speedup_baseline block; restore it from the "
+                     "committed BENCH_core.json\n";
+        return false;
+    }
     if (!base.present)
         return true;
     const GateResult *simd = findLane(results, "sim_simd");

@@ -284,6 +284,19 @@ class EntryStore
     /** occupancy() when scan-serving or cross-checking is on. */
     unsigned occupancySlow() const;
 
+    /** Bytes the lane arrays and the free-slot stack hold on the
+     *  heap. */
+    std::size_t
+    heapBytes() const
+    {
+        auto held = [](const auto &lane) {
+            return lane.capacity() * sizeof(lane[0]);
+        };
+        return held(base_) + held(valid_mask_) + held(seq_)
+            + held(last_use_) + held(alloc_cycle_) + held(valid_words_)
+            + held(occ_) + held(links_) + held(free_stack_);
+    }
+
     /** @name Reference scans (used by selectors and cross-checks). */
     /// @{
     unsigned naiveCountValid() const;

@@ -140,6 +140,18 @@ class WriteBuffer final
             new WriteBuffer(*this, port, std::move(hook)));
     }
 
+    /**
+     * Bytes this buffer holds: the object, its entry lanes and its
+     * occupancy histogram. The policy objects (a few words each) are
+     * left out.
+     */
+    std::size_t
+    bytes() const
+    {
+        return sizeof(*this) + store_.heapBytes()
+            + (stats_.occupancy.buckets() + 1) * sizeof(Count);
+    }
+
     /** True if a background retirement is in flight. */
     bool retirementUnderway() const { return engine_.inFlight(); }
 

@@ -33,30 +33,6 @@ constexpr bool kDebugBuild = false;
 constexpr bool kDebugBuild = true;
 #endif
 
-/** Map/key/control-block overhead charged per cached entry. */
-constexpr std::size_t kEntryOverhead = 256;
-
-/**
- * Approximate resident bytes of one warm-state checkpoint. The
- * dominant term is per-line cache state (tag + status per line in
- * every modelled cache); the rest (write buffer, ports, RNG) is a
- * small fixed cost. An estimate is enough here: the budget bounds
- * the cache to the right order of magnitude, it is not an allocator.
- */
-std::size_t
-approxSnapshotBytes(const MachineConfig &machine)
-{
-    auto lines = [](const CacheGeometry &g) {
-        return std::size_t(g.sizeBytes / g.lineBytes);
-    };
-    std::size_t count = lines(machine.l1d);
-    if (!machine.perfectICache)
-        count += lines(machine.l1i);
-    if (!machine.perfectL2)
-        count += lines(machine.l2);
-    return count * 32 + 4 * 1024 + kEntryOverhead;
-}
-
 /** Identity of one grid-cache entry. A trace is keyed by
  *  (benchmark, seed, length), a checkpoint by (benchmark, seed,
  *  warmup, machine state fingerprint). */
@@ -142,7 +118,7 @@ class GridCache
                     MaterializedTrace::build(source));
             },
             [](const TracePtr &t) {
-                return t->encodedBytes() + kEntryOverhead;
+                return t->encodedBytes() + kGridCacheEntryOverhead;
             },
             onReuse);
     }
@@ -165,8 +141,8 @@ class GridCache
                 return std::make_shared<const SimSnapshot>(
                     simulator.snapshot());
             },
-            [&machine](const SnapPtr &) {
-                return approxSnapshotBytes(machine);
+            [](const SnapPtr &snap) {
+                return snap->bytes() + kGridCacheEntryOverhead;
             });
     }
 

@@ -161,6 +161,10 @@ runMultiCore(const BenchmarkProfile &profile,
              const MachineConfig &machine,
              const RunnerOptions &options, std::uint64_t seed);
 
+/** Bytes the grid cache charges each entry beyond its value: the
+ *  map node, the key and the shared_ptr control block. */
+inline constexpr std::size_t kGridCacheEntryOverhead = 256;
+
 /** Hit/build/eviction counters and footprint for the process-wide
  *  grid caches. */
 struct GridCacheStats
@@ -175,7 +179,9 @@ struct GridCacheStats
     /** LRU evictions forced by the byte budget. */
     std::size_t traceEvictions = 0;
     std::size_t checkpointEvictions = 0;
-    /** Approximate bytes of resident traces and checkpoints. */
+    /** Bytes of resident traces and checkpoints: each trace's
+     *  encodedBytes() and each checkpoint's SimSnapshot::bytes(),
+     *  plus kGridCacheEntryOverhead per entry. */
     std::size_t cachedBytes = 0;
     /** Current byte budget; 0 = unbounded. */
     std::size_t budgetBytes = 0;
@@ -185,11 +191,11 @@ struct GridCacheStats
 GridCacheStats gridCacheStats();
 
 /**
- * Bound the process-wide grid caches to roughly @p bytes (0 =
- * unbounded, the CLI default). When a build pushes the footprint
- * over the budget, least-recently-used resolved entries are evicted
- * (in-flight builds are never evicted; waiters hold their own
- * futures, so eviction only forces a rebuild on the *next* ask).
+ * Bound the process-wide grid caches to @p bytes, as cachedBytes
+ * counts them (0 = unbounded, the CLI default). When a build pushes
+ * the footprint over the budget, least-recently-used resolved entries
+ * are evicted (in-flight builds are never evicted; waiters hold their
+ * own futures, so eviction only forces a rebuild on the *next* ask).
  * Traces and checkpoints share the one budget and one LRU order.
  * Long-running services (wbsim-serve) must set a budget — an
  * unbounded cache over an unbounded query stream is a leak.

@@ -409,8 +409,9 @@ ablationWbHitCost()
         machine.writeBuffer.highWaterMark = 8;
         machine.writeBuffer.hazardPolicy = LoadHazardPolicy::ReadFromWB;
         machine.writeBuffer.wbHitExtraCycles = extra;
-        exp.variants.push_back(
-            variant("+" + std::to_string(extra) + "-cycles", machine));
+        std::string label = "+";
+        label += std::to_string(extra) + "-cycles";
+        exp.variants.push_back(variant(label, machine));
     }
     return exp;
 }

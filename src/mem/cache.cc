@@ -1,5 +1,8 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+#include <limits>
+
 #include "util/bits.hh"
 #include "util/logging.hh"
 
@@ -123,6 +126,43 @@ Cache::forEachValidLine(const std::function<void(Addr, bool)> &fn) const
     for (const Line &line : lines_)
         if (line.valid)
             fn(line.tag, line.dirty);
+}
+
+Cache::Image
+Cache::image() const
+{
+    static_assert(sizeof(Image::Line) <= sizeof(Line),
+                  "an image line must not outgrow a cache line");
+    wbsim_assert(lines_.size()
+                     <= std::numeric_limits<std::uint32_t>::max(),
+                 "too many lines to image in ", name_);
+    Image image;
+    image.lines.reserve(validLines());
+    for (std::size_t i = 0; i < lines_.size(); ++i) {
+        const Line &line = lines_[i];
+        if (line.valid)
+            image.lines.push_back({line.tag, line.lastUse,
+                                   static_cast<std::uint32_t>(i),
+                                   line.dirty});
+    }
+    image.useClock = useClock_;
+    image.hits = hits_;
+    image.misses = misses_;
+    return image;
+}
+
+void
+Cache::restore(const Image &image)
+{
+    std::fill(lines_.begin(), lines_.end(), Line{});
+    for (const Image::Line &line : image.lines) {
+        wbsim_assert(line.index < lines_.size(), "image line ",
+                     line.index, " outside ", name_);
+        lines_[line.index] = {line.tag, true, line.dirty, line.lastUse};
+    }
+    useClock_ = image.useClock;
+    hits_ = image.hits;
+    misses_ = image.misses;
 }
 
 double

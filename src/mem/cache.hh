@@ -121,6 +121,9 @@ class Cache
     /** Number of currently valid lines. */
     std::uint64_t validLines() const;
 
+    /** Bytes of the line array, valid lines or not. */
+    std::size_t arrayBytes() const { return lines_.size() * sizeof(Line); }
+
     /** Invoke @p fn(blockAddr, dirty) for every valid line (for
      *  invariant checking and debugging; no LRU side effects). */
     void forEachValidLine(
@@ -133,6 +136,48 @@ class Cache
     double hitRate() const;
     void resetStats();
     /// @}
+
+    /**
+     * The cache's state as a warm-state checkpoint keeps it: its
+     * valid lines only, plus the LRU clock and the counters. An
+     * invalid line's tag and stamp are never read (findLine skips
+     * invalid ways; victimLine takes the first invalid way without
+     * looking further), so leaving them out loses nothing.
+     */
+    struct Image
+    {
+        /** One valid line, packed no larger than a line of the
+         *  cache's own array. */
+        struct Line
+        {
+            Addr tag = 0;
+            std::uint64_t lastUse = 0;
+            std::uint32_t index = 0; //!< slot in the line array
+            bool dirty = false;
+        };
+
+        std::vector<Line> lines;
+        std::uint64_t useClock = 0;
+        stats::Counter hits;
+        stats::Counter misses;
+
+        /** Bytes the line list holds on the heap. */
+        std::size_t
+        heapBytes() const
+        {
+            return lines.capacity() * sizeof(Line);
+        }
+    };
+
+    /** Capture the valid lines, the LRU clock and the counters. */
+    Image image() const;
+
+    /**
+     * Adopt @p image, which must come from a cache of the same
+     * geometry: every line not in it ends invalid, so no line of
+     * this cache's earlier contents survives.
+     */
+    void restore(const Image &image);
 
   private:
     struct Line

@@ -15,6 +15,23 @@ L1DataCache::fill(Addr addr)
     return tags_.allocate(addr, /*dirty=*/false);
 }
 
+L1DataCache::Image
+L1DataCache::image() const
+{
+    return {tags_.image(), load_hits_, load_misses_, store_hits_,
+            store_misses_};
+}
+
+void
+L1DataCache::restore(const Image &image)
+{
+    tags_.restore(image.tags);
+    load_hits_ = image.loadHits;
+    load_misses_ = image.loadMisses;
+    store_hits_ = image.storeHits;
+    store_misses_ = image.storeMisses;
+}
+
 double
 L1DataCache::loadHitRate()  const
 {

@@ -76,6 +76,20 @@ class L1DataCache
     void resetStats();
     /// @}
 
+    /** The cache as a checkpoint keeps it (see Cache::Image). */
+    struct Image
+    {
+        Cache::Image tags;
+        stats::Counter loadHits;
+        stats::Counter loadMisses;
+        stats::Counter storeHits;
+        stats::Counter storeMisses;
+    };
+
+    Image image() const;
+    /** Adopt @p image (same geometry): see Cache::restore. */
+    void restore(const Image &image);
+
   private:
     Cache tags_;
     stats::Counter load_hits_;

@@ -39,6 +39,26 @@ L1ICache::resetStats()
         tags_->resetStats();
 }
 
+L1ICache::Image
+L1ICache::image() const
+{
+    Image image{std::nullopt, hits_, misses_};
+    if (tags_)
+        image.tags = tags_->image();
+    return image;
+}
+
+void
+L1ICache::restore(const Image &image)
+{
+    wbsim_assert(tags_.has_value() == image.tags.has_value(),
+                 "I-cache image of the other mode");
+    if (tags_)
+        tags_->restore(*image.tags);
+    hits_ = image.hits;
+    misses_ = image.misses;
+}
+
 double
 L1ICache::hitRate() const
 {

@@ -61,6 +61,18 @@ class L1ICache
     /** Reset counters (content retained): for warmup support. */
     void resetStats();
 
+    /** The cache as a checkpoint keeps it (see Cache::Image). */
+    struct Image
+    {
+        std::optional<Cache::Image> tags; //!< empty when perfect
+        stats::Counter hits;
+        stats::Counter misses;
+    };
+
+    Image image() const;
+    /** Adopt @p image (same mode and geometry): see Cache::restore. */
+    void restore(const Image &image);
+
   private:
     std::optional<Cache> tags_;
     stats::Counter hits_;

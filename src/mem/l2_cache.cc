@@ -1,5 +1,7 @@
 #include "mem/l2_cache.hh"
 
+#include "util/logging.hh"
+
 namespace wbsim
 {
 
@@ -79,6 +81,29 @@ L2Cache::resetStats()
     read_misses_.reset();
     write_hits_.reset();
     write_misses_.reset();
+}
+
+L2Cache::Image
+L2Cache::image() const
+{
+    Image image{std::nullopt, read_hits_, read_misses_, write_hits_,
+                write_misses_};
+    if (tags_)
+        image.tags = tags_->image();
+    return image;
+}
+
+void
+L2Cache::restore(const Image &image)
+{
+    wbsim_assert(tags_.has_value() == image.tags.has_value(),
+                 "L2 image of the other mode");
+    if (tags_)
+        tags_->restore(*image.tags);
+    read_hits_ = image.readHits;
+    read_misses_ = image.readMisses;
+    write_hits_ = image.writeHits;
+    write_misses_ = image.writeMisses;
 }
 
 double

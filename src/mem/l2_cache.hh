@@ -82,6 +82,20 @@ class L2Cache
     void resetStats();
     /// @}
 
+    /** The cache as a checkpoint keeps it (see Cache::Image). */
+    struct Image
+    {
+        std::optional<Cache::Image> tags; //!< empty when perfect
+        stats::Counter readHits;
+        stats::Counter readMisses;
+        stats::Counter writeHits;
+        stats::Counter writeMisses;
+    };
+
+    Image image() const;
+    /** Adopt @p image (same mode and geometry): see Cache::restore. */
+    void restore(const Image &image);
+
   private:
     std::optional<Cache> tags_;
     stats::Counter read_hits_;

@@ -261,7 +261,8 @@ class FieldReader
         if (error_.empty()) {
             error_ = where_;
             if (index_ != kNoIndex)
-                error_ += "[" + std::to_string(index_) + "]";
+                error_.append("[").append(std::to_string(index_))
+                    .append("]");
             error_ += ": " + what;
         }
         ok_ = false;

@@ -57,13 +57,23 @@ Simulator::makeL2WriteHook()
     };
 }
 
+std::size_t
+SimSnapshot::bytes() const
+{
+    auto lines = [](const std::optional<Cache::Image> &tags) {
+        return tags ? tags->heapBytes() : 0;
+    };
+    return sizeof(*this) + l1d.tags.heapBytes() + lines(l1i.tags)
+        + lines(l2.tags) + sizeof(*port) + buffer->bytes();
+}
+
 SimSnapshot
 Simulator::snapshot() const
 {
     SimSnapshot snap{config_.stateFingerprint(),
-                     l1d_,
-                     l1i_,
-                     l2_,
+                     l1d_.image(),
+                     l1i_.image(),
+                     l2_.image(),
                      memory_,
                      std::make_unique<L2Port>(port_),
                      nullptr,
@@ -98,9 +108,9 @@ Simulator::restore(const SimSnapshot &snap)
 {
     wbsim_assert(snap.configFingerprint == config_.stateFingerprint(),
                  "snapshot restored into a different machine config");
-    l1d_ = snap.l1d;
-    l1i_ = snap.l1i;
-    l2_ = snap.l2;
+    l1d_.restore(snap.l1d);
+    l1i_.restore(snap.l1i);
+    l2_.restore(snap.l2);
     memory_ = snap.memory;
     // The snapshot's port copy carries its creator's bus attachment;
     // this simulator's own attachment (usually none) wins.

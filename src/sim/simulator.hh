@@ -42,6 +42,10 @@ namespace wbsim
  * same MachineConfig, any number of times (the grid runner forks
  * many measured runs off one warm image).
  *
+ * Each cache is kept as an image of its valid lines (Cache::Image),
+ * so a checkpoint of a large, mostly cold L2 costs what its warm
+ * lines do, not what the whole array does.
+ *
  * Move-only. The embedded buffer clone is bound to the snapshot's
  * own port copy and is never advanced; it exists purely as a state
  * carrier for the next cloneRebound().
@@ -49,9 +53,9 @@ namespace wbsim
 struct SimSnapshot
 {
     std::uint64_t configFingerprint = 0;
-    L1DataCache l1d;
-    L1ICache l1i;
-    L2Cache l2;
+    L1DataCache::Image l1d;
+    L1ICache::Image l1i;
+    L2Cache::Image l2;
     MainMemory memory;
     std::unique_ptr<L2Port> port;
     std::unique_ptr<WriteBuffer> buffer;
@@ -71,6 +75,11 @@ struct SimSnapshot
     Count barrierStallCycles = 0;
     Count storeFetches = 0;
     Count storeFetchCycles = 0;
+
+    /** Bytes this snapshot holds: its fields, the cache images'
+     *  lines, the port copy and the buffer clone (WriteBuffer::
+     *  bytes). What the grid cache charges a checkpoint. */
+    std::size_t bytes() const;
 };
 
 /** One simulated machine; run one trace through it. */

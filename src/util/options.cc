@@ -44,15 +44,13 @@ Options::parse(int argc, const char *const *argv)
         if (it->second.is_flag) {
             if (has_value)
                 wbsim_fatal("flag --", name, " takes no value");
-            values_[name] = "1";
-        } else {
-            if (!has_value) {
-                if (i + 1 >= argc)
-                    wbsim_fatal("option --", name, " needs a value");
-                value = argv[++i];
-            }
-            values_[name] = value;
+            value.assign(1, '1');
+        } else if (!has_value) {
+            if (i + 1 >= argc)
+                wbsim_fatal("option --", name, " needs a value");
+            value = argv[++i];
         }
+        values_[name] = std::move(value);
     }
 }
 

@@ -12,6 +12,9 @@
 
 #include "harness/experiment.hh"
 #include "harness/figures.hh"
+#include "sim/simulator.hh"
+#include "trace/materialized_trace.hh"
+#include "workloads/generator.hh"
 #include "workloads/spec92.hh"
 
 namespace wbsim
@@ -240,6 +243,43 @@ TEST(GridCacheFuzz, ForkResumedMatchesFromScratchAcrossVariants)
                 << "variant " << v << " seed " << seed;
         }
     }
+}
+
+TEST(GridCache, ChargesEachEntryItsExactBytes)
+{
+    clearGridCaches();
+    setGridCacheByteBudget(0);
+    BenchmarkProfile profile = spec92::profile("li");
+    MachineConfig perfect;
+    MachineConfig real = perfect;
+    real.perfectL2 = false;
+    real.perfectICache = false;
+    RunnerOptions options = tinyOptions(1, true, true);
+    const Count length = options.instructions + options.warmup;
+
+    // Two traces and four checkpoints; each built again here as the
+    // grid cache builds it, to read its size.
+    std::size_t expected = 0;
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        SyntheticSource source(profile, length, seed);
+        MaterializedTrace trace = MaterializedTrace::build(source);
+        expected += trace.encodedBytes() + kGridCacheEntryOverhead;
+        for (const MachineConfig &machine : {perfect, real}) {
+            runOne(profile, machine, options, seed);
+            Simulator simulator(machine);
+            MaterializedCursor cursor(trace);
+            ASSERT_EQ(simulator.consume(cursor, options.warmup),
+                      options.warmup);
+            simulator.resetStats();
+            expected +=
+                simulator.snapshot().bytes() + kGridCacheEntryOverhead;
+        }
+    }
+    GridCacheStats stats = gridCacheStats();
+    EXPECT_EQ(stats.traceBuilds, 2u);
+    EXPECT_EQ(stats.checkpointBuilds, 4u);
+    EXPECT_EQ(stats.cachedBytes, expected);
+    clearGridCaches();
 }
 
 TEST(GridCacheBudget, EvictsLruUnderByteBudgetAndStaysCorrect)

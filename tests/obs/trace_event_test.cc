@@ -22,13 +22,11 @@ namespace
 Provenance
 testProvenance()
 {
-    Provenance p;
-    p.machineFingerprint = 7;
-    p.machine = "m";
-    p.seed = 1;
-    p.instructions = 100;
-    p.warmup = 0;
-    return p;
+    return Provenance{.machineFingerprint = 7,
+                      .machine = "m",
+                      .seed = 1,
+                      .instructions = 100,
+                      .warmup = 0};
 }
 
 /** Events named @p name in the traceEvents array. */
