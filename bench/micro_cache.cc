@@ -5,7 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "mem/cache.hh"
+#include "util/random.hh"
 
 namespace
 {
@@ -26,6 +29,28 @@ BM_CacheHit(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheHit);
+
+void
+BM_CacheHitLarge(benchmark::State &state)
+{
+    // A full 1 MB 4-way array (8192 sets) is far larger than a host
+    // L1, and random resident lines defeat the prefetcher.
+    const CacheGeometry geometry{1024 * 1024, 32, 4};
+    Cache cache(geometry, "bench");
+    for (Addr a = 0; a < geometry.sizeBytes; a += 32)
+        cache.allocate(a);
+    Rng rng(1);
+    std::vector<Addr> addrs(1 << 16);
+    for (Addr &addr : addrs)
+        addr = rng.nextBelow(geometry.sizeBytes / 32) * 32;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cache.access(addrs[i]));
+        i = (i + 1) & (addrs.size() - 1);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheHitLarge);
 
 void
 BM_CacheMissAllocate(benchmark::State &state)

@@ -1,7 +1,6 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/bits.hh"
 #include "util/logging.hh"
@@ -31,6 +30,8 @@ CacheGeometry::validationError(const std::string &what) const
                       "must be powers of two";
     if (lineBytes * associativity > sizeBytes)
         return what + ": cache smaller than one set";
+    if (lineBytes < 4)
+        return what + ": cache lines must be at least 4 bytes";
     return "";
 }
 
@@ -39,29 +40,9 @@ Cache::Cache(const CacheGeometry &geometry, std::string name)
 {
     geometry_.validate(name_);
     lines_.resize(geometry_.sets() * geometry_.associativity);
+    ways_ = geometry_.associativity;
     setShift_ = exactLog2(geometry_.lineBytes);
     setMask_ = geometry_.sets() - 1;
-}
-
-Addr
-Cache::blockAlign(Addr addr) const
-{
-    return alignDown(addr, geometry_.lineBytes);
-}
-
-Cache::Line *
-Cache::victimLine(Addr addr)
-{
-    std::size_t base = setIndex(addr) * geometry_.associativity;
-    Line *victim = nullptr;
-    for (std::size_t w = 0; w < geometry_.associativity; ++w) {
-        Line &line = lines_[base + w];
-        if (!line.valid)
-            return &line; // free way: no eviction needed
-        if (!victim || line.lastUse < victim->lastUse)
-            victim = &line;
-    }
-    return victim;
 }
 
 std::optional<Eviction>
@@ -69,83 +50,73 @@ Cache::allocate(Addr addr, bool dirty)
 {
     wbsim_assert(!probe(addr), "allocating a line that is present in ",
                  name_);
-    Line *victim = victimLine(addr);
+    // The victim: the first invalid way, else the last way, which
+    // holds the LRU line of a full set.
+    Addr *set = setOf(addr);
+    std::size_t way = 0;
+    while (way + 1 < ways_ && (set[way] & kValid))
+        ++way;
     std::optional<Eviction> eviction;
-    if (victim->valid)
-        eviction = Eviction{victim->tag, victim->dirty};
-    victim->tag = blockAlign(addr);
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->lastUse = ++useClock_;
+    if (set[way] & kValid)
+        eviction = Eviction{set[way] & ~kFlags, (set[way] & kDirty) != 0};
+    else
+        ++valid_;
+    set[way] = blockAlign(addr) | (dirty ? kDirty : 0) | kValid;
+    promote(set, way);
     return eviction;
 }
 
 bool
 Cache::setDirty(Addr addr)
 {
-    if (Line *line = findLine(addr)) {
-        line->dirty = true;
-        return true;
-    }
-    return false;
+    Addr *set = setOf(addr);
+    std::size_t way = findWay(set, addr);
+    if (way == ways_)
+        return false;
+    set[way] |= kDirty;
+    return true;
 }
 
 bool
 Cache::invalidate(Addr addr)
 {
-    if (Line *line = findLine(addr)) {
-        line->valid = false;
-        line->dirty = false;
-        return true;
-    }
-    return false;
+    Addr *set = setOf(addr);
+    std::size_t way = findWay(set, addr);
+    if (way == ways_)
+        return false;
+    // The less recent lines each move up one way to close the gap.
+    std::copy(set + way + 1, set + ways_, set + way);
+    set[ways_ - 1] = 0;
+    --valid_;
+    return true;
 }
 
 void
 Cache::invalidateAll()
 {
-    for (Line &line : lines_) {
-        line.valid = false;
-        line.dirty = false;
-    }
-}
-
-std::uint64_t
-Cache::validLines() const
-{
-    std::uint64_t n = 0;
-    for (const Line &line : lines_)
-        if (line.valid)
-            ++n;
-    return n;
+    std::fill(lines_.begin(), lines_.end(), Addr{0});
+    valid_ = 0;
 }
 
 void
 Cache::forEachValidLine(const std::function<void(Addr, bool)> &fn) const
 {
-    for (const Line &line : lines_)
-        if (line.valid)
-            fn(line.tag, line.dirty);
+    for (Addr line : lines_)
+        if (line & kValid)
+            fn(line & ~kFlags, (line & kDirty) != 0);
 }
 
 Cache::Image
 Cache::image() const
 {
-    static_assert(sizeof(Image::Line) <= sizeof(Line),
-                  "an image line must not outgrow a cache line");
-    wbsim_assert(lines_.size()
-                     <= std::numeric_limits<std::uint32_t>::max(),
-                 "too many lines to image in ", name_);
+    static_assert(sizeof(Image::Line) == sizeof(Addr),
+                  "an image line must not outgrow a tag word");
     Image image;
-    image.lines.reserve(validLines());
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-        const Line &line = lines_[i];
-        if (line.valid)
-            image.lines.push_back({line.tag, line.lastUse,
-                                   static_cast<std::uint32_t>(i),
-                                   line.dirty});
-    }
-    image.useClock = useClock_;
+    image.lines.reserve(valid_);
+    for (Addr line : lines_)
+        if (line & kValid)
+            image.lines.push_back({line >> kFlagBits,
+                                   (line & kDirty) != 0});
     image.hits = hits_;
     image.misses = misses_;
     return image;
@@ -154,13 +125,20 @@ Cache::image() const
 void
 Cache::restore(const Image &image)
 {
-    std::fill(lines_.begin(), lines_.end(), Line{});
+    invalidateAll();
+    // image() lists a set's lines together, MRU first, so each line
+    // takes the next way of its set.
+    const Addr *previous = nullptr;
+    std::size_t way = 0;
     for (const Image::Line &line : image.lines) {
-        wbsim_assert(line.index < lines_.size(), "image line ",
-                     line.index, " outside ", name_);
-        lines_[line.index] = {line.tag, true, line.dirty, line.lastUse};
+        Addr block = Addr{line.tag} << kFlagBits;
+        Addr *set = setOf(block);
+        way = set == previous ? way + 1 : 0;
+        previous = set;
+        wbsim_assert(way < ways_, "image overfills a set of ", name_);
+        set[way] = block | (line.dirty ? kDirty : 0) | kValid;
     }
-    useClock_ = image.useClock;
+    valid_ = image.lines.size();
     hits_ = image.hits;
     misses_ = image.misses;
 }

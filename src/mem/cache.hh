@@ -6,6 +6,13 @@
  * this one answer hit/miss/eviction questions, while all cycle
  * accounting happens in the Simulator. No data values are modelled;
  * the paper's study depends only on address behaviour.
+ *
+ * Each line is one 8-B word: the line-aligned tag with the valid and
+ * dirty bits in its low bits. LRU needs no stamps: each set keeps
+ * its valid lines in its first ways, most recent first, so a hit
+ * moves its line to way 0, and a fill enters at way 0 and pushes the
+ * set's LRU line out of the last way. A checkpoint image is the
+ * valid words in array order (DESIGN.md §7).
  */
 
 #ifndef WBSIM_MEM_CACHE_HH
@@ -53,6 +60,16 @@ struct Eviction
  */
 class Cache
 {
+    /** @name A line's tag word: block address | kDirty | kValid.
+     *  Lines are at least 4 B (validate()), so a block address
+     *  leaves the two flag bits clear. An invalid line's word is 0. */
+    /// @{
+    static constexpr unsigned kFlagBits = 2;
+    static constexpr Addr kValid = 1;
+    static constexpr Addr kDirty = 2;
+    static constexpr Addr kFlags = kValid | kDirty;
+    /// @}
+
   public:
     Cache(const CacheGeometry &geometry, std::string name);
 
@@ -60,47 +77,61 @@ class Cache
     const std::string &name() const { return name_; }
 
     /** Line-align an address. */
-    Addr blockAlign(Addr addr) const;
+    Addr
+    blockAlign(Addr addr) const
+    {
+        return alignDown(addr, geometry_.lineBytes);
+    }
 
     /**
-     * Look up @p addr; promotes the line to MRU on hit.
+     * Look up @p addr; promotes the line to MRU on hit, and marks it
+     * dirty as well when @p make_dirty is set.
      * @return true on hit.
      */
     bool
-    access(Addr addr)
+    access(Addr addr, bool make_dirty = false)
     {
-        if (Line *line = findLine(addr)) {
-            line->lastUse = ++useClock_;
-            ++hits_;
-            return true;
+        Addr *set = setOf(addr);
+        std::size_t way = findWay(set, addr);
+        if (way == ways_) {
+            ++misses_;
+            return false;
         }
-        ++misses_;
-        return false;
+        if (make_dirty)
+            set[way] |= kDirty;
+        promote(set, way);
+        ++hits_;
+        return true;
     }
 
     /**
      * Exactly @p n access(addr) calls in O(1): the tags, the LRU
-     * clock and the hit/miss counters end as n back-to-back lookups
-     * would leave them (n hits stamping the line n times, or n
-     * misses allocating nothing).
+     * order and the hit/miss counters end as n back-to-back lookups
+     * would leave them (n hits promoting the line once, or n misses
+     * allocating nothing).
      * @return true on hit.
      */
     WBSIM_HOT bool
     touchRepeat(Addr addr, Count n)
     {
-        if (Line *line = findLine(addr)) {
-            useClock_ += n;
-            if (n != 0)
-                line->lastUse = useClock_;
-            hits_ += n;
-            return true;
+        Addr *set = setOf(addr);
+        std::size_t way = findWay(set, addr);
+        if (way == ways_) {
+            misses_ += n;
+            return false;
         }
-        misses_ += n;
-        return false;
+        if (n != 0)
+            promote(set, way);
+        hits_ += n;
+        return true;
     }
 
     /** Look up without disturbing replacement state. */
-    bool probe(Addr addr) const { return findLine(addr) != nullptr; }
+    bool
+    probe(Addr addr) const
+    {
+        return findWay(setOf(addr), addr) != ways_;
+    }
 
     /**
      * Insert the line containing @p addr (must not be present),
@@ -119,10 +150,14 @@ class Cache
     void invalidateAll();
 
     /** Number of currently valid lines. */
-    std::uint64_t validLines() const;
+    std::uint64_t validLines() const { return valid_; }
 
     /** Bytes of the line array, valid lines or not. */
-    std::size_t arrayBytes() const { return lines_.size() * sizeof(Line); }
+    std::size_t
+    arrayBytes() const
+    {
+        return lines_.size() * sizeof(Addr);
+    }
 
     /** Invoke @p fn(blockAddr, dirty) for every valid line (for
      *  invariant checking and debugging; no LRU side effects). */
@@ -139,25 +174,22 @@ class Cache
 
     /**
      * The cache's state as a warm-state checkpoint keeps it: its
-     * valid lines only, plus the LRU clock and the counters. An
-     * invalid line's tag and stamp are never read (findLine skips
-     * invalid ways; victimLine takes the first invalid way without
-     * looking further), so leaving them out loses nothing.
+     * valid lines in array order, plus the counters. Each set's valid
+     * lines fill its first ways, most recent first, so the order of
+     * the list alone gives every line its way and its LRU rank.
      */
     struct Image
     {
-        /** One valid line, packed no larger than a line of the
-         *  cache's own array. */
+        /** One valid line in 8 B: its block address, whose flag bits
+         *  are always clear, shifted down past them, and its dirty
+         *  bit. */
         struct Line
         {
-            Addr tag = 0;
-            std::uint64_t lastUse = 0;
-            std::uint32_t index = 0; //!< slot in the line array
-            bool dirty = false;
+            Addr tag : 64 - kFlagBits = 0;
+            bool dirty : 1 = false;
         };
 
         std::vector<Line> lines;
-        std::uint64_t useClock = 0;
         stats::Counter hits;
         stats::Counter misses;
 
@@ -169,7 +201,7 @@ class Cache
         }
     };
 
-    /** Capture the valid lines, the LRU clock and the counters. */
+    /** Capture the valid lines and the counters. */
     Image image() const;
 
     /**
@@ -180,43 +212,47 @@ class Cache
     void restore(const Image &image);
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0; //!< LRU timestamp
-    };
-
     CacheGeometry geometry_;
     std::string name_;
-    std::vector<Line> lines_;
+    /** One tag word per line, set by set; each set's valid lines
+     *  fill its first ways, MRU at way 0. */
+    std::vector<Addr> lines_;
+    std::size_t ways_;
     std::uint64_t setShift_;
     std::uint64_t setMask_;
-    std::uint64_t useClock_ = 0;
+    std::uint64_t valid_ = 0;
     stats::Counter hits_;
     stats::Counter misses_;
 
-    Line *
-    findLine(Addr addr)
+    Addr *setOf(Addr addr) { return &lines_[setIndex(addr) * ways_]; }
+
+    const Addr *
+    setOf(Addr addr) const
     {
-        Addr tag = alignDown(addr, geometry_.lineBytes);
-        std::size_t base = setIndex(addr) * geometry_.associativity;
-        for (std::size_t w = 0; w < geometry_.associativity; ++w) {
-            Line &line = lines_[base + w];
-            if (line.valid && line.tag == tag)
-                return &line;
-        }
-        return nullptr;
+        return &lines_[setIndex(addr) * ways_];
     }
 
-    const Line *
-    findLine(Addr addr) const
+    /** The way of @p set that holds @p addr, or ways_ if none. */
+    std::size_t
+    findWay(const Addr *set, Addr addr) const
     {
-        return const_cast<Cache *>(this)->findLine(addr);
+        const Addr key = blockAlign(addr) | kValid;
+        for (std::size_t w = 0; w < ways_; ++w)
+            if ((set[w] & ~kDirty) == key)
+                return w;
+        return ways_;
     }
 
-    Line *victimLine(Addr addr);
+    /** Make the line in @p way the set's MRU line: it moves to way 0
+     *  and the more recent lines each move down one way. */
+    static void
+    promote(Addr *set, std::size_t way)
+    {
+        const Addr line = set[way];
+        for (; way > 0; --way)
+            set[way] = set[way - 1];
+        set[0] = line;
+    }
 
     std::size_t
     setIndex(Addr addr) const

@@ -24,7 +24,7 @@ L2Cache::recordEviction(const std::optional<Eviction> &eviction,
 {
     if (!eviction)
         return;
-    outcome.invalidations.push_back(eviction->blockAddr);
+    outcome.invalidation = eviction->blockAddr;
     if (eviction->dirty)
         outcome.dirtyWriteBack = true;
 }
@@ -56,8 +56,7 @@ L2Cache::write(Addr addr, bool full_line)
         ++write_hits_;
         return outcome;
     }
-    if (tags_->access(addr)) {
-        tags_->setDirty(addr);
+    if (tags_->access(addr, /*make_dirty=*/true)) {
         ++write_hits_;
         return outcome;
     }

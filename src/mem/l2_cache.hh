@@ -12,7 +12,6 @@
 #define WBSIM_MEM_L2_CACHE_HH
 
 #include <optional>
-#include <vector>
 
 #include "mem/cache.hh"
 
@@ -28,9 +27,9 @@ struct L2Outcome
     bool memoryFetch = false;
     /** A dirty line was written back to memory. */
     bool dirtyWriteBack = false;
-    /** Lines evicted from L2; L1 must back-invalidate these to keep
-     *  strict inclusion. Empty for perfect L2. */
-    std::vector<Addr> invalidations;
+    /** The line evicted from L2, if any; L1 must back-invalidate it
+     *  to keep strict inclusion. Never set for perfect L2. */
+    std::optional<Addr> invalidation;
 };
 
 /** Perfect or real unified write-back L2. */

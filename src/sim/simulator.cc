@@ -175,8 +175,8 @@ Simulator::l2Write(Addr base, unsigned valid_words, unsigned total_words,
     }
     if (outcome.dirtyWriteBack)
         memory_.writeBack(start + duration);
-    for (Addr addr : outcome.invalidations)
-        l1d_.invalidate(addr);
+    if (outcome.invalidation)
+        l1d_.invalidate(*outcome.invalidation);
     if (event_log_)
         event_log_->record(start, SimEventKind::WbWrite, base,
                            valid_words);
@@ -265,8 +265,8 @@ Simulator::l2DemandRead(Addr addr, Cycle earliest, Count &stall_cycles,
     }
     if (outcome.dirtyWriteBack)
         memory_.writeBack(done);
-    for (Addr line : outcome.invalidations)
-        l1d_.invalidate(line);
+    if (outcome.invalidation)
+        l1d_.invalidate(*outcome.invalidation);
     return done;
 }
 

@@ -22,7 +22,7 @@ TEST(L2Cache, PerfectAlwaysHits)
         L2Outcome read = l2.read(a);
         EXPECT_TRUE(read.hit);
         EXPECT_FALSE(read.memoryFetch);
-        EXPECT_TRUE(read.invalidations.empty());
+        EXPECT_FALSE(read.invalidation.has_value());
         L2Outcome write = l2.write(a, false);
         EXPECT_TRUE(write.hit);
         EXPECT_FALSE(write.memoryFetch);
@@ -48,8 +48,8 @@ TEST(L2Cache, EvictionReportsInclusionInvalidation)
     L2Cache l2(CacheGeometry{2048, 32, 1}); // 64 sets
     l2.read(0x0);
     L2Outcome outcome = l2.read(0x800); // aliases set 0
-    ASSERT_EQ(outcome.invalidations.size(), 1u);
-    EXPECT_EQ(outcome.invalidations[0], 0x0u);
+    ASSERT_TRUE(outcome.invalidation.has_value());
+    EXPECT_EQ(*outcome.invalidation, 0x0u);
     EXPECT_FALSE(outcome.dirtyWriteBack); // clean line
 }
 
@@ -116,7 +116,7 @@ TEST(L2Cache, AssociativityAbsorbsAliases)
     L2Cache l2(CacheGeometry{2048, 32, 2}); // 32 sets, 2-way
     l2.read(0x0);
     L2Outcome outcome = l2.read(0x400); // same set, second way
-    EXPECT_TRUE(outcome.invalidations.empty());
+    EXPECT_FALSE(outcome.invalidation.has_value());
     EXPECT_TRUE(l2.probe(0x0));
     EXPECT_TRUE(l2.probe(0x400));
 }
