@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "util/bits.hh"
+#include "util/enum_names.hh"
 #include "util/logging.hh"
 
 namespace wbsim
@@ -10,79 +11,28 @@ namespace wbsim
 namespace
 {
 
-/**
- * The policy name registry: one table per enum, shared by the
- * *Name() helpers and their parse*() inverses so CLI strings,
- * describe(), and the policy factory can never disagree.
- */
-template <typename Enum>
-struct PolicyName
-{
-    Enum value;
-    const char *name;
-};
-
-constexpr PolicyName<LoadHazardPolicy> kHazardNames[] = {
+constexpr EnumName<LoadHazardPolicy> kHazardNames[] = {
     {LoadHazardPolicy::FlushFull, "flush-full"},
     {LoadHazardPolicy::FlushPartial, "flush-partial"},
     {LoadHazardPolicy::FlushItemOnly, "flush-item-only"},
     {LoadHazardPolicy::ReadFromWB, "read-from-WB"},
 };
 
-constexpr PolicyName<RetirementMode> kModeNames[] = {
+constexpr EnumName<RetirementMode> kModeNames[] = {
     {RetirementMode::Occupancy, "occupancy"},
     {RetirementMode::FixedRate, "fixed-rate"},
     {RetirementMode::Paced, "paced"},
 };
 
-constexpr PolicyName<RetirementOrder> kOrderNames[] = {
+constexpr EnumName<RetirementOrder> kOrderNames[] = {
     {RetirementOrder::Fifo, "fifo"},
     {RetirementOrder::FullestFirst, "fullest-first"},
 };
 
-constexpr PolicyName<BufferKind> kKindNames[] = {
+constexpr EnumName<BufferKind> kKindNames[] = {
     {BufferKind::WriteBuffer, "write-buffer"},
     {BufferKind::WriteCache, "write-cache"},
 };
-
-template <typename Enum, std::size_t N>
-const char *
-nameOf(const PolicyName<Enum> (&table)[N], Enum value)
-{
-    for (const auto &row : table)
-        if (row.value == value)
-            return row.name;
-    return "?";
-}
-
-template <typename Enum, std::size_t N>
-bool
-tryParseName(const PolicyName<Enum> (&table)[N], std::string_view name,
-             Enum &out)
-{
-    for (const auto &row : table) {
-        if (row.name == name) {
-            out = row.value;
-            return true;
-        }
-    }
-    return false;
-}
-
-template <typename Enum, std::size_t N>
-Enum
-parseName(const PolicyName<Enum> (&table)[N], std::string_view name,
-          const char *what)
-{
-    Enum value{};
-    if (tryParseName(table, name, value))
-        return value;
-    std::ostringstream known;
-    for (const auto &row : table)
-        known << (known.tellp() > 0 ? ", " : "") << row.name;
-    wbsim_fatal("unknown ", what, " '", std::string(name),
-                "' (expected one of: ", known.str(), ")");
-}
 
 } // namespace
 

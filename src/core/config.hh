@@ -151,6 +151,36 @@ struct WriteBufferConfig
      *  debug (!NDEBUG) builds; tests and fuzzers set it explicitly. */
     bool crossCheck = false;
 
+    /** Every field once, in wire and fingerprint order, as
+     *  visit(wire key, member), plus an enum's name and parse
+     *  functions. */
+    template <typename Visit>
+    static void
+    forEachField(Visit &&visit)
+    {
+        using W = WriteBufferConfig;
+        visit("kind", &W::kind, bufferKindName, tryParseBufferKind);
+        visit("depth", &W::depth);
+        visit("entry_bytes", &W::entryBytes);
+        visit("word_bytes", &W::wordBytes);
+        visit("coalescing", &W::coalescing);
+        visit("retirement_mode", &W::retirementMode, retirementModeName,
+              tryParseRetirementMode);
+        visit("retirement_order", &W::retirementOrder,
+              retirementOrderName, tryParseRetirementOrder);
+        visit("high_water_mark", &W::highWaterMark);
+        visit("fixed_rate_period", &W::fixedRatePeriod);
+        visit("paced_refill_period", &W::pacedRefillPeriod);
+        visit("paced_burst", &W::pacedBurst);
+        visit("age_timeout", &W::ageTimeout);
+        visit("hazard_policy", &W::hazardPolicy, loadHazardPolicyName,
+              tryParseLoadHazardPolicy);
+        visit("write_priority_threshold", &W::writePriorityThreshold);
+        visit("wb_hit_extra_cycles", &W::wbHitExtraCycles);
+        visit("naive_scan", &W::naiveScan);
+        visit("cross_check", &W::crossCheck);
+    }
+
     /** Headroom = depth - highWaterMark, the quantity §3.3 shows
      *  matters more than depth. */
     unsigned headroom() const;

@@ -12,24 +12,4 @@ StallStats::maxEpisode() const
                      loadHazardMaxEpisode});
 }
 
-StallStats &
-StallStats::operator+=(const StallStats &other)
-{
-    bufferFullCycles += other.bufferFullCycles;
-    bufferFullEvents += other.bufferFullEvents;
-    l2ReadAccessCycles += other.l2ReadAccessCycles;
-    l2ReadAccessEvents += other.l2ReadAccessEvents;
-    loadHazardCycles += other.loadHazardCycles;
-    loadHazardEvents += other.loadHazardEvents;
-    // Episodes never span an accumulation boundary, so the combined
-    // maximum is the maximum of the parts.
-    bufferFullMaxEpisode =
-        std::max(bufferFullMaxEpisode, other.bufferFullMaxEpisode);
-    l2ReadAccessMaxEpisode =
-        std::max(l2ReadAccessMaxEpisode, other.l2ReadAccessMaxEpisode);
-    loadHazardMaxEpisode =
-        std::max(loadHazardMaxEpisode, other.loadHazardMaxEpisode);
-    return *this;
-}
-
 } // namespace wbsim

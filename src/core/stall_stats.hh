@@ -54,8 +54,6 @@ struct StallStats
     /** Longest single stall episode in any category. */
     Count maxEpisode() const;
 
-    StallStats &operator+=(const StallStats &other);
-
     /** Exact equality (the checkpoint cross-check compares runs
      *  bit for bit). */
     bool operator==(const StallStats &other) const = default;

@@ -1,8 +1,8 @@
 #include "mem/bus.hh"
 
 #include <algorithm>
-#include <sstream>
 
+#include "util/enum_names.hh"
 #include "util/logging.hh"
 
 namespace wbsim
@@ -11,15 +11,9 @@ namespace wbsim
 namespace
 {
 
-struct DisciplineName
-{
-    BusDiscipline value;
-    const char *name;
-};
-
 /** The one name table (WL-ENUM-TABLE): busDisciplineName(), both
  *  parsers, and the CLI help derive from it and can never disagree. */
-constexpr DisciplineName kDisciplineNames[] = {
+constexpr EnumName<BusDiscipline> kDisciplineNames[] = {
     {BusDiscipline::Fcfs, "fcfs"},
     {BusDiscipline::Priority, "priority"},
 };
@@ -29,35 +23,19 @@ constexpr DisciplineName kDisciplineNames[] = {
 const char *
 busDisciplineName(BusDiscipline discipline)
 {
-    for (const auto &row : kDisciplineNames)
-        if (row.value == discipline)
-            return row.name;
-    return "?";
+    return nameOf(kDisciplineNames, discipline);
 }
 
 bool
 tryParseBusDiscipline(std::string_view name, BusDiscipline &out)
 {
-    for (const auto &row : kDisciplineNames) {
-        if (row.name == name) {
-            out = row.value;
-            return true;
-        }
-    }
-    return false;
+    return tryParseName(kDisciplineNames, name, out);
 }
 
 BusDiscipline
 parseBusDiscipline(std::string_view name)
 {
-    BusDiscipline value{};
-    if (tryParseBusDiscipline(name, value))
-        return value;
-    std::ostringstream known;
-    for (const auto &row : kDisciplineNames)
-        known << (known.tellp() > 0 ? ", " : "") << row.name;
-    wbsim_fatal("unknown bus discipline '", std::string(name),
-                "' (expected one of: ", known.str(), ")");
+    return parseName(kDisciplineNames, name, "bus discipline");
 }
 
 BusArbiter::BusArbiter(unsigned cores, BusDiscipline discipline)

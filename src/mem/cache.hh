@@ -39,6 +39,17 @@ struct CacheGeometry
     std::uint64_t lineBytes = 32;
     std::uint64_t associativity = 1;
 
+    /** Every field once, in wire and fingerprint order, as
+     *  visit(wire key, member). */
+    template <typename Visit>
+    static void
+    forEachField(Visit &&visit)
+    {
+        visit("size_bytes", &CacheGeometry::sizeBytes);
+        visit("line_bytes", &CacheGeometry::lineBytes);
+        visit("associativity", &CacheGeometry::associativity);
+    }
+
     std::uint64_t sets() const;
     /** fatal() unless all fields are consistent powers of two. */
     void validate(const std::string &what) const;

@@ -1,8 +1,10 @@
 #include "obs/export.hh"
 
 #include <iomanip>
+#include <iterator>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "util/logging.hh"
 
@@ -11,6 +13,8 @@ namespace wbsim::obs
 
 namespace
 {
+
+constexpr const char *kSimResultsSchema = "wbsim-sim-results-v1";
 
 /** CSV-safe double: max_digits10 so values re-parse exactly. */
 std::string
@@ -94,227 +98,130 @@ writeSimResultsObject(JsonWriter &json, const SimResults &r,
                       const Provenance &provenance)
 {
     json.beginObject();
-    json.field("schema", "wbsim-sim-results-v1");
+    json.field("schema", kSimResultsSchema);
     writeProvenance(json, provenance);
-    json.field("workload", r.workload);
-    json.field("machine", r.machine);
-    json.field("instructions", r.instructions);
-    json.field("cycles", r.cycles);
-    json.field("loads", r.loads);
-    json.field("stores", r.stores);
-
-    json.key("stalls").beginObject();
-    json.key("buffer_full").beginObject();
-    json.field("cycles", r.stalls.bufferFullCycles);
-    json.field("events", r.stalls.bufferFullEvents);
-    json.field("max_episode", r.stalls.bufferFullMaxEpisode);
-    json.endObject();
-    json.key("read_access").beginObject();
-    json.field("cycles", r.stalls.l2ReadAccessCycles);
-    json.field("events", r.stalls.l2ReadAccessEvents);
-    json.field("max_episode", r.stalls.l2ReadAccessMaxEpisode);
-    json.endObject();
-    json.key("load_hazard").beginObject();
-    json.field("cycles", r.stalls.loadHazardCycles);
-    json.field("events", r.stalls.loadHazardEvents);
-    json.field("max_episode", r.stalls.loadHazardMaxEpisode);
-    json.endObject();
-    // Derived percentages, so the artifact is plottable without
-    // recomputation; parse re-derives and cross-checks them.
-    json.key("pct").beginObject();
-    json.field("buffer_full", r.pctBufferFull());
-    json.field("read_access", r.pctL2ReadAccess());
-    json.field("load_hazard", r.pctLoadHazard());
-    json.field("total", r.pctTotalStalls());
-    json.endObject();
-    // Burstiness summary: how clustered the stalls were, not just
-    // how many cycles they cost.
-    json.key("tail").beginObject();
-    json.field("episodes_per_10k", r.stallEpisodesPer10k());
-    json.field("max_episode", r.maxStallEpisode());
-    json.endObject();
-    json.endObject();
-
-    json.key("l1").beginObject();
-    json.field("load_hits", r.l1LoadHits);
-    json.field("load_misses", r.l1LoadMisses);
-    json.field("store_hits", r.l1StoreHits);
-    json.field("store_misses", r.l1StoreMisses);
-    json.field("load_hit_rate", r.l1LoadHitRate());
-    json.endObject();
-
-    json.key("wb").beginObject();
-    json.field("merges", r.wbMerges);
-    json.field("allocations", r.wbAllocations);
-    json.field("retirements", r.wbRetirements);
-    json.field("flushes", r.wbFlushes);
-    json.field("hazards", r.wbHazards);
-    json.field("served_loads", r.wbServedLoads);
-    json.field("words_written", r.wbWordsWritten);
-    json.field("entries_written", r.wbEntriesWritten);
-    json.field("mean_occupancy", r.wbMeanOccupancy);
-    json.field("merge_rate", r.wbMergeRate());
-    json.endObject();
-
-    json.key("l2").beginObject();
-    json.field("read_hits", r.l2ReadHits);
-    json.field("read_misses", r.l2ReadMisses);
-    json.field("write_hits", r.l2WriteHits);
-    json.field("write_misses", r.l2WriteMisses);
-    json.field("read_hit_rate", r.l2ReadHitRate());
-    json.endObject();
-
-    json.key("mem").beginObject();
-    json.field("reads", r.memReads);
-    json.field("write_backs", r.memWriteBacks);
-    json.endObject();
-
-    json.key("ifetch").beginObject();
-    json.field("misses", r.ifetchMisses);
-    json.field("l2_stall_cycles", r.l2IFetchStallCycles);
-    json.endObject();
-
-    json.key("barrier").beginObject();
-    json.field("count", r.barriers);
-    json.field("stall_cycles", r.barrierStallCycles);
-    json.endObject();
-
-    json.key("store_fetch").beginObject();
-    json.field("count", r.storeFetches);
-    json.field("cycles", r.storeFetchCycles);
-    json.endObject();
-
+    // Group by group in document order. The derived rates and
+    // percentages are written so the artifact plots without
+    // recomputation; the reader skips them and re-derives them from
+    // the stored fields.
+    bool inStalls = false;
+    for (std::size_t g = 0; g < std::size(kResultGroups); ++g) {
+        const ResultGroupKey &group = kResultGroups[g];
+        if (group.inStalls != inStalls) {
+            if (inStalls)
+                json.endObject();
+            else
+                json.key("stalls").beginObject();
+            inStalls = group.inStalls;
+        }
+        if (group.key)
+            json.key(group.key).beginObject();
+        SimResults::forEachField([&](ResultGroup in, const char *key,
+                                     const char *, Combine, auto access) {
+            if (std::size_t(in) == g)
+                json.field(key, resultField(r, access));
+        });
+        if (group.key)
+            json.endObject();
+    }
     json.endObject();
 }
 
 SimResults
 parseSimResultsJson(const std::string &text)
 {
-    return simResultsFromJson(JsonValue::parse(text));
+    SimResults r;
+    std::string error;
+    if (!simResultsFromJson(JsonValue::parse(text), r, error))
+        wbsim_fatal("bad ", kSimResultsSchema, " document: ", error);
+    return r;
 }
 
-SimResults
-simResultsFromJson(const JsonValue &doc)
+bool
+simResultsFromJson(const JsonValue &doc, SimResults &out,
+                   std::string &error)
 {
-    wbsim_assert(doc.at("schema").string() == "wbsim-sim-results-v1",
-                 "not a wbsim-sim-results-v1 document");
+    error.clear(); // fail() keeps the first message
+    FieldReader root(doc, "result", error);
+    root.requireAll();
+    std::string schema;
+    if (root.stringField("schema", schema) && schema != kSimResultsSchema)
+        root.fail("unsupported schema \"" + schema + "\"");
+    const JsonValue *stalls = root.claim("stalls");
+    // Every stored member is required, each read through a reader on
+    // its group's object; unknown and derived members are ignored.
     SimResults r;
-    r.workload = doc.at("workload").string();
-    r.machine = doc.at("machine").string();
-    r.instructions = doc.at("instructions").uint();
-    r.cycles = doc.at("cycles").uint();
-    r.loads = doc.at("loads").uint();
-    r.stores = doc.at("stores").uint();
-
-    const JsonValue &stalls = doc.at("stalls");
-    r.stalls.bufferFullCycles =
-        stalls.at("buffer_full").at("cycles").uint();
-    r.stalls.bufferFullEvents =
-        stalls.at("buffer_full").at("events").uint();
-    r.stalls.l2ReadAccessCycles =
-        stalls.at("read_access").at("cycles").uint();
-    r.stalls.l2ReadAccessEvents =
-        stalls.at("read_access").at("events").uint();
-    r.stalls.loadHazardCycles =
-        stalls.at("load_hazard").at("cycles").uint();
-    r.stalls.loadHazardEvents =
-        stalls.at("load_hazard").at("events").uint();
-    r.stalls.bufferFullMaxEpisode =
-        stalls.at("buffer_full").at("max_episode").uint();
-    r.stalls.l2ReadAccessMaxEpisode =
-        stalls.at("read_access").at("max_episode").uint();
-    r.stalls.loadHazardMaxEpisode =
-        stalls.at("load_hazard").at("max_episode").uint();
-
-    const JsonValue &l1 = doc.at("l1");
-    r.l1LoadHits = l1.at("load_hits").uint();
-    r.l1LoadMisses = l1.at("load_misses").uint();
-    r.l1StoreHits = l1.at("store_hits").uint();
-    r.l1StoreMisses = l1.at("store_misses").uint();
-
-    const JsonValue &wb = doc.at("wb");
-    r.wbMerges = wb.at("merges").uint();
-    r.wbAllocations = wb.at("allocations").uint();
-    r.wbRetirements = wb.at("retirements").uint();
-    r.wbFlushes = wb.at("flushes").uint();
-    r.wbHazards = wb.at("hazards").uint();
-    r.wbServedLoads = wb.at("served_loads").uint();
-    r.wbWordsWritten = wb.at("words_written").uint();
-    r.wbEntriesWritten = wb.at("entries_written").uint();
-    r.wbMeanOccupancy = wb.at("mean_occupancy").number();
-
-    const JsonValue &l2 = doc.at("l2");
-    r.l2ReadHits = l2.at("read_hits").uint();
-    r.l2ReadMisses = l2.at("read_misses").uint();
-    r.l2WriteHits = l2.at("write_hits").uint();
-    r.l2WriteMisses = l2.at("write_misses").uint();
-
-    r.memReads = doc.at("mem").at("reads").uint();
-    r.memWriteBacks = doc.at("mem").at("write_backs").uint();
-    r.ifetchMisses = doc.at("ifetch").at("misses").uint();
-    r.l2IFetchStallCycles =
-        doc.at("ifetch").at("l2_stall_cycles").uint();
-    r.barriers = doc.at("barrier").at("count").uint();
-    r.barrierStallCycles = doc.at("barrier").at("stall_cycles").uint();
-    r.storeFetches = doc.at("store_fetch").at("count").uint();
-    r.storeFetchCycles = doc.at("store_fetch").at("cycles").uint();
-    return r;
+    SimResults::forEachField([&](ResultGroup in, const char *key,
+                                 const char *, Combine, auto access) {
+        if constexpr (std::is_member_object_pointer_v<decltype(access)>) {
+            if (!error.empty())
+                return;
+            const ResultGroupKey &group = kResultGroups[std::size_t(in)];
+            const JsonValue *object = &doc;
+            if (group.key) {
+                FieldReader parent(group.inStalls ? *stalls : doc,
+                                   group.inStalls ? "stalls" : "result",
+                                   error);
+                parent.requireAll();
+                if ((object = parent.claim(group.key)) == nullptr)
+                    return;
+            }
+            // Locations "result", "l1", "stalls.buffer_full".
+            FieldReader reader(*object,
+                               group.inStalls ? "stalls"
+                               : group.key    ? group.key
+                                              : "result",
+                               error, FieldReader::kNoIndex,
+                               group.inStalls ? group.key : nullptr);
+            reader.requireAll();
+            auto &value = resultField(r, access);
+            using T = std::decay_t<decltype(value)>;
+            if constexpr (std::is_same_v<T, std::string>)
+                reader.stringField(key, value);
+            else if constexpr (std::is_floating_point_v<T>)
+                reader.doubleField(key, value);
+            else
+                reader.uintField(key, value);
+        }
+    });
+    if (!error.empty())
+        return false;
+    out = std::move(r);
+    return true;
 }
 
 std::string
 simResultsCsvHeader()
 {
-    return "workload,machine,instructions,cycles,loads,stores,"
-           "buffer_full_cycles,buffer_full_events,"
-           "read_access_cycles,read_access_events,"
-           "load_hazard_cycles,load_hazard_events,"
-           "buffer_full_max_episode,read_access_max_episode,"
-           "load_hazard_max_episode,"
-           "pct_buffer_full,pct_read_access,pct_load_hazard,pct_total,"
-           "episodes_per_10k,max_episode,"
-           "l1_load_hits,l1_load_misses,l1_store_hits,l1_store_misses,"
-           "wb_merges,wb_allocations,wb_retirements,wb_flushes,"
-           "wb_hazards,wb_served_loads,wb_words_written,"
-           "wb_entries_written,wb_mean_occupancy,"
-           "l2_read_hits,l2_read_misses,l2_write_hits,l2_write_misses,"
-           "mem_reads,mem_write_backs,"
-           "ifetch_misses,ifetch_l2_stall_cycles,"
-           "barriers,barrier_stall_cycles,"
-           "store_fetches,store_fetch_cycles";
+    std::string header;
+    SimResults::forEachField(
+        [&](ResultGroup, const char *, const char *csv, Combine, auto) {
+            if (csv)
+                header.append(header.empty() ? "" : ",").append(csv);
+        });
+    return header;
 }
 
 void
 writeSimResultsCsvRow(std::ostream &os, const SimResults &r)
 {
-    os << csvField(r.workload) << ',' << csvField(r.machine) << ','
-       << r.instructions << ',' << r.cycles << ',' << r.loads << ','
-       << r.stores << ',' << r.stalls.bufferFullCycles << ','
-       << r.stalls.bufferFullEvents << ','
-       << r.stalls.l2ReadAccessCycles << ','
-       << r.stalls.l2ReadAccessEvents << ','
-       << r.stalls.loadHazardCycles << ','
-       << r.stalls.loadHazardEvents << ','
-       << r.stalls.bufferFullMaxEpisode << ','
-       << r.stalls.l2ReadAccessMaxEpisode << ','
-       << r.stalls.loadHazardMaxEpisode << ','
-       << csvDouble(r.pctBufferFull()) << ','
-       << csvDouble(r.pctL2ReadAccess()) << ','
-       << csvDouble(r.pctLoadHazard()) << ','
-       << csvDouble(r.pctTotalStalls()) << ','
-       << csvDouble(r.stallEpisodesPer10k()) << ','
-       << r.maxStallEpisode() << ',' << r.l1LoadHits << ','
-       << r.l1LoadMisses << ',' << r.l1StoreHits << ','
-       << r.l1StoreMisses << ',' << r.wbMerges << ','
-       << r.wbAllocations << ',' << r.wbRetirements << ','
-       << r.wbFlushes << ',' << r.wbHazards << ',' << r.wbServedLoads
-       << ',' << r.wbWordsWritten << ',' << r.wbEntriesWritten << ','
-       << csvDouble(r.wbMeanOccupancy) << ',' << r.l2ReadHits << ','
-       << r.l2ReadMisses << ',' << r.l2WriteHits << ','
-       << r.l2WriteMisses << ',' << r.memReads << ','
-       << r.memWriteBacks << ',' << r.ifetchMisses << ','
-       << r.l2IFetchStallCycles << ',' << r.barriers << ','
-       << r.barrierStallCycles << ',' << r.storeFetches << ','
-       << r.storeFetchCycles << "\n";
+    const char *separator = "";
+    SimResults::forEachField([&](ResultGroup, const char *,
+                                 const char *csv, Combine, auto access) {
+        if (!csv)
+            return;
+        os << separator;
+        separator = ",";
+        const auto &value = resultField(r, access);
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, std::string>)
+            os << csvField(value);
+        else if constexpr (std::is_floating_point_v<T>)
+            os << csvDouble(value);
+        else
+            os << value;
+    });
+    os << "\n";
 }
 
 void

@@ -77,13 +77,19 @@ void writeSimResultsObject(JsonWriter &json, const SimResults &results,
 /**
  * Re-parse a writeSimResultsJson() document. Every stored field is
  * restored exactly (doubles included); derived fields (rates, stall
- * percentages) are re-derived. fatal() on malformed input.
+ * percentages) are re-derived. fatal() on malformed input: a trusted
+ * artifact that does not parse is a bug.
  */
 SimResults parseSimResultsJson(const std::string &text);
 
-/** Rebuild a SimResults from an already-parsed wbsim-sim-results-v1
- *  object (the serve client's path). fatal() on schema mismatch. */
-SimResults simResultsFromJson(const JsonValue &doc);
+/**
+ * Rebuild a SimResults from an already-parsed wbsim-sim-results-v1
+ * object (the serve client's path, so non-fatal). False, with an
+ * error naming the member's path, when a stored member is missing or
+ * mistyped; unknown members and the derived ones are ignored.
+ */
+bool simResultsFromJson(const JsonValue &doc, SimResults &out,
+                        std::string &error);
 
 /** The CSV column header shared by all SimResults CSV emitters. */
 std::string simResultsCsvHeader();

@@ -19,12 +19,17 @@
 #ifndef WBSIM_OBS_JSON_HH
 #define WBSIM_OBS_JSON_HH
 
+#include <array>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <variant>
 #include <vector>
+
+#include "util/logging.hh"
 
 namespace wbsim::obs
 {
@@ -206,6 +211,196 @@ struct JsonValue::Member
 {
     std::string key;
     JsonValue value;
+};
+
+/**
+ * Strict member extraction from one JSON object: a member that is
+ * present must have the right JSON type and range. By default an
+ * absent member keeps its default and finish() rejects keys the
+ * schema does not know, so a misspelled knob fails loudly instead of
+ * silently simulating the baseline (the wire decoders). After
+ * requireAll() an absent member is an error too (the sim-results
+ * reader, which ignores unknown members).
+ *
+ * Errors read "where[index].member: what", naming the first failure.
+ * Claiming allocates nothing: claimed keys are the schema's string
+ * literals, kept in a fixed table, and the location prefix of an
+ * error is only rendered when one is reported.
+ */
+class FieldReader
+{
+  public:
+    /** Sentinel for @p index: the location is @p where alone. */
+    static constexpr std::size_t kNoIndex = ~std::size_t{0};
+
+    /** @p index and @p member, when given, extend the location:
+     *  "cells[3]", "machine.l1d". */
+    FieldReader(const JsonValue &value, std::string_view where,
+                std::string &error, std::size_t index = kNoIndex,
+                const char *member = nullptr)
+        : value_(value), where_(where), member_(member), index_(index),
+          error_(error)
+    {
+        ok_ = value_.isObject();
+        if (!ok_)
+            fail("must be a JSON object");
+    }
+
+    bool ok() const { return ok_; }
+
+    /** An absent member is an error from now on. */
+    void requireAll() { required_ = true; }
+
+    template <typename T>
+    bool
+    uintField(const char *key, T &out,
+              std::uint64_t max = std::numeric_limits<T>::max())
+    {
+        const JsonValue *v = claim(key);
+        if (!v)
+            return ok_;
+        if (!v->isUint())
+            return fail(std::string(key)
+                        + " must be an unsigned integer");
+        std::uint64_t raw = v->uint();
+        if (raw > max)
+            return fail(std::string(key) + " out of range");
+        out = static_cast<T>(raw);
+        return true;
+    }
+
+    bool
+    boolField(const char *key, bool &out)
+    {
+        const JsonValue *v = claim(key);
+        if (!v)
+            return ok_;
+        if (!v->isBool())
+            return fail(std::string(key) + " must be a boolean");
+        out = v->boolean();
+        return true;
+    }
+
+    bool
+    doubleField(const char *key, double &out)
+    {
+        const JsonValue *v = claim(key);
+        if (!v)
+            return ok_;
+        if (!v->isNumber())
+            return fail(std::string(key) + " must be a number");
+        // 1e999 parses to infinity, which JSON cannot carry back.
+        if (!std::isfinite(v->number()))
+            return fail(std::string(key) + " must be finite");
+        out = v->number();
+        return true;
+    }
+
+    bool
+    stringField(const char *key, std::string &out)
+    {
+        const JsonValue *v = claim(key);
+        if (!v)
+            return ok_;
+        if (!v->isString())
+            return fail(std::string(key) + " must be a string");
+        out = v->string();
+        return true;
+    }
+
+    template <typename Enum, typename TryParse>
+    bool
+    enumField(const char *key, Enum &out, TryParse tryParse)
+    {
+        const JsonValue *v = claim(key);
+        if (!v)
+            return ok_;
+        if (!v->isString())
+            return fail(std::string(key) + " must be a string");
+        if (!tryParse(v->string(), out))
+            return fail(std::string(key) + ": unknown name \""
+                        + v->string() + "\"");
+        return true;
+    }
+
+    /** The raw member, claimed as known (nullptr when absent). */
+    const JsonValue *
+    claim(const char *key)
+    {
+        if (!ok_)
+            return nullptr;
+        wbsim_assert(known_count_ < known_.size(),
+                     "FieldReader schema has more keys than its table");
+        known_[known_count_++] = key;
+        const JsonValue *member = value_.find(key);
+        found_ += member != nullptr;
+        if (member == nullptr && required_)
+            fail(std::string(key) + " is missing");
+        return member;
+    }
+
+    /** Reject any member the schema did not claim, naming the
+     *  alphabetically first. */
+    bool
+    finish()
+    {
+        if (!ok_)
+            return false;
+        const auto &members = value_.object();
+        if (found_ == members.size())
+            return true; // every member claimed (keys are distinct)
+        const std::string *unknown = nullptr;
+        for (const auto &member : members) {
+            if (isKnown(member.key))
+                continue;
+            if (unknown == nullptr || member.key < *unknown)
+                unknown = &member.key;
+        }
+        if (unknown == nullptr)
+            return true; // only repeats of claimed keys
+        return fail("unknown key \"" + *unknown + "\"");
+    }
+
+    /** Record @p what at this location unless an error is already
+     *  set (the innermost failure wins); always false. */
+    bool
+    fail(const std::string &what)
+    {
+        if (error_.empty()) {
+            error_ = where_;
+            if (index_ != kNoIndex)
+                error_.append("[").append(std::to_string(index_))
+                    .append("]");
+            if (member_ != nullptr)
+                error_.append(".").append(member_);
+            error_ += ": " + what;
+        }
+        ok_ = false;
+        return false;
+    }
+
+  private:
+    bool
+    isKnown(std::string_view key) const
+    {
+        for (std::size_t i = 0; i < known_count_; ++i)
+            if (known_[i] == key)
+                return true;
+        return false;
+    }
+
+    const JsonValue &value_;
+    std::string_view where_;
+    const char *member_;
+    std::size_t index_;
+    std::string &error_;
+    /** Keys claimed so far; the widest schema (write_buffer) has 17. */
+    std::array<std::string_view, 24> known_;
+    std::size_t known_count_ = 0;
+    /** Claimed keys that were present. */
+    std::size_t found_ = 0;
+    bool ok_ = true;
+    bool required_ = false;
 };
 
 } // namespace wbsim::obs

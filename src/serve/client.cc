@@ -213,16 +213,8 @@ ServeClient::cellToResults(const CellResult &cell, SimResults &out,
                            std::string &error)
 {
     obs::JsonValue doc;
-    if (!obs::JsonValue::tryParse(cell.resultJson, doc, error))
-        return false;
-    if (!doc.isObject() || !doc.has("schema")
-        || !doc.at("schema").isString()
-        || doc.at("schema").string() != "wbsim-sim-results-v1") {
-        error = "cell payload is not a wbsim-sim-results-v1 document";
-        return false;
-    }
-    out = obs::simResultsFromJson(doc);
-    return true;
+    return obs::JsonValue::tryParse(cell.resultJson, doc, error)
+           && obs::simResultsFromJson(doc, out, error);
 }
 
 } // namespace wbsim::serve

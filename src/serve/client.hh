@@ -94,7 +94,7 @@ class ServeClient
     /**
      * Decode one served cell back into a SimResults (the embedded
      * wbsim-sim-results-v1 text re-parsed exactly; doubles restore
-     * bit-for-bit).
+     * bit-for-bit). A malformed payload is an error, never an abort.
      */
     static bool cellToResults(const CellResult &cell, SimResults &out,
                               std::string &error);

@@ -1,23 +1,16 @@
 #include "serve/dispatch_queue.hh"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
-#include "util/logging.hh"
+#include "util/enum_names.hh"
 
 namespace wbsim::serve
 {
 namespace
 {
 
-struct DisciplineName
-{
-    DispatchDiscipline value;
-    const char *name;
-};
-
-constexpr DisciplineName kDisciplineNames[] = {
+constexpr EnumName<DispatchDiscipline> kDisciplineNames[] = {
     {DispatchDiscipline::Fcfs, "fcfs"},
     {DispatchDiscipline::Priority, "priority"},
 };
@@ -27,36 +20,20 @@ constexpr DisciplineName kDisciplineNames[] = {
 const char *
 dispatchDisciplineName(DispatchDiscipline discipline)
 {
-    for (const auto &row : kDisciplineNames)
-        if (row.value == discipline)
-            return row.name;
-    return "?";
+    return nameOf(kDisciplineNames, discipline);
 }
 
 bool
 tryParseDispatchDiscipline(std::string_view name,
                            DispatchDiscipline &out)
 {
-    for (const auto &row : kDisciplineNames) {
-        if (row.name == name) {
-            out = row.value;
-            return true;
-        }
-    }
-    return false;
+    return tryParseName(kDisciplineNames, name, out);
 }
 
 DispatchDiscipline
 parseDispatchDiscipline(std::string_view name)
 {
-    DispatchDiscipline discipline{};
-    if (tryParseDispatchDiscipline(name, discipline))
-        return discipline;
-    std::ostringstream known;
-    for (const auto &row : kDisciplineNames)
-        known << ' ' << row.name;
-    wbsim_fatal("unknown dispatch discipline \"", std::string(name),
-                "\"; known:", known.str());
+    return parseName(kDisciplineNames, name, "dispatch discipline");
 }
 
 DispatchQueue::DispatchQueue(std::size_t capacity,

@@ -12,7 +12,7 @@
  *
  * Thread-safety contract: all queue state lives behind one mutex
  * with two condition variables (notEmpty for workers; close() wakes
- * everyone). Verified race-free by CI's `tsan` serve jobs.
+ * everyone). Verified race-free by CI's `tsan` job.
  */
 
 #ifndef WBSIM_SERVE_DISPATCH_QUEUE_HH

@@ -2,7 +2,7 @@
  * @file
  * The serve-side result store: finished grid cells, each held as its
  * wire token, in a 16-shard LruCache (util/lru_cache.hh, which gives
- * the thread-safety contract). The `serve-tsan` CI job runs the serve
+ * the thread-safety contract). The `tsan` CI job runs the serve
  * tests, loopback tests included, over it under ThreadSanitizer.
  *
  * The store sits *in front of* the admission queue: a connection

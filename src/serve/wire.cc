@@ -2,14 +2,12 @@
 
 #include <sys/socket.h>
 
-#include <array>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
-#include "core/config.hh"
-#include "util/logging.hh"
+#include "util/enum_names.hh"
 
 namespace wbsim::serve
 {
@@ -18,14 +16,7 @@ namespace
 
 /** Name tables (shared by *Name() and tryParse*()) so the two sides
  *  of the protocol can never disagree on a spelling. */
-template <typename Enum>
-struct WireName
-{
-    Enum value;
-    const char *name;
-};
-
-constexpr WireName<FrameResult> kFrameResultNames[] = {
+constexpr EnumName<FrameResult> kFrameResultNames[] = {
     {FrameResult::Ok, "ok"},
     {FrameResult::Eof, "eof"},
     {FrameResult::BadMagic, "bad-magic"},
@@ -33,14 +24,14 @@ constexpr WireName<FrameResult> kFrameResultNames[] = {
     {FrameResult::Error, "error"},
 };
 
-constexpr WireName<RequestType> kRequestTypeNames[] = {
+constexpr EnumName<RequestType> kRequestTypeNames[] = {
     {RequestType::Sweep, "sweep"},
     {RequestType::Ping, "ping"},
     {RequestType::Stats, "stats"},
     {RequestType::Shutdown, "shutdown"},
 };
 
-constexpr WireName<ResponseType> kResponseTypeNames[] = {
+constexpr EnumName<ResponseType> kResponseTypeNames[] = {
     {ResponseType::Results, "results"},
     {ResponseType::Pong, "pong"},
     {ResponseType::Stats, "stats"},
@@ -48,30 +39,6 @@ constexpr WireName<ResponseType> kResponseTypeNames[] = {
     {ResponseType::Error, "error"},
     {ResponseType::Bye, "bye"},
 };
-
-template <typename Enum, std::size_t N>
-const char *
-nameOf(const WireName<Enum> (&table)[N], Enum value)
-{
-    for (const auto &row : table)
-        if (row.value == value)
-            return row.name;
-    return "?";
-}
-
-template <typename Enum, std::size_t N>
-bool
-tryParseName(const WireName<Enum> (&table)[N], std::string_view name,
-             Enum &out)
-{
-    for (const auto &row : table) {
-        if (row.name == name) {
-            out = row.value;
-            return true;
-        }
-    }
-    return false;
-}
 
 enum class IoResult : std::uint8_t
 {
@@ -119,265 +86,65 @@ writeFully(int fd, const char *data, std::size_t size)
     return true;
 }
 
-/**
- * Strict member extraction from one JSON object: a field that is
- * absent keeps its default, a field that is present must have the
- * right JSON type and range, and finish() rejects keys the schema
- * does not know — a misspelled knob must fail loudly, not silently
- * simulate the baseline.
- *
- * Claiming allocates nothing: claimed keys are the schema's string
- * literals, kept in a fixed table, and the location prefix of an
- * error ("cells[3]") is only rendered when one is reported.
- */
-class FieldReader
+using obs::FieldReader;
+
+/** @name An enum field's extra visit() arguments: (name, tryParse). */
+/// @{
+constexpr auto enumName = [](auto name, auto) { return name; };
+constexpr auto enumParser = [](auto, auto tryParse) { return tryParse; };
+/// @}
+
+/** A visitor that writes each listed field of @p record as a member
+ *  of the open object, a nested record as an object. */
+template <typename Record>
+auto
+fieldWriter(obs::JsonWriter &json, const Record &record)
 {
-  public:
-    /** Sentinel for @p index: the location is @p where alone. */
-    static constexpr std::size_t kNoIndex = ~std::size_t{0};
-
-    FieldReader(const obs::JsonValue &value, std::string_view where,
-                std::string &error, std::size_t index = kNoIndex)
-        : value_(value), where_(where), index_(index), error_(error)
-    {
-        ok_ = value_.isObject();
-        if (!ok_)
-            fail("must be a JSON object");
-    }
-
-    bool ok() const { return ok_; }
-
-    template <typename T>
-    bool
-    uintField(const char *key, T &out,
-              std::uint64_t max = std::numeric_limits<T>::max())
-    {
-        const obs::JsonValue *v = claim(key);
-        if (!v)
-            return ok_;
-        if (!v->isUint())
-            return fail(std::string(key)
-                        + " must be an unsigned integer");
-        std::uint64_t raw = v->uint();
-        if (raw > max)
-            return fail(std::string(key) + " out of range");
-        out = static_cast<T>(raw);
-        return true;
-    }
-
-    bool
-    boolField(const char *key, bool &out)
-    {
-        const obs::JsonValue *v = claim(key);
-        if (!v)
-            return ok_;
-        if (!v->isBool())
-            return fail(std::string(key) + " must be a boolean");
-        out = v->boolean();
-        return true;
-    }
-
-    bool
-    doubleField(const char *key, double &out)
-    {
-        const obs::JsonValue *v = claim(key);
-        if (!v)
-            return ok_;
-        if (!v->isNumber())
-            return fail(std::string(key) + " must be a number");
-        // 1e999 parses to infinity, which JSON cannot carry back.
-        if (!std::isfinite(v->number()))
-            return fail(std::string(key) + " must be finite");
-        out = v->number();
-        return true;
-    }
-
-    bool
-    stringField(const char *key, std::string &out)
-    {
-        const obs::JsonValue *v = claim(key);
-        if (!v)
-            return ok_;
-        if (!v->isString())
-            return fail(std::string(key) + " must be a string");
-        out = v->string();
-        return true;
-    }
-
-    template <typename Enum, typename TryParse>
-    bool
-    enumField(const char *key, Enum &out, TryParse tryParse)
-    {
-        const obs::JsonValue *v = claim(key);
-        if (!v)
-            return ok_;
-        if (!v->isString())
-            return fail(std::string(key) + " must be a string");
-        if (!tryParse(v->string(), out))
-            return fail(std::string(key) + ": unknown name \""
-                        + v->string() + "\"");
-        return true;
-    }
-
-    /** The raw member, claimed as known (nullptr when absent). */
-    const obs::JsonValue *
-    claim(const char *key)
-    {
-        if (!ok_)
-            return nullptr;
-        wbsim_assert(known_count_ < known_.size(),
-                     "FieldReader schema has more keys than its table");
-        known_[known_count_++] = key;
-        const obs::JsonValue *member = value_.find(key);
-        found_ += member != nullptr;
-        return member;
-    }
-
-    /** Reject any member the schema did not claim, naming the
-     *  alphabetically first. */
-    bool
-    finish()
-    {
-        if (!ok_)
-            return false;
-        const auto &members = value_.object();
-        if (found_ == members.size())
-            return true; // every member claimed (keys are distinct)
-        const std::string *unknown = nullptr;
-        for (const auto &member : members) {
-            if (isKnown(member.key))
-                continue;
-            if (unknown == nullptr || member.key < *unknown)
-                unknown = &member.key;
+    return [&json, &record](const char *key, auto member, auto... enums) {
+        const auto &value = record.*member;
+        using T = std::decay_t<decltype(value)>;
+        json.key(key);
+        if constexpr (std::is_class_v<T>) {
+            json.beginObject();
+            T::forEachField(fieldWriter(json, value));
+            json.endObject();
+        } else if constexpr (std::is_enum_v<T>) {
+            json.value(enumName(enums...)(value));
+        } else {
+            json.value(value);
         }
-        if (unknown == nullptr)
-            return true; // only repeats of claimed keys
-        return fail("unknown key \"" + *unknown + "\"");
-    }
+    };
+}
 
-    bool
-    fail(const std::string &what)
-    {
-        if (error_.empty()) {
-            error_ = where_;
-            if (index_ != kNoIndex)
-                error_.append("[").append(std::to_string(index_))
-                    .append("]");
-            error_ += ": " + what;
+/** A visitor that reads each listed field of @p record through
+ *  @p reader; a nested record's errors name it ("machine.l1d"). */
+template <typename Record>
+auto
+fieldReader(FieldReader &reader, Record &record, std::string &error)
+{
+    return [&reader, &record, &error](const char *key, auto member,
+                                      auto... enums) {
+        auto &value = record.*member;
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_class_v<T>) {
+            const obs::JsonValue *object = reader.claim(key);
+            if (object == nullptr)
+                return;
+            FieldReader nested(*object, "machine", error,
+                               FieldReader::kNoIndex, key);
+            T::forEachField(fieldReader(nested, value, error));
+            if (!nested.finish())
+                reader.fail(error);
+        } else if constexpr (std::is_enum_v<T>) {
+            reader.enumField(key, value, enumParser(enums...));
+        } else if constexpr (std::is_same_v<T, bool>) {
+            reader.boolField(key, value);
+        } else if constexpr (std::is_floating_point_v<T>) {
+            reader.doubleField(key, value);
+        } else {
+            reader.uintField(key, value);
         }
-        ok_ = false;
-        return false;
-    }
-
-  private:
-    bool
-    isKnown(std::string_view key) const
-    {
-        for (std::size_t i = 0; i < known_count_; ++i)
-            if (known_[i] == key)
-                return true;
-        return false;
-    }
-
-    const obs::JsonValue &value_;
-    std::string_view where_;
-    std::size_t index_;
-    std::string &error_;
-    /** Keys claimed so far; the widest schema (write_buffer) has 17. */
-    std::array<std::string_view, 24> known_;
-    std::size_t known_count_ = 0;
-    /** Claimed keys that were present. */
-    std::size_t found_ = 0;
-    bool ok_ = true;
-};
-
-void
-geometryToJson(obs::JsonWriter &json, const CacheGeometry &geometry)
-{
-    json.beginObject();
-    json.field("size_bytes", geometry.sizeBytes);
-    json.field("line_bytes", geometry.lineBytes);
-    json.field("associativity", geometry.associativity);
-    json.endObject();
-}
-
-bool
-geometryFromJson(const obs::JsonValue &value, std::string_view where,
-                 CacheGeometry &out, std::string &error)
-{
-    FieldReader reader(value, where, error);
-    reader.uintField("size_bytes", out.sizeBytes);
-    reader.uintField("line_bytes", out.lineBytes);
-    reader.uintField("associativity", out.associativity);
-    return reader.finish();
-}
-
-void
-writeBufferToJson(obs::JsonWriter &json, const WriteBufferConfig &wb)
-{
-    json.beginObject();
-    json.field("kind", bufferKindName(wb.kind));
-    json.field("depth", wb.depth);
-    json.field("entry_bytes", wb.entryBytes);
-    json.field("word_bytes", wb.wordBytes);
-    json.field("coalescing", wb.coalescing);
-    json.field("retirement_mode",
-               retirementModeName(wb.retirementMode));
-    json.field("retirement_order",
-               retirementOrderName(wb.retirementOrder));
-    json.field("high_water_mark", wb.highWaterMark);
-    json.field("fixed_rate_period", wb.fixedRatePeriod);
-    json.field("paced_refill_period", wb.pacedRefillPeriod);
-    json.field("paced_burst", wb.pacedBurst);
-    json.field("age_timeout", wb.ageTimeout);
-    json.field("hazard_policy",
-               loadHazardPolicyName(wb.hazardPolicy));
-    json.field("write_priority_threshold",
-               wb.writePriorityThreshold);
-    json.field("wb_hit_extra_cycles", wb.wbHitExtraCycles);
-    json.field("naive_scan", wb.naiveScan);
-    json.field("cross_check", wb.crossCheck);
-    json.endObject();
-}
-
-bool
-writeBufferFromJson(const obs::JsonValue &value, WriteBufferConfig &out,
-                    std::string &error)
-{
-    FieldReader reader(value, "machine.write_buffer", error);
-    reader.enumField("kind", out.kind,
-                     [](std::string_view name, BufferKind &kind) {
-                         return tryParseBufferKind(name, kind);
-                     });
-    reader.uintField("depth", out.depth);
-    reader.uintField("entry_bytes", out.entryBytes);
-    reader.uintField("word_bytes", out.wordBytes);
-    reader.boolField("coalescing", out.coalescing);
-    reader.enumField("retirement_mode", out.retirementMode,
-                     [](std::string_view name, RetirementMode &mode) {
-                         return tryParseRetirementMode(name, mode);
-                     });
-    reader.enumField(
-        "retirement_order", out.retirementOrder,
-        [](std::string_view name, RetirementOrder &order) {
-            return tryParseRetirementOrder(name, order);
-        });
-    reader.uintField("high_water_mark", out.highWaterMark);
-    reader.uintField("fixed_rate_period", out.fixedRatePeriod);
-    reader.uintField("paced_refill_period", out.pacedRefillPeriod);
-    reader.uintField("paced_burst", out.pacedBurst);
-    reader.uintField("age_timeout", out.ageTimeout);
-    reader.enumField(
-        "hazard_policy", out.hazardPolicy,
-        [](std::string_view name, LoadHazardPolicy &policy) {
-            return tryParseLoadHazardPolicy(name, policy);
-        });
-    reader.uintField("write_priority_threshold",
-                     out.writePriorityThreshold);
-    reader.uintField("wb_hit_extra_cycles", out.wbHitExtraCycles);
-    reader.boolField("naive_scan", out.naiveScan);
-    reader.boolField("cross_check", out.crossCheck);
-    return reader.finish();
+    };
 }
 
 bool
@@ -486,30 +253,12 @@ void
 machineConfigToJson(obs::JsonWriter &json, const MachineConfig &machine)
 {
     json.beginObject();
-    json.key("l1d");
-    geometryToJson(json, machine.l1d);
-    json.field("perfect_icache", machine.perfectICache);
-    json.key("l1i");
-    geometryToJson(json, machine.l1i);
-    json.field("perfect_l2", machine.perfectL2);
-    json.key("l2");
-    geometryToJson(json, machine.l2);
-    json.field("l2_latency", machine.l2Latency);
-    json.field("mem_latency", machine.memLatency);
-    json.field("l2_datapath_bytes", machine.l2DatapathBytes);
-    json.field("issue_width", machine.issueWidth);
-    json.field("bubble_probability", machine.bubbleProbability);
-    json.field("l1_write_allocate", machine.l1WriteAllocate);
-    json.key("write_buffer");
-    writeBufferToJson(json, machine.writeBuffer);
+    MachineConfig::forEachField(fieldWriter(json, machine));
     // Topology fields only for multi-core machines: single-core
     // payloads (and their golden fixtures) stay byte-identical, and
     // pre-topology peers that reject unknown fields keep working.
-    if (machine.cores != 1) {
-        json.field("cores", machine.cores);
-        json.field("bus_discipline",
-                   busDisciplineName(machine.busDiscipline));
-    }
+    if (machine.cores != 1)
+        MachineConfig::forEachTopologyField(fieldWriter(json, machine));
     json.endObject();
 }
 
@@ -518,35 +267,8 @@ machineConfigFromJson(const obs::JsonValue &value, MachineConfig &out,
                       std::string &error)
 {
     FieldReader reader(value, "machine", error);
-    if (const obs::JsonValue *l1d = reader.claim("l1d")) {
-        if (!geometryFromJson(*l1d, "machine.l1d", out.l1d, error))
-            return reader.fail(error);
-    }
-    reader.boolField("perfect_icache", out.perfectICache);
-    if (const obs::JsonValue *l1i = reader.claim("l1i")) {
-        if (!geometryFromJson(*l1i, "machine.l1i", out.l1i, error))
-            return reader.fail(error);
-    }
-    reader.boolField("perfect_l2", out.perfectL2);
-    if (const obs::JsonValue *l2 = reader.claim("l2")) {
-        if (!geometryFromJson(*l2, "machine.l2", out.l2, error))
-            return reader.fail(error);
-    }
-    reader.uintField("l2_latency", out.l2Latency);
-    reader.uintField("mem_latency", out.memLatency);
-    reader.uintField("l2_datapath_bytes", out.l2DatapathBytes);
-    reader.uintField("issue_width", out.issueWidth);
-    reader.doubleField("bubble_probability", out.bubbleProbability);
-    reader.boolField("l1_write_allocate", out.l1WriteAllocate);
-    if (const obs::JsonValue *wb = reader.claim("write_buffer")) {
-        if (!writeBufferFromJson(*wb, out.writeBuffer, error))
-            return reader.fail(error);
-    }
-    reader.uintField("cores", out.cores);
-    reader.enumField("bus_discipline", out.busDiscipline,
-                     [](std::string_view name, BusDiscipline &out_d) {
-                         return tryParseBusDiscipline(name, out_d);
-                     });
+    MachineConfig::forEachField(fieldReader(reader, out, error));
+    MachineConfig::forEachTopologyField(fieldReader(reader, out, error));
     return reader.finish();
 }
 

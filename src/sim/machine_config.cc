@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <sstream>
+#include <type_traits>
 
 #include "util/bits.hh"
 #include "util/logging.hh"
@@ -13,12 +14,22 @@ namespace wbsim
 namespace
 {
 
-std::uint64_t
-hashGeometry(std::uint64_t h, const CacheGeometry &g)
+/** A visitor that mixes each listed field of @p record into @p h,
+ *  a nested record's fields in its own list order. */
+template <typename Record>
+auto
+fieldHasher(std::uint64_t &h, const Record &record)
 {
-    h = hashCombine(h, g.sizeBytes);
-    h = hashCombine(h, g.lineBytes);
-    return hashCombine(h, g.associativity);
+    return [&h, &record](const char *, auto member, auto...) {
+        const auto &value = record.*member;
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_class_v<T>)
+            T::forEachField(fieldHasher(h, value));
+        else if constexpr (std::is_floating_point_v<T>)
+            h = hashCombine(h, std::bit_cast<std::uint64_t>(value));
+        else
+            h = hashCombine(h, static_cast<std::uint64_t>(value));
+    };
 }
 
 } // namespace
@@ -27,43 +38,14 @@ std::uint64_t
 MachineConfig::stateFingerprint() const
 {
     std::uint64_t h = 0x77b51aceull; // domain tag
-    h = hashGeometry(h, l1d);
-    h = hashCombine(h, perfectICache ? 1 : 0);
-    h = hashGeometry(h, l1i);
-    h = hashCombine(h, perfectL2 ? 1 : 0);
-    h = hashGeometry(h, l2);
-    h = hashCombine(h, l2Latency);
-    h = hashCombine(h, memLatency);
-    h = hashCombine(h, l2DatapathBytes);
-    h = hashCombine(h, issueWidth);
-    h = hashCombine(h, std::bit_cast<std::uint64_t>(bubbleProbability));
-    h = hashCombine(h, l1WriteAllocate ? 1 : 0);
-    const WriteBufferConfig &wb = writeBuffer;
-    h = hashCombine(h, static_cast<std::uint64_t>(wb.kind));
-    h = hashCombine(h, wb.depth);
-    h = hashCombine(h, wb.entryBytes);
-    h = hashCombine(h, wb.wordBytes);
-    h = hashCombine(h, wb.coalescing ? 1 : 0);
-    h = hashCombine(h, static_cast<std::uint64_t>(wb.retirementMode));
-    h = hashCombine(h, static_cast<std::uint64_t>(wb.retirementOrder));
-    h = hashCombine(h, wb.highWaterMark);
-    h = hashCombine(h, wb.fixedRatePeriod);
-    h = hashCombine(h, wb.pacedRefillPeriod);
-    h = hashCombine(h, wb.pacedBurst);
-    h = hashCombine(h, wb.ageTimeout);
-    h = hashCombine(h, static_cast<std::uint64_t>(wb.hazardPolicy));
-    h = hashCombine(h, wb.writePriorityThreshold);
-    h = hashCombine(h, wb.wbHitExtraCycles);
-    h = hashCombine(h, wb.naiveScan ? 1 : 0);
-    h = hashCombine(h, wb.crossCheck ? 1 : 0);
+    forEachField(fieldHasher(h, *this));
     // Topology mixes in only for multi-core machines: every
     // single-core fingerprint (embedded in golden artifacts,
     // provenance headers, and serve cache keys) is unchanged, while
     // multi-core cells can never alias a cached single-core cell.
     if (cores != 1) {
         h = hashCombine(h, 0x6d756c7469636f72ull); // topology tag
-        h = hashCombine(h, cores);
-        h = hashCombine(h, static_cast<std::uint64_t>(busDiscipline));
+        forEachTopologyField(fieldHasher(h, *this));
     }
     return h;
 }

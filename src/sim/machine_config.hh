@@ -79,6 +79,39 @@ struct MachineConfig
      *  excluded from the fingerprint — at cores == 1). */
     BusDiscipline busDiscipline = BusDiscipline::Fcfs;
 
+    /** Every field but the topology, once, in wire and fingerprint
+     *  order, as visit(wire key, member). */
+    template <typename Visit>
+    static void
+    forEachField(Visit &&visit)
+    {
+        using M = MachineConfig;
+        visit("l1d", &M::l1d);
+        visit("perfect_icache", &M::perfectICache);
+        visit("l1i", &M::l1i);
+        visit("perfect_l2", &M::perfectL2);
+        visit("l2", &M::l2);
+        visit("l2_latency", &M::l2Latency);
+        visit("mem_latency", &M::memLatency);
+        visit("l2_datapath_bytes", &M::l2DatapathBytes);
+        visit("issue_width", &M::issueWidth);
+        visit("bubble_probability", &M::bubbleProbability);
+        visit("l1_write_allocate", &M::l1WriteAllocate);
+        visit("write_buffer", &M::writeBuffer);
+    }
+
+    /** The topology fields. They are hashed behind a tag and written
+     *  only when cores != 1, so every single-core fingerprint and
+     *  payload predates them; a decoder always accepts them. */
+    template <typename Visit>
+    static void
+    forEachTopologyField(Visit &&visit)
+    {
+        visit("cores", &MachineConfig::cores);
+        visit("bus_discipline", &MachineConfig::busDiscipline,
+              busDisciplineName, tryParseBusDiscipline);
+    }
+
     /** Cycles one L2 transfer occupies the port. */
     Cycle l2TransferCycles() const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 
 #include "util/logging.hh"
 
@@ -26,40 +27,27 @@ MultiCoreResults::aggregate() const
 {
     wbsim_assert(!perCore.empty(), "aggregating an empty system");
     SimResults r = perCore.front();
-    for (std::size_t i = 1; i < perCore.size(); ++i) {
-        const SimResults &c = perCore[i];
-        r.instructions += c.instructions;
-        r.cycles = std::max(r.cycles, c.cycles);
-        r.loads += c.loads;
-        r.stores += c.stores;
-        r.stalls += c.stalls;
-        r.l1LoadHits += c.l1LoadHits;
-        r.l1LoadMisses += c.l1LoadMisses;
-        r.l1StoreHits += c.l1StoreHits;
-        r.l1StoreMisses += c.l1StoreMisses;
-        r.wbMerges += c.wbMerges;
-        r.wbAllocations += c.wbAllocations;
-        r.wbRetirements += c.wbRetirements;
-        r.wbFlushes += c.wbFlushes;
-        r.wbHazards += c.wbHazards;
-        r.wbServedLoads += c.wbServedLoads;
-        r.wbWordsWritten += c.wbWordsWritten;
-        r.wbEntriesWritten += c.wbEntriesWritten;
-        r.wbMeanOccupancy += c.wbMeanOccupancy;
-        r.l2ReadHits += c.l2ReadHits;
-        r.l2ReadMisses += c.l2ReadMisses;
-        r.l2WriteHits += c.l2WriteHits;
-        r.l2WriteMisses += c.l2WriteMisses;
-        r.memReads += c.memReads;
-        r.memWriteBacks += c.memWriteBacks;
-        r.ifetchMisses += c.ifetchMisses;
-        r.l2IFetchStallCycles += c.l2IFetchStallCycles;
-        r.barriers += c.barriers;
-        r.barrierStallCycles += c.barrierStallCycles;
-        r.storeFetches += c.storeFetches;
-        r.storeFetchCycles += c.storeFetchCycles;
-    }
-    r.wbMeanOccupancy /= static_cast<double>(perCore.size());
+    SimResults::forEachField([&](ResultGroup, const char *, const char *,
+                                 Combine combine, auto access) {
+        if constexpr (std::is_member_object_pointer_v<decltype(access)>) {
+            auto &total = resultField(r, access);
+            using T = std::decay_t<decltype(total)>;
+            if constexpr (std::is_arithmetic_v<T>) {
+                for (std::size_t i = 1; i < perCore.size(); ++i) {
+                    const T &core = resultField(perCore[i], access);
+                    if (combine == Combine::Max)
+                        total = std::max(total, core);
+                    else if (combine != Combine::First)
+                        total += core;
+                }
+                if (combine == Combine::Mean)
+                    total /= static_cast<T>(perCore.size());
+            } else {
+                wbsim_assert(combine == Combine::First,
+                             "only numbers combine over cores");
+            }
+        }
+    });
     return r;
 }
 

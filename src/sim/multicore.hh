@@ -49,9 +49,11 @@ struct MultiCoreResults
     BusDiscipline discipline = BusDiscipline::Fcfs;
 
     /**
-     * One SimResults summarising the system: counters summed across
-     * cores, cycles the max per-core cycle count (the system is done
-     * when its slowest core is), mean occupancy averaged. This is
+     * One SimResults summarising the system, each field by its
+     * SimResults::forEachField() rule: counters summed across cores,
+     * cycles the max per-core cycle count (the system is done when
+     * its slowest core is), the max episodes the longest, mean
+     * occupancy averaged, the labels core 0's. This is
      * what runOne() returns for a multi-core cell, so grids, serve
      * responses, and reports handle topology cells with no schema
      * change.

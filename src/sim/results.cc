@@ -53,57 +53,4 @@ SimResults::stallEpisodesPer10k() const
     return 10000.0 * stats::ratio(stalls.totalEvents(), cycles);
 }
 
-void
-SimResults::dump(std::ostream &os, const std::string &prefix) const
-{
-    auto put = [&](const char *name, auto value) {
-        os << prefix << name << " " << value << "\n";
-    };
-    put("workload", workload);
-    put("machine", machine);
-    put("instructions", instructions);
-    put("cycles", cycles);
-    put("loads", loads);
-    put("stores", stores);
-    put("stall.bufferFullCycles", stalls.bufferFullCycles);
-    put("stall.bufferFullEvents", stalls.bufferFullEvents);
-    put("stall.l2ReadAccessCycles", stalls.l2ReadAccessCycles);
-    put("stall.l2ReadAccessEvents", stalls.l2ReadAccessEvents);
-    put("stall.loadHazardCycles", stalls.loadHazardCycles);
-    put("stall.loadHazardEvents", stalls.loadHazardEvents);
-    put("stall.bufferFullMaxEpisode", stalls.bufferFullMaxEpisode);
-    put("stall.l2ReadAccessMaxEpisode", stalls.l2ReadAccessMaxEpisode);
-    put("stall.loadHazardMaxEpisode", stalls.loadHazardMaxEpisode);
-    put("stall.episodesPer10k", stallEpisodesPer10k());
-    put("stall.maxEpisode", maxStallEpisode());
-    put("l1.loadHits", l1LoadHits);
-    put("l1.loadMisses", l1LoadMisses);
-    put("l1.storeHits", l1StoreHits);
-    put("l1.storeMisses", l1StoreMisses);
-    put("l1.loadHitRate", l1LoadHitRate());
-    put("wb.merges", wbMerges);
-    put("wb.allocations", wbAllocations);
-    put("wb.retirements", wbRetirements);
-    put("wb.flushes", wbFlushes);
-    put("wb.hazards", wbHazards);
-    put("wb.servedLoads", wbServedLoads);
-    put("wb.wordsWritten", wbWordsWritten);
-    put("wb.entriesWritten", wbEntriesWritten);
-    put("wb.meanOccupancy", wbMeanOccupancy);
-    put("wb.mergeRate", wbMergeRate());
-    put("l2.readHits", l2ReadHits);
-    put("l2.readMisses", l2ReadMisses);
-    put("l2.writeHits", l2WriteHits);
-    put("l2.writeMisses", l2WriteMisses);
-    put("l2.readHitRate", l2ReadHitRate());
-    put("mem.reads", memReads);
-    put("mem.writeBacks", memWriteBacks);
-    put("ifetch.misses", ifetchMisses);
-    put("ifetch.l2StallCycles", l2IFetchStallCycles);
-    put("barrier.count", barriers);
-    put("barrier.stallCycles", barrierStallCycles);
-    put("storeFetch.count", storeFetches);
-    put("storeFetch.cycles", storeFetchCycles);
-}
-
 } // namespace wbsim

@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "wb_test_fixture.hh"
@@ -373,11 +372,10 @@ TEST_P(SimulatorEquivalence, NaiveScanReproducesResultsBitForBit)
         variant.writeBuffer.naiveScan = naive;
         Simulator sim(variant);
         MemoryTrace trace(records, "fuzz");
-        std::ostringstream os;
-        sim.run(trace, 0).dump(os, "t");
-        return os.str();
+        return sim.run(trace, 0);
     };
-    EXPECT_EQ(run(true), run(false));
+    // Every field, doubles compared exactly.
+    EXPECT_TRUE(run(true) == run(false));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorEquivalence,

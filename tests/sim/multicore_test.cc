@@ -200,6 +200,103 @@ TEST(MultiCore, AggregateSumsCountersAndTakesTheSlowestClock)
     EXPECT_EQ(aggregate.cycles, slowest);
 }
 
+TEST(MultiCore, AggregateAppliesEachFieldsCombineRule)
+{
+    // Every stored field k of core i holds scale[i] * k, so a sum
+    // reads 15k, a max 7k and core 0's value 3k.
+    const Count scale[] = {3, 7, 5};
+    MultiCoreResults system;
+    for (int i = 0; i < 3; ++i) {
+        const Count m = scale[i];
+        SimResults r;
+        r.workload = std::string("w") + std::to_string(i);
+        r.machine = std::string("m") + std::to_string(i);
+        r.instructions = m * 1;
+        r.cycles = m * 2;
+        r.loads = m * 3;
+        r.stores = m * 4;
+        r.stalls.bufferFullCycles = m * 5;
+        r.stalls.bufferFullEvents = m * 6;
+        r.stalls.l2ReadAccessCycles = m * 7;
+        r.stalls.l2ReadAccessEvents = m * 8;
+        r.stalls.loadHazardCycles = m * 9;
+        r.stalls.loadHazardEvents = m * 10;
+        r.stalls.bufferFullMaxEpisode = m * 11;
+        r.stalls.l2ReadAccessMaxEpisode = m * 12;
+        r.stalls.loadHazardMaxEpisode = m * 13;
+        r.l1LoadHits = m * 14;
+        r.l1LoadMisses = m * 15;
+        r.l1StoreHits = m * 16;
+        r.l1StoreMisses = m * 17;
+        r.wbMerges = m * 18;
+        r.wbAllocations = m * 19;
+        r.wbRetirements = m * 20;
+        r.wbFlushes = m * 21;
+        r.wbHazards = m * 22;
+        r.wbServedLoads = m * 23;
+        r.wbWordsWritten = m * 24;
+        r.wbEntriesWritten = m * 25;
+        r.wbMeanOccupancy = 0.75 * double(m);
+        r.l2ReadHits = m * 26;
+        r.l2ReadMisses = m * 27;
+        r.l2WriteHits = m * 28;
+        r.l2WriteMisses = m * 29;
+        r.memReads = m * 30;
+        r.memWriteBacks = m * 31;
+        r.ifetchMisses = m * 32;
+        r.l2IFetchStallCycles = m * 33;
+        r.barriers = m * 34;
+        r.barrierStallCycles = m * 35;
+        r.storeFetches = m * 36;
+        r.storeFetchCycles = m * 37;
+        system.perCore.push_back(r);
+    }
+    SimResults a = system.aggregate();
+    EXPECT_EQ(a.workload, "w0");
+    EXPECT_EQ(a.machine, "m0");
+    EXPECT_EQ(a.instructions, 15u * 1);
+    EXPECT_EQ(a.cycles, 7u * 2);
+    EXPECT_EQ(a.loads, 15u * 3);
+    EXPECT_EQ(a.stores, 15u * 4);
+    EXPECT_EQ(a.stalls.bufferFullCycles, 15u * 5);
+    EXPECT_EQ(a.stalls.bufferFullEvents, 15u * 6);
+    EXPECT_EQ(a.stalls.l2ReadAccessCycles, 15u * 7);
+    EXPECT_EQ(a.stalls.l2ReadAccessEvents, 15u * 8);
+    EXPECT_EQ(a.stalls.loadHazardCycles, 15u * 9);
+    EXPECT_EQ(a.stalls.loadHazardEvents, 15u * 10);
+    EXPECT_EQ(a.stalls.bufferFullMaxEpisode, 7u * 11);
+    EXPECT_EQ(a.stalls.l2ReadAccessMaxEpisode, 7u * 12);
+    EXPECT_EQ(a.stalls.loadHazardMaxEpisode, 7u * 13);
+    EXPECT_EQ(a.l1LoadHits, 15u * 14);
+    EXPECT_EQ(a.l1LoadMisses, 15u * 15);
+    EXPECT_EQ(a.l1StoreHits, 15u * 16);
+    EXPECT_EQ(a.l1StoreMisses, 15u * 17);
+    EXPECT_EQ(a.wbMerges, 15u * 18);
+    EXPECT_EQ(a.wbAllocations, 15u * 19);
+    EXPECT_EQ(a.wbRetirements, 15u * 20);
+    EXPECT_EQ(a.wbFlushes, 15u * 21);
+    EXPECT_EQ(a.wbHazards, 15u * 22);
+    EXPECT_EQ(a.wbServedLoads, 15u * 23);
+    EXPECT_EQ(a.wbWordsWritten, 15u * 24);
+    EXPECT_EQ(a.wbEntriesWritten, 15u * 25);
+    EXPECT_DOUBLE_EQ(a.wbMeanOccupancy, 0.75 * 15 / 3);
+    EXPECT_EQ(a.l2ReadHits, 15u * 26);
+    EXPECT_EQ(a.l2ReadMisses, 15u * 27);
+    EXPECT_EQ(a.l2WriteHits, 15u * 28);
+    EXPECT_EQ(a.l2WriteMisses, 15u * 29);
+    EXPECT_EQ(a.memReads, 15u * 30);
+    EXPECT_EQ(a.memWriteBacks, 15u * 31);
+    EXPECT_EQ(a.ifetchMisses, 15u * 32);
+    EXPECT_EQ(a.l2IFetchStallCycles, 15u * 33);
+    EXPECT_EQ(a.barriers, 15u * 34);
+    EXPECT_EQ(a.barrierStallCycles, 15u * 35);
+    EXPECT_EQ(a.storeFetches, 15u * 36);
+    EXPECT_EQ(a.storeFetchCycles, 15u * 37);
+    // The derived rates follow from the combined fields.
+    EXPECT_DOUBLE_EQ(a.pctTotalStalls(),
+                     100.0 * double(15 * (5 + 7 + 9)) / double(7 * 2));
+}
+
 TEST(MultiCore, PerCoreWarmupBoundaryMeasuresTheTail)
 {
     // Every core resets statistics at its own warmup boundary, so

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "sim/simulator.hh"
 #include "trace/memory_trace.hh"
@@ -280,29 +279,6 @@ TEST(SimulatorExtensions, ResultsPlumbing)
     EXPECT_DOUBLE_EQ(r.l1LoadHitRate(), 0.0);
     EXPECT_DOUBLE_EQ(r.wbMergeRate(), 0.5);
     EXPECT_NE(r.machine.find("4-deep"), std::string::npos);
-}
-
-TEST(SimulatorExtensions, ResultsDumpIsMachineReadable)
-{
-    MachineConfig config;
-    auto sim = runTrace(config, {TraceRecord::store(0x1000),
-                                 TraceRecord::load(0x5000)});
-    std::ostringstream os;
-    sim->results("dumped").dump(os, "run.");
-    std::string out = os.str();
-    EXPECT_NE(out.find("run.workload dumped"), std::string::npos);
-    EXPECT_NE(out.find("run.instructions 2"), std::string::npos);
-    EXPECT_NE(out.find("run.stores 1"), std::string::npos);
-    EXPECT_NE(out.find("run.l1.loadMisses 1"), std::string::npos);
-    EXPECT_NE(out.find("run.stall.bufferFullCycles 0"),
-              std::string::npos);
-    EXPECT_NE(out.find("run.wb.allocations 1"), std::string::npos);
-    // One "key value" pair per line, parseable by a shell loop.
-    std::istringstream lines(out);
-    std::string line;
-    while (std::getline(lines, line)) {
-        EXPECT_NE(line.find(' '), std::string::npos) << line;
-    }
 }
 
 TEST(SimulatorExtensions, ResetStatsKeepsState)
