@@ -35,10 +35,12 @@ constexpr bool kDebugBuild = true;
 
 /** Identity of one grid-cache entry. A trace is keyed by
  *  (benchmark, seed, length), a checkpoint by (benchmark, seed,
- *  warmup, machine state fingerprint). */
+ *  warmup, machine state fingerprint), and a system checkpoint by
+ *  all five: its early cores run measured records before the
+ *  capture, so their trace length shapes it too. */
 struct GridKey
 {
-    enum class Kind : std::uint8_t { Trace, Checkpoint };
+    enum class Kind : std::uint8_t { Trace, Checkpoint, System };
 
     Kind kind = Kind::Trace;
     std::string benchmark;
@@ -47,6 +49,8 @@ struct GridKey
     Count length = 0;
     /** A checkpoint's machine fingerprint; 0 for a trace. */
     std::uint64_t machine = 0;
+    /** A system checkpoint's trace length; 0 otherwise. */
+    Count traceLength = 0;
 
     bool operator==(const GridKey &) const = default;
 };
@@ -60,17 +64,18 @@ struct GridKeyHash
         h = hashCombine(h, std::uint64_t(key.kind));
         h = hashCombine(h, key.seed);
         h = hashCombine(h, key.length);
-        return std::size_t(hashCombine(h, key.machine));
+        h = hashCombine(h, key.machine);
+        return std::size_t(hashCombine(h, key.traceLength));
     }
 };
 
 /**
- * The process-wide grid cache: materialized traces and warm-state
- * checkpoints in one one-shard LruCache, so the two kinds share one
- * byte budget and one LRU order. Lookups are build-once: the first
- * worker to ask for a key builds the value while later askers block
- * on a shared_future held beside the resolved entries, so concurrent
- * grid cells never duplicate work.
+ * The process-wide grid cache: materialized traces, warm-state
+ * checkpoints and system checkpoints in one one-shard LruCache, so
+ * every kind shares one byte budget and one LRU order. Lookups are
+ * build-once: the first worker to ask for a key builds the value
+ * while later askers block on a shared_future held beside the
+ * resolved entries, so concurrent grid cells never duplicate work.
  *
  * A trace pays off only when it is replayed: building one costs a
  * generation plus an encode, against a generation alone to stream
@@ -98,6 +103,7 @@ class GridCache
   public:
     using TracePtr = std::shared_ptr<const MaterializedTrace>;
     using SnapPtr = std::shared_ptr<const SimSnapshot>;
+    using SystemPtr = std::shared_ptr<const MultiCoreSnapshot>;
 
     /**
      * The trace of (@p profile, @p seed, @p length): resident, or
@@ -146,6 +152,32 @@ class GridCache
             });
     }
 
+    /** The system checkpoint of @p machine: resident, or built now
+     *  by running the system over @p sources (core i's cursor at the
+     *  start of its trace of (@p profile, @p seed + i, @p length))
+     *  until every core has crossed @p warmup. A build leaves the
+     *  cursors wherever the capture found them. Counted as a
+     *  checkpoint. */
+    SystemPtr systemCheckpoint(const BenchmarkProfile &profile,
+                               const MachineConfig &machine,
+                               std::uint64_t seed, Count warmup,
+                               Count length,
+                               const std::vector<TraceSource *> &sources)
+    {
+        GridKey key{GridKey::Kind::System, profile.name, seed, warmup,
+                    machine.stateFingerprint(), length};
+        return lookup<SystemPtr>(
+            key,
+            [&]() {
+                MultiCoreSystem warm(machine);
+                return std::make_shared<const MultiCoreSnapshot>(
+                    warm.warmUp(sources, warmup));
+            },
+            [](const SystemPtr &snap) {
+                return snap->bytes() + kGridCacheEntryOverhead;
+            });
+    }
+
     GridCacheStats stats()
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -173,8 +205,8 @@ class GridCache
     }
 
   private:
-    /** A resolved entry: a trace or a checkpoint. */
-    using Value = std::variant<TracePtr, SnapPtr>;
+    /** A resolved entry: a trace or a checkpoint of either kind. */
+    using Value = std::variant<TracePtr, SnapPtr, SystemPtr>;
 
     /** Trace keys whose first sighting streamed, remembered so a
      *  second sighting builds: hashes of the last kRecentTraceKeys,
@@ -301,9 +333,13 @@ runMultiCore(const BenchmarkProfile &profile,
     }
 
     MultiCoreResults result;
-    if (options.materialize) {
-        // One cached trace per core seed; checkpoints are bypassed
-        // (a warm snapshot captures one core, not a system).
+    // A system checkpoint resumes every core past its warmup, so it
+    // needs the cached traces. Sinks skip it: the cores that cross
+    // early measure, and would publish, before the capture.
+    const bool fromCheckpoint = options.checkpoints
+        && options.warmup > 0 && !options.obs.attached();
+    if (fromCheckpoint || options.materialize) {
+        // One cached trace per core seed.
         GridCache &cache = gridCache();
         std::vector<GridCache::TracePtr> traces;
         std::vector<std::unique_ptr<MaterializedCursor>> cursors;
@@ -314,7 +350,16 @@ runMultiCore(const BenchmarkProfile &profile,
                 std::make_unique<MaterializedCursor>(*traces.back()));
             sources.push_back(cursors.back().get());
         }
-        result = system.run(sources, options.warmup);
+        if (fromCheckpoint) {
+            // Built on first use, then restored like any hit.
+            GridCache::SystemPtr snap = cache.systemCheckpoint(
+                profile, machine, seed, options.warmup, length, sources);
+            for (unsigned i = 0; i < system.cores(); ++i)
+                cursors[i]->seek(snap->cores[i].records);
+            result = system.resume(*snap, sources);
+        } else {
+            result = system.run(sources, options.warmup);
+        }
     } else {
         std::vector<std::unique_ptr<SyntheticSource>> generators;
         std::vector<TraceSource *> sources;

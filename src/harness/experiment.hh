@@ -68,8 +68,9 @@ struct RunnerOptions
      *  serve miss with its own seed) is never encoded or cached. */
     bool materialize = true;
     /** Reuse warm-state checkpoints between cells with identical
-     *  (benchmark, seed, warmup, machine fingerprint); implies
-     *  materialize. */
+     *  (benchmark, seed, warmup, machine fingerprint), and system
+     *  checkpoints between multi-core cells that also share a trace
+     *  length; implies materialize. */
     bool checkpoints = true;
     /** Observability sinks attached to every measured simulation
      *  (after warmup, so metrics cover the measured region only).
@@ -146,10 +147,14 @@ runOne(const BenchmarkProfile &profile, const MachineConfig &machine,
  * workload generated from seed + i, so cores execute decorrelated
  * instances of the same benchmark profile. Honours
  * @p options.materialize through the grid trace cache (one cached
- * trace per core seed); warm-state checkpoints do not apply to
- * multi-core cells and are bypassed. @p options.obs sinks attach to
- * every core (shared registry = aggregated metrics) plus the bus
- * timeline channel.
+ * trace per core seed). With @p options.checkpoints and a warmup,
+ * the cell resumes from its system checkpoint
+ * (MultiCoreSystem::warmUp, keyed by benchmark, seed, warmup, trace
+ * length and machine fingerprint; built on first use), which
+ * implies materialize; an attached @p options.obs sink skips it,
+ * since cores that cross their warmup early would publish before
+ * the capture. @p options.obs sinks attach to every core (shared
+ * registry = aggregated metrics) plus the bus timeline channel.
  *
  * runCells (and so both runOne overloads) delegates here when
  * machine.cores > 1 and returns the aggregate() view, so grids,
@@ -174,14 +179,16 @@ struct GridCacheStats
     /** Lookups without checkpoints that found a trace key neither
      *  resident nor sighted recently, and streamed it instead. */
     std::size_t traceStreams = 0;
+    /** Checkpoints of both kinds: single-core and system. */
     std::size_t checkpointBuilds = 0;
     std::size_t checkpointHits = 0;
     /** LRU evictions forced by the byte budget. */
     std::size_t traceEvictions = 0;
     std::size_t checkpointEvictions = 0;
     /** Bytes of resident traces and checkpoints: each trace's
-     *  encodedBytes() and each checkpoint's SimSnapshot::bytes(),
-     *  plus kGridCacheEntryOverhead per entry. */
+     *  encodedBytes(), each checkpoint's SimSnapshot::bytes() and
+     *  each system checkpoint's MultiCoreSnapshot::bytes(), plus
+     *  kGridCacheEntryOverhead per entry. */
     std::size_t cachedBytes = 0;
     /** Current byte budget; 0 = unbounded. */
     std::size_t budgetBytes = 0;

@@ -209,4 +209,30 @@ BusArbiter::resetStats()
     std::fill(stats_.begin(), stats_.end(), BusCoreStats{});
 }
 
+BusArbiter::State
+BusArbiter::state() const
+{
+    // acquire() clears its request before it returns, so between
+    // scheduling steps nothing is pending: the book is the whole of
+    // the arbiter's state.
+    for (const Pending &p : pending_)
+        wbsim_assert(!p.active, "bus state captured mid-request");
+    return {busy_from_, free_at_, current_, owner_, seq_, stats_};
+}
+
+void
+BusArbiter::restore(const State &state)
+{
+    wbsim_assert(state.stats.size() == stats_.size(),
+                 "bus state restored into a different core count");
+    for (const Pending &p : pending_)
+        wbsim_assert(!p.active, "bus state restored mid-request");
+    busy_from_ = state.busyFrom;
+    free_at_ = state.freeAt;
+    current_ = state.current;
+    owner_ = state.owner;
+    seq_ = state.seq;
+    stats_ = state.stats;
+}
+
 } // namespace wbsim

@@ -174,6 +174,27 @@ class BusArbiter
      *  busy interval is machine state and is left alone. */
     void resetStats();
 
+    /** The arbiter's book between scheduling steps: the busy
+     *  interval and its transaction, the arrival counter and the
+     *  per-core accounting (the bus part of a MultiCoreSnapshot). */
+    struct State
+    {
+        Cycle busyFrom = 0;
+        Cycle freeAt = 0;
+        L2Txn current = L2Txn::None;
+        unsigned owner = 0;
+        std::uint64_t seq = 0;
+        std::vector<BusCoreStats> stats;
+    };
+
+    /** Capture the book. Only between scheduling steps: panics while
+     *  a request is pending. */
+    WBSIM_REQUIRES(bus_driver) State state() const;
+
+    /** Adopt @p state, captured from an arbiter with as many cores,
+     *  with no request pending here. */
+    WBSIM_REQUIRES(bus_driver) void restore(const State &state);
+
   private:
     /** One core's outstanding request. */
     struct Pending

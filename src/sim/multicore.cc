@@ -96,9 +96,11 @@ void
 MultiCoreSystem::beginMeasurement(unsigned i)
 {
     CoreState &core = cores_[i];
+    core.recordsAtReset = core.sim->instructions();
     core.sim->resetStats();
     core.busAtReset = bus_.coreStats(i);
     core.measuring = true;
+    ++measuring_;
     if (core.sink.attached())
         core.sim->attachObs(core.sink);
 }
@@ -166,13 +168,11 @@ MultiCoreSystem::advance(unsigned i)
     crossBoundary(i);
 }
 
-MultiCoreResults
-MultiCoreSystem::run(const std::vector<TraceSource *> &sources,
-                     Count warmup)
+void
+MultiCoreSystem::attachSources(const std::vector<TraceSource *> &sources)
 {
     wbsim_assert(sources.size() == cores_.size(),
                  "one trace source per core required");
-    warmup_ = warmup;
     // A shared event log records the cross-core event order, which
     // only the per-record schedule produces: private-prefix steps
     // reorder private events (L1-hit loads) across cores. So an
@@ -183,14 +183,27 @@ MultiCoreSystem::run(const std::vector<TraceSource *> &sources,
             schedule_ = Schedule::PerRecord;
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         wbsim_assert(sources[i] != nullptr, "null trace source");
-        CoreState &core = cores_[i];
-        core.source = sources[i];
-        core.workload = sources[i]->name();
-        clocks_[i] = core.sim->now();
-        if (warmup == 0)
-            beginMeasurement(static_cast<unsigned>(i));
+        cores_[i].source = sources[i];
+        cores_[i].workload = sources[i]->name();
     }
+}
 
+void
+MultiCoreSystem::start(const std::vector<TraceSource *> &sources,
+                       Count warmup)
+{
+    warmup_ = warmup;
+    attachSources(sources);
+    for (unsigned i = 0; i < cores_.size(); ++i) {
+        clocks_[i] = cores_[i].sim->now();
+        if (warmup == 0)
+            beginMeasurement(i);
+    }
+}
+
+void
+MultiCoreSystem::schedule(bool untilWarm)
+{
     // Min-clock schedule: always advance the core whose local clock
     // is furthest behind (ties to the lowest id), so no core runs
     // ahead of bus traffic that could contend with it. The bus
@@ -198,15 +211,30 @@ MultiCoreSystem::run(const std::vector<TraceSource *> &sources,
     // whenever a grant needs the causality window closed. Exhausted
     // cores read kExhausted and are never picked.
     for (;;) {
+        if (untilWarm && measuring_ == cores_.size())
+            return;
         unsigned best = 0;
         for (unsigned i = 1; i < clocks_.size(); ++i)
             if (clocks_[i] < clocks_[best])
                 best = i;
         if (clocks_[best] == kExhausted)
-            break;
+            return;
         advance(best);
     }
+}
 
+MultiCoreResults
+MultiCoreSystem::run(const std::vector<TraceSource *> &sources,
+                     Count warmup)
+{
+    start(sources, warmup);
+    schedule(/*untilWarm=*/false);
+    return finish();
+}
+
+MultiCoreResults
+MultiCoreSystem::finish()
+{
     // Drain in core id order; drains serialise through the bus like
     // any other write traffic.
     for (CoreState &core : cores_)
@@ -258,6 +286,85 @@ MultiCoreSystem::run(const std::vector<TraceSource *> &sources,
         out.bus.push_back(measured);
     }
     return out;
+}
+
+std::size_t
+MultiCoreSnapshot::bytes() const
+{
+    std::size_t total = sizeof(*this)
+        + cores.capacity() * sizeof(Core)
+        + bus.stats.capacity() * sizeof(BusCoreStats)
+        + clocks.capacity() * sizeof(Cycle);
+    // Each SimSnapshot object sits inside its Core; bytes() adds its
+    // heap parts.
+    for (const Core &core : cores)
+        total += core.sim.bytes() - sizeof(SimSnapshot);
+    return total;
+}
+
+void
+MultiCoreSystem::assertUnobserved() const
+{
+    for (const CoreState &core : cores_)
+        wbsim_assert(!core.sink.attached()
+                         && core.sim->eventLog() == nullptr,
+                     "a system checkpoint with an obs sink or event "
+                     "log attached: cores that crossed early publish "
+                     "before the capture");
+}
+
+MultiCoreSnapshot
+MultiCoreSystem::warmUp(const std::vector<TraceSource *> &sources,
+                        Count warmup)
+{
+    assertUnobserved();
+    start(sources, warmup);
+    schedule(/*untilWarm=*/true);
+    wbsim_assert(measuring_ == cores_.size(),
+                 "a core never reached its warmup quota; "
+                 "warmup must be shorter than the trace");
+
+    // Between top-level steps every acquire() has returned, so no
+    // request is pending (BusArbiter::state checks) and each core's
+    // state is its Simulator's plus the scheduler's view of it.
+    MultiCoreSnapshot snap;
+    snap.cores.reserve(cores_.size());
+    for (const CoreState &core : cores_) {
+        snap.cores.push_back({core.sim->snapshot(),
+                              core.recordsAtReset
+                                  + core.sim->instructions(),
+                              core.busAtReset});
+        // The port copy names this system's arbiter, which the
+        // checkpoint outlives; restore() attaches the target's own.
+        snap.cores.back().sim.port->attachBus(nullptr, 0);
+    }
+    snap.bus = bus_.state();
+    snap.clocks = clocks_;
+    return snap;
+}
+
+MultiCoreResults
+MultiCoreSystem::resume(const MultiCoreSnapshot &snap,
+                        const std::vector<TraceSource *> &sources)
+{
+    wbsim_assert(snap.cores.size() == cores_.size(),
+                 "system checkpoint resumed into a different core "
+                 "count");
+    assertUnobserved();
+    // Each core keeps its own bus attachment through restore().
+    for (std::size_t i = 0; i < cores_.size(); ++i) {
+        const MultiCoreSnapshot::Core &from = snap.cores[i];
+        CoreState &core = cores_[i];
+        core.sim->restore(from.sim);
+        core.busAtReset = from.busAtReset;
+        core.measuring = true;
+    }
+    bus_.restore(snap.bus);
+    // In place: the arbiter reads the clocks through its own pointer.
+    std::copy(snap.clocks.begin(), snap.clocks.end(), clocks_.begin());
+    attachSources(sources);
+    schedule(/*untilWarm=*/false);
+    return finish();
 }
 
 } // namespace wbsim

@@ -61,6 +61,42 @@ struct MultiCoreResults
     SimResults aggregate() const;
 };
 
+/**
+ * A bit-exact capture of a whole MultiCoreSystem between two top-level
+ * scheduling steps (a system checkpoint, DESIGN.md §14): every core's
+ * SimSnapshot, the arbiter's book, the scheduler's clocks and each
+ * core's measurement state. MultiCoreSystem::warmUp() takes one at the
+ * first boundary where every core has crossed its warmup;
+ * MultiCoreSystem::resume() continues any number of systems of the
+ * same machine from it.
+ */
+struct MultiCoreSnapshot
+{
+    /** One core's share of the system. Every core measures at the
+     *  capture (warmUp stops only once all have crossed), so all a
+     *  core's measurement state is its bus stats at its boundary. */
+    struct Core
+    {
+        SimSnapshot sim;
+        /** Records the core executed, warmup included: where its
+         *  source resumes. */
+        Count records = 0;
+        /** Its bus stats at its measurement boundary. */
+        BusCoreStats busAtReset;
+    };
+
+    std::vector<Core> cores;
+    BusArbiter::State bus;
+    /** Each core's scheduler clock (BusScheduler::kExhausted once its
+     *  source ran dry). */
+    std::vector<Cycle> clocks;
+
+    /** Bytes this snapshot holds: its own object, each core's
+     *  SimSnapshot::bytes() and the vectors' elements. What the grid
+     *  cache charges a system checkpoint. */
+    std::size_t bytes() const;
+};
+
 /** N cores, one arbitrated bus; drive with per-core trace sources. */
 class MultiCoreSystem final : private BusScheduler
 {
@@ -132,6 +168,27 @@ class MultiCoreSystem final : private BusScheduler
     MultiCoreResults run(const std::vector<TraceSource *> &sources,
                          Count warmup = 0);
 
+    /**
+     * Run as run() does, but stop at the first top-level scheduling
+     * boundary where every core has crossed its @p warmup, and
+     * capture the system there. Cores that crossed early have
+     * already measured records, and one may have exhausted its
+     * source. Requires no attached obs sink or event log (an early
+     * core would have published before the capture). Single-shot.
+     */
+    MultiCoreSnapshot warmUp(const std::vector<TraceSource *> &sources,
+                             Count warmup);
+
+    /**
+     * Adopt @p snap (taken from a system of the same machines) and
+     * finish the run from there: the results equal those of run()
+     * on the whole traces, bit for bit. sources[i] must be
+     * positioned at snap.cores[i].records. Requires no attached obs
+     * sink or event log. Single-shot.
+     */
+    MultiCoreResults resume(const MultiCoreSnapshot &snap,
+                            const std::vector<TraceSource *> &sources);
+
   private:
     struct CoreState
     {
@@ -142,6 +199,8 @@ class MultiCoreSystem final : private BusScheduler
         std::size_t pos = 0;
         std::size_t have = 0;
         bool measuring = false;
+        /** Records executed before the measurement boundary. */
+        Count recordsAtReset = 0;
         BusCoreStats busAtReset;
         obs::ObsSink sink;
         std::string workload;
@@ -173,12 +232,35 @@ class MultiCoreSystem final : private BusScheduler
      *  per-core measurement boundary. */
     void beginMeasurement(unsigned i);
 
+    /** Bind each core to its source, and keep every core on the
+     *  per-record schedule when an event log is attached. */
+    void attachSources(const std::vector<TraceSource *> &sources);
+
+    /** run()'s and warmUp()'s set-up: bind the sources, publish
+     *  every clock and, with no warmup, begin every core's
+     *  measurement. */
+    void start(const std::vector<TraceSource *> &sources, Count warmup);
+
+    /** Panic if any core has an obs sink or event log attached: a
+     *  resumed run would miss what the cores that crossed early
+     *  published before the capture. */
+    void assertUnobserved() const;
+
+    /** The min-clock scheduling loop: until every source is dry, or
+     *  with @p untilWarm until every core measures. */
+    void schedule(bool untilWarm);
+
+    /** Drain every core and collect the measured results. */
+    MultiCoreResults finish();
+
     std::vector<CoreState> cores_;
     /** Each core's clock as of its last scheduling step. */
     std::vector<Cycle> clocks_;
     BusArbiter bus_;
     Schedule schedule_;
     Count warmup_ = 0;
+    /** Cores past their measurement boundary. */
+    unsigned measuring_ = 0;
 };
 
 } // namespace wbsim

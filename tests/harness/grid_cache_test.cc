@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 
 #include "harness/experiment.hh"
 #include "harness/figures.hh"
@@ -279,6 +280,144 @@ TEST(GridCache, ChargesEachEntryItsExactBytes)
     EXPECT_EQ(stats.traceBuilds, 2u);
     EXPECT_EQ(stats.checkpointBuilds, 4u);
     EXPECT_EQ(stats.cachedBytes, expected);
+    clearGridCaches();
+}
+
+/** 2- and 4-core machines under both disciplines, one with a real
+ *  L2: every cell a system checkpoint of its own. */
+Experiment
+multiCoreExperiment()
+{
+    Experiment exp;
+    exp.id = "multicore";
+    for (unsigned cores : {2u, 4u}) {
+        for (BusDiscipline discipline :
+             {BusDiscipline::Fcfs, BusDiscipline::Priority}) {
+            MachineConfig machine = figures::baselineMachine();
+            machine.cores = cores;
+            machine.busDiscipline = discipline;
+            machine.perfectL2 = cores == 2;
+            machine.validate();
+            exp.variants.push_back({machine.describe(), machine});
+        }
+    }
+    return exp;
+}
+
+TEST(GridCacheSystem, BuildsOncePerCellAndHitsOnRepeat)
+{
+    clearGridCaches();
+    Experiment exp = multiCoreExperiment();
+    auto profiles = twoProfiles();
+    const std::size_t cells = profiles.size() * exp.variants.size();
+    RunnerOptions options = tinyOptions(4, true, true);
+
+    ExperimentResults first = runExperiment(exp, profiles, options);
+    GridCacheStats built = gridCacheStats();
+    EXPECT_EQ(built.checkpointBuilds, cells);
+    EXPECT_EQ(built.checkpointHits, 0u);
+    // One trace per benchmark and core seed (seeds 1-4), shared by
+    // every variant.
+    EXPECT_EQ(built.traceBuilds, profiles.size() * 4);
+
+    ExperimentResults second = runExperiment(exp, profiles, options);
+    GridCacheStats hit = gridCacheStats();
+    EXPECT_EQ(hit.checkpointBuilds, cells);
+    EXPECT_EQ(hit.checkpointHits, cells);
+    EXPECT_EQ(hit.traceBuilds, built.traceBuilds);
+    EXPECT_EQ(first, second);
+    EXPECT_EQ(first, runExperiment(exp, profiles,
+                                   tinyOptions(4, true, false)));
+    clearGridCaches();
+}
+
+TEST(GridCacheSystem, DeterministicAcrossThreadCounts)
+{
+    Experiment exp = multiCoreExperiment();
+    auto profiles = twoProfiles();
+    clearGridCaches();
+    ExperimentResults one =
+        runExperiment(exp, profiles, tinyOptions(1, true, true));
+    // Cold at 8 threads: the 4-core cells race to build the traces
+    // and checkpoints they share; then warm.
+    clearGridCaches();
+    ExperimentResults eight =
+        runExperiment(exp, profiles, tinyOptions(8, true, true));
+    ExperimentResults again =
+        runExperiment(exp, profiles, tinyOptions(8, true, true));
+    EXPECT_EQ(one, eight);
+    EXPECT_EQ(one, again);
+    EXPECT_EQ(one, runExperiment(exp, profiles,
+                                 tinyOptions(8, false, false)));
+    clearGridCaches();
+}
+
+TEST(GridCacheSystem, ChargesEachSystemCheckpointItsExactBytes)
+{
+    clearGridCaches();
+    setGridCacheByteBudget(0);
+    BenchmarkProfile profile = spec92::profile("li");
+    MachineConfig machine = figures::baselineMachine();
+    machine.cores = 2;
+    machine.perfectL2 = false;
+    machine.validate();
+    RunnerOptions options = tinyOptions(1, true, true);
+    const Count length = options.instructions + options.warmup;
+    runMultiCore(profile, machine, options, 1);
+
+    // The two core traces and the system checkpoint, each built again
+    // here as the grid cache builds it, to read its size.
+    std::size_t expected = 0;
+    std::vector<MaterializedTrace> traces;
+    std::vector<std::unique_ptr<MaterializedCursor>> cursors;
+    std::vector<TraceSource *> sources;
+    traces.reserve(2);
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        SyntheticSource source(profile, length, seed);
+        traces.push_back(MaterializedTrace::build(source));
+        expected +=
+            traces.back().encodedBytes() + kGridCacheEntryOverhead;
+        cursors.push_back(
+            std::make_unique<MaterializedCursor>(traces.back()));
+        sources.push_back(cursors.back().get());
+    }
+    MultiCoreSystem system(machine);
+    expected += system.warmUp(sources, options.warmup).bytes()
+        + kGridCacheEntryOverhead;
+
+    GridCacheStats stats = gridCacheStats();
+    EXPECT_EQ(stats.traceBuilds, 2u);
+    EXPECT_EQ(stats.checkpointBuilds, 1u);
+    EXPECT_EQ(stats.cachedBytes, expected);
+    clearGridCaches();
+}
+
+TEST(GridCacheSystem, TooSmallBudgetEvictsAndStaysCorrect)
+{
+    clearGridCaches();
+    setGridCacheByteBudget(0);
+    Experiment exp = multiCoreExperiment();
+    auto profiles = twoProfiles();
+    RunnerOptions options = tinyOptions(4, true, true);
+    const ExperimentResults expected =
+        runExperiment(exp, profiles, tinyOptions(4, false, false));
+    clearGridCaches();
+    runExperiment(exp, profiles, options);
+    const std::size_t unbounded = gridCacheStats().cachedBytes;
+
+    // A quarter of the footprint: entries of both kinds are evicted
+    // and rebuilt on the way, and every cell still comes out exact.
+    clearGridCaches();
+    setGridCacheByteBudget(unbounded / 4);
+    for (int pass = 0; pass < 2; ++pass)
+        EXPECT_EQ(runExperiment(exp, profiles, options), expected)
+            << "pass " << pass;
+    GridCacheStats bounded = gridCacheStats();
+    EXPECT_GT(bounded.checkpointEvictions, 0u);
+    EXPECT_GT(bounded.traceEvictions, 0u);
+    EXPECT_LE(bounded.cachedBytes, bounded.budgetBytes);
+
+    setGridCacheByteBudget(0);
     clearGridCaches();
 }
 

@@ -148,8 +148,9 @@ TEST_P(SimSnapshotFork, MidRunForkMatchesContinuedRunBitForBit)
     GetParam().configure(config);
 
     // The continued run, forked mid-run: counters are not reset, and
-    // every other valid L1D line is dropped first, so the caches hold
-    // invalid lines whose tags and stamps are stale.
+    // every other valid L1D line is dropped first, so the L1D holds
+    // invalid ways: each dropped line's word is zeroed and the less
+    // recent lines of its set move up one way to close the gap.
     Simulator continued(config);
     MaterializedCursor warm(trace);
     ASSERT_EQ(continued.consume(warm, kWarmup), kWarmup);
