@@ -13,7 +13,8 @@ RetirementEngine::RetirementEngine(
     VictimSelector &selector,
     std::vector<std::unique_ptr<RetirementTrigger>> triggers)
     : store_(store), port_(port), hook_(hook), config_(config),
-      stats_(stats), selector_(selector), triggers_(std::move(triggers)),
+      words_per_entry_(config.wordsPerEntry()), stats_(stats),
+      selector_(selector), triggers_(std::move(triggers)),
       fast_when_idle_(triggers_.empty() || !store.crossCheck()),
       cross_check_(store.crossCheck())
 {
@@ -28,7 +29,8 @@ RetirementEngine::RetirementEngine(const RetirementEngine &other,
                                    StoreBufferStats &stats,
                                    VictimSelector &selector)
     : store_(store), port_(port), hook_(hook), config_(config),
-      stats_(stats), selector_(selector),
+      words_per_entry_(config.wordsPerEntry()), stats_(stats),
+      selector_(selector),
       engine_now_(other.engine_now_),
       retire_in_flight_(other.retire_in_flight_),
       retiring_index_(other.retiring_index_),
@@ -104,7 +106,7 @@ RetirementEngine::startRetirement(std::size_t index, Cycle start,
     wbsim_assert(!retire_in_flight_, "overlapping retirements");
     unsigned valid_words = store_.validWords(index);
     Cycle duration = hook_(store_.base(index), valid_words,
-                           config_.wordsPerEntry(), start);
+                           words_per_entry_, start);
     wbsim_assert(duration > 0, "L2 write hook returned zero duration");
     Cycle actual = port_.begin(kind, start, duration);
     // Standalone, start was computed against the port's own freeAt so
@@ -143,7 +145,7 @@ RetirementEngine::writeEntryNow(std::size_t index, Cycle earliest,
     unsigned valid_words = store_.validWords(index);
     Cycle start = std::max(earliest, port_.freeAt());
     Cycle duration = hook_(store_.base(index), valid_words,
-                           config_.wordsPerEntry(), start);
+                           words_per_entry_, start);
     Cycle actual = port_.begin(kind, start, duration);
     store_.release(index);
     stats_.wordsWritten += valid_words;
@@ -236,7 +238,7 @@ RetirementEngine::evictVictim(Cycle now, StallStats &stalls)
     unsigned valid_words = store_.validWords(index);
     Cycle start = std::max(t, port_.freeAt());
     Cycle duration = hook_(store_.base(index), valid_words,
-                           config_.wordsPerEntry(), start);
+                           words_per_entry_, start);
     Cycle actual = port_.begin(L2Txn::WriteRetire, start, duration);
     background_done_ = actual + duration;
     stats_.wordsWritten += valid_words;

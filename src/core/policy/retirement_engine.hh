@@ -223,6 +223,9 @@ class RetirementEngine
     L2Port &port_;
     const L2WriteHook &hook_;
     const WriteBufferConfig &config_;
+    /** config_.wordsPerEntry(), divided once: every L2 write passes
+     *  it to the hook. */
+    const unsigned words_per_entry_;
     StoreBufferStats &stats_;
     VictimSelector &selector_;
     std::vector<std::unique_ptr<RetirementTrigger>> triggers_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
@@ -349,353 +350,475 @@ JsonValue::at(std::string_view name) const
     return *member;
 }
 
-/** Recursive-descent parser over an in-memory document, filling
- *  values in place. Malformed input raises Malformed; the two public
- *  entry points translate it into fatal() (trusted artifacts) or an
- *  error string (untrusted wire payloads). */
-class JsonParser
+namespace
 {
-  public:
-    /** Parse failure carrying the diagnostic. */
-    struct Malformed
-    {
-        std::string message;
-    };
 
-    explicit JsonParser(std::string_view text) : text_(text) {}
+/** std::isspace in the "C" locale. */
+bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
 
-    void
-    document(JsonValue &out)
-    {
-        parseValue(out);
-        skipSpace();
-        if (pos_ != text_.size())
-            fail("trailing garbage after JSON document at byte ",
-                 pos_);
+bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+static_assert(std::endian::native == std::endian::little,
+              "string scanning reads 8 bytes as one little-endian word");
+
+/** How many of the 8 bytes of @p word, in memory order, come before
+ *  the first '"' or '\\' (8 when there is none). A zero byte of
+ *  word ^ c marks a c; (v - 1s) & ~v & high bits flags every zero
+ *  byte of v exactly up to the first, which is all that is read. */
+unsigned
+plainBytes(std::uint64_t word)
+{
+    constexpr std::uint64_t kOnes = 0x0101010101010101u;
+    constexpr std::uint64_t kHigh = 0x8080808080808080u;
+    auto zeros = [](std::uint64_t v) { return (v - kOnes) & ~v & kHigh; };
+    std::uint64_t stops = zeros(word ^ (kOnes * '"'))
+                          | zeros(word ^ (kOnes * '\\'));
+    return stops == 0 ? 8 : static_cast<unsigned>(std::countr_zero(stops)) / 8;
+}
+
+/** The first '"' or '\\' in [in, limit), or limit. */
+const char *
+plainEnd(const char *in, const char *limit)
+{
+    for (; limit - in >= 8; in += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, in, sizeof word);
+        if (unsigned plain = plainBytes(word); plain < 8)
+            return in + plain;
     }
+    while (in < limit && *in != '"' && *in != '\\')
+        ++in;
+    return in;
+}
 
-  private:
-    template <typename... Args>
-    [[noreturn]] void
-    fail(Args &&...args)
-    {
-        throw Malformed{
-            detail::concat(std::forward<Args>(args)...)};
-    }
+/** The byte each named escape stands for; 0 for the rest. */
+constexpr std::array<char, 256> kUnescape = []() {
+    std::array<char, 256> table{};
+    for (auto [name, c] : {std::pair{'"', '"'}, std::pair{'\\', '\\'},
+                           std::pair{'/', '/'}, std::pair{'n', '\n'},
+                           std::pair{'t', '\t'}, std::pair{'r', '\r'}})
+        table[static_cast<unsigned char>(name)] = c;
+    return table;
+}();
 
-    /** Recursion guard: a few KB of '[' must not overflow the
-     *  connection thread's stack. */
-    struct DepthGuard
-    {
-        explicit DepthGuard(JsonParser &p) : parser(p)
-        {
-            if (++parser.depth_ > kMaxDepth)
-                throw Malformed{"JSON nesting deeper than 64 levels"};
-        }
-        ~DepthGuard() { --parser.depth_; }
-        JsonParser &parser;
-    };
-    static constexpr int kMaxDepth = 64;
+} // namespace
 
-    /** std::isspace in the "C" locale. */
-    static bool
-    isSpace(char c)
-    {
-        return c == ' ' || (c >= '\t' && c <= '\r');
-    }
+template <typename... Args>
+void
+JsonReader::fail(Args &&...args)
+{
+    throw Malformed{detail::concat(std::forward<Args>(args)...)};
+}
 
-    static bool
-    isDigit(char c)
-    {
-        return c >= '0' && c <= '9';
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() && isSpace(text_[pos_]))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        skipSpace();
-        if (pos_ >= text_.size())
-            fail("unexpected end of JSON document");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail("expected '", std::string(1, c), "' at byte ", pos_,
-                 " of JSON document");
+[[gnu::always_inline]] inline void
+JsonReader::skipSpace()
+{
+    while (pos_ < text_.size() && isSpace(text_[pos_]))
         ++pos_;
-    }
+}
 
-    bool
-    consume(char c)
-    {
-        if (peek() == c) {
-            ++pos_;
-            return true;
-        }
+[[gnu::always_inline]] inline char
+JsonReader::peekByte()
+{
+    skipSpace();
+    if (pos_ >= text_.size())
+        fail("unexpected end of JSON document");
+    return text_[pos_];
+}
+
+[[gnu::always_inline]] inline char
+JsonReader::valueStart()
+{
+    // A value inside open_ containers sits at depth open_ + 1.
+    if (open_ >= kMaxDepth)
+        fail("JSON nesting deeper than 64 levels");
+    return peekByte();
+}
+
+[[gnu::always_inline]] inline void
+JsonReader::expect(char c)
+{
+    if (peekByte() != c)
+        fail("expected '", std::string(1, c), "' at byte ", pos_,
+             " of JSON document");
+    ++pos_;
+}
+
+JsonValue::Kind
+JsonReader::peek()
+{
+    switch (valueStart()) {
+      case '{':
+        return JsonValue::Kind::Object;
+      case '[':
+        return JsonValue::Kind::Array;
+      case '"':
+        return JsonValue::Kind::String;
+      case 't':
+      case 'f':
+        return JsonValue::Kind::Bool;
+      case 'n':
+        return JsonValue::Kind::Null;
+      default:
+        return JsonValue::Kind::Number;
+    }
+}
+
+void
+JsonReader::open(char bracket)
+{
+    valueStart();
+    expect(bracket);
+    ++open_;
+    first_ = true;
+}
+
+void
+JsonReader::beginObject()
+{
+    open('{');
+}
+
+void
+JsonReader::beginArray()
+{
+    open('[');
+}
+
+[[gnu::always_inline]] inline bool
+JsonReader::nextIn(char close)
+{
+    const bool first = std::exchange(first_, false);
+    const char c = peekByte();
+    if (c == close) {
+        ++pos_;
+        --open_;
         return false;
     }
-
-    void
-    parseValue(JsonValue &v)
-    {
-        DepthGuard depth(*this);
-        switch (peek()) {
-          case '{':
-            parseObject(v);
-            return;
-          case '[':
-            parseArray(v);
-            return;
-          case '"':
-            parseString(v.value_.emplace<std::string>());
-            return;
-          case 't':
-            literal("true");
-            v.value_.emplace<bool>(true);
-            return;
-          case 'f':
-            literal("false");
-            v.value_.emplace<bool>(false);
-            return;
-          case 'n':
-            literal("null");
-            return;
-          default:
-            parseNumber(v);
-        }
+    if (!first) {
+        if (c != ',')
+            fail("expected ',' at byte ", pos_, " of JSON document");
+        ++pos_;
     }
+    return true;
+}
 
-    void
-    literal(std::string_view word)
-    {
-        for (char c : word) {
-            if (pos_ >= text_.size() || text_[pos_] != c)
-                fail("malformed JSON literal at byte ", pos_);
-            ++pos_;
-        }
+bool
+JsonReader::nextMember(std::string_view &key, std::string_view likely)
+{
+    if (!nextIn('}'))
+        return false;
+    // The quoted spelling of likely, byte for byte, is that string.
+    const std::size_t size = likely.size();
+    if (size > 0 && peekByte() == '"' && pos_ + size + 2 <= text_.size()
+        && text_[pos_ + size + 1] == '"'
+        && text_.compare(pos_ + 1, size, likely) == 0) {
+        pos_ += size + 2;
+        key = likely;
+    } else {
+        key = stringView(key_);
     }
+    expect(':');
+    return true;
+}
 
-    /** The byte each named escape stands for; 0 for the rest. */
-    static constexpr std::array<char, 256> kUnescape = []() {
-        std::array<char, 256> table{};
-        for (auto [name, c] : {std::pair{'"', '"'}, std::pair{'\\', '\\'},
-                               std::pair{'/', '/'}, std::pair{'n', '\n'},
-                               std::pair{'t', '\t'}, std::pair{'r', '\r'}})
-            table[static_cast<unsigned char>(name)] = c;
-        return table;
-    }();
+bool
+JsonReader::nextItem()
+{
+    return nextIn(']');
+}
 
-    /** Appends the string's bytes to @p out, written through a raw
-     *  pointer into room that doubles on demand: result documents
-     *  embedded in a response carry an escape every few bytes, and
-     *  an append per stretch costs more than the bytes it copies. */
-    void
-    parseString(std::string &out)
-    {
-        expect('"');
-        const char *const limit = text_.data() + text_.size();
-        const char *in = text_.data() + pos_;
-        const std::size_t at = out.size();
-        out.resize(std::max(out.capacity(), at + 8));
-        // Locals, not members: stores through p may alias anything.
-        char *p = out.data() + at;
-        char *room = out.data() + out.size();
-        while (in < limit) {
-            char c = *in;
-            if (c == '"')
-                break;
-            if (p == room) {
-                auto used = static_cast<std::size_t>(p - out.data());
-                out.resize(2 * out.size());
-                p = out.data() + used;
-                room = out.data() + out.size();
-            }
-            if (c != '\\') {
-                *p++ = c;
-                ++in;
+void
+JsonReader::literal(std::string_view word)
+{
+    if (text_.substr(pos_, word.size()) == word) {
+        pos_ += word.size();
+        return;
+    }
+    for (char c : word) {
+        if (pos_ >= text_.size() || text_[pos_] != c)
+            fail("malformed JSON literal at byte ", pos_);
+        ++pos_;
+    }
+}
+
+/** Unescaped bytes are written through a raw pointer into room that
+ *  doubles on demand: result documents embedded in a response carry an
+ *  escape every few bytes, and an append per stretch costs more than
+ *  the bytes it copies. Plain stretches move 8 bytes at a time. */
+std::string_view
+JsonReader::stringView(std::string &out)
+{
+    expect('"');
+    const char *const limit = text_.data() + text_.size();
+    const char *in = text_.data() + pos_;
+    // Keys and names escape nothing: hand out the text itself.
+    const char *plain = plainEnd(in, limit);
+    if (plain < limit && *plain == '"') {
+        pos_ = static_cast<std::size_t>(plain + 1 - text_.data());
+        return {in, static_cast<std::size_t>(plain - in)};
+    }
+    out.assign(in, static_cast<std::size_t>(plain - in));
+    in = plain;
+    const std::size_t at = out.size();
+    out.resize(std::max(out.capacity(), at + 8));
+    // Locals, not members: stores through p may alias anything.
+    char *p = out.data() + at;
+    char *room = out.data() + out.size();
+    while (in < limit) {
+        if (room - p < 8) {
+            auto used = static_cast<std::size_t>(p - out.data());
+            out.resize(2 * out.size());
+            p = out.data() + used;
+            room = out.data() + out.size();
+        }
+        // Up to the next quote or backslash: a whole word is stored,
+        // and its plain bytes are kept.
+        if (limit - in >= 8) {
+            std::uint64_t word;
+            std::memcpy(&word, in, sizeof word);
+            std::memcpy(p, &word, sizeof word);
+            unsigned plain = plainBytes(word);
+            p += plain;
+            in += plain;
+            if (plain == 8)
                 continue;
-            }
-            if (++in >= limit)
-                break; // a lone trailing backslash
-            char e = *in++;
-            if (char named = kUnescape[static_cast<unsigned char>(e)]) {
-                *p++ = named;
-            } else if (e == 'u') {
-                if (limit - in < 4)
-                    fail("truncated \\u escape in JSON string");
-                // strtoul over exactly the four bytes, as before:
-                // the exporter only emits \u for control characters,
-                // and odd spellings keep decoding the same way.
-                char hex[5] = {in[0], in[1], in[2], in[3], '\0'};
-                *p++ = static_cast<char>(std::strtoul(hex, nullptr, 16));
-                in += 4;
-            } else {
-                fail("unsupported JSON escape '\\", std::string(1, e),
-                     "'");
-            }
+        } else if (*in != '"' && *in != '\\') {
+            *p++ = *in++;
+            continue;
         }
-        out.resize(static_cast<std::size_t>(p - out.data()));
-        pos_ = static_cast<std::size_t>(in - text_.data());
-        expect('"');
+        if (*in == '"')
+            break;
+        if (++in >= limit)
+            break; // a lone trailing backslash
+        char e = *in++;
+        if (char named = kUnescape[static_cast<unsigned char>(e)]) {
+            *p++ = named;
+        } else if (e == 'u') {
+            if (limit - in < 4)
+                fail("truncated \\u escape in JSON string");
+            // strtoul over exactly the four bytes, as before: the
+            // exporter only emits \u for control characters, and odd
+            // spellings keep decoding the same way.
+            char hex[5] = {in[0], in[1], in[2], in[3], '\0'};
+            *p++ = static_cast<char>(std::strtoul(hex, nullptr, 16));
+            in += 4;
+        } else {
+            fail("unsupported JSON escape '\\", std::string(1, e), "'");
+        }
     }
+    out.resize(static_cast<std::size_t>(p - out.data()));
+    pos_ = static_cast<std::size_t>(in - text_.data());
+    expect('"');
+    return out;
+}
 
-    /**
-     * A number token is a run of [0-9.eE+-] (an optional leading
-     * sign included). Its value is what strtod makes of the token —
-     * the longest valid prefix, 0 when there is none — and a token
-     * of only an optional '+' and digits is integral, its uint the
-     * strtoull value (saturating at 2^64-1). Both are computed in
-     * place; strtod only runs on a copy when from_chars reports the
-     * value out of double's range.
-     */
-    void
-    parseNumber(JsonValue &v)
-    {
-        skipSpace();
-        std::size_t start = pos_;
-        bool integral = true;
-        if (pos_ < text_.size()
-            && (text_[pos_] == '-' || text_[pos_] == '+'))
-            ++pos_;
-        std::size_t digits = pos_;
-        while (pos_ < text_.size()) {
-            char c = text_[pos_];
-            if (isDigit(c)) {
-                ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '-'
-                       || c == '+') {
-                integral = false;
-                ++pos_;
-            } else {
+/**
+ * A number token is a run of [0-9.eE+-] (an optional leading sign
+ * included). Its value is what strtod makes of the token — the
+ * longest valid prefix, 0 when there is none — and a token of only an
+ * optional '+' and digits is integral, its uint the strtoull value
+ * (saturating at 2^64-1). Both are computed in place; strtod only
+ * runs on a copy when from_chars reports the value out of double's
+ * range.
+ */
+JsonValue::Number
+JsonReader::number()
+{
+    const std::size_t start = pos_;
+    const char *const limit = text_.data() + text_.size();
+    const char *p = text_.data() + start;
+    bool integral = true;
+    if (p < limit && (*p == '-' || *p == '+'))
+        ++p;
+    const auto digits = static_cast<std::size_t>(p - text_.data());
+    for (; p < limit; ++p) {
+        char c = *p;
+        if (isDigit(c))
+            continue;
+        if (c != '.' && c != 'e' && c != 'E' && c != '-' && c != '+')
+            break;
+        integral = false;
+    }
+    pos_ = static_cast<std::size_t>(p - text_.data());
+    if (pos_ == start)
+        fail("malformed JSON number at byte ", pos_);
+    JsonValue::Number number;
+    number.integral = integral && text_[start] != '-';
+    if (number.integral) {
+        // Up to 19 digits nothing overflows; past that, saturate.
+        const bool checked = pos_ - digits > 19;
+        std::uint64_t value = 0;
+        for (std::size_t i = digits; i < pos_; ++i) {
+            auto digit = static_cast<std::uint64_t>(text_[i] - '0');
+            if (checked
+                && value > (std::numeric_limits<std::uint64_t>::max()
+                            - digit) / 10) {
+                value = std::numeric_limits<std::uint64_t>::max();
                 break;
             }
+            value = value * 10 + digit;
         }
-        if (pos_ == start)
-            fail("malformed JSON number at byte ", pos_);
-        auto &number = v.value_.emplace<JsonValue::Number>();
-        number.value = toDouble(start, digits);
-        number.integral = integral && text_[start] != '-';
-        if (number.integral) {
-            std::uint64_t value = 0;
-            for (std::size_t i = digits; i < pos_; ++i) {
-                auto digit = static_cast<std::uint64_t>(text_[i] - '0');
-                if (value > (std::numeric_limits<std::uint64_t>::max()
-                             - digit)
-                                / 10) {
-                    value = std::numeric_limits<std::uint64_t>::max();
-                    break;
-                }
-                value = value * 10 + digit;
-            }
-            number.uint = value;
+        number.uint = value;
+        // Up to 15 digits the integer is exact in a double, which is
+        // then strtod's value too.
+        if (pos_ - digits <= 15) {
+            number.value = static_cast<double>(value);
+            return number;
         }
     }
+    number.value = toDouble(start, digits);
+    return number;
+}
 
-    /** strtod's value for the token text_[start, pos_), whose body
-     *  (after any sign) starts at @p body. */
-    double
-    toDouble(std::size_t start, std::size_t body)
-    {
-        const char *first = text_.data() + body;
-        const char *last = text_.data() + pos_;
-        // from_chars takes no '+' and strtod no second sign: a body
-        // that does not start with a digit or '.' converts nothing.
-        if (first == last || !(isDigit(*first) || *first == '.'))
-            return 0.0;
-        double value = 0.0;
-        std::errc ec = std::from_chars(first, last, value,
-                                       std::chars_format::general)
-                           .ec;
-        if (ec == std::errc::invalid_argument)
-            return 0.0;
-        if (ec == std::errc::result_out_of_range) {
-            // Overflow and underflow: defer to strtod's HUGE_VAL /
-            // denormal rules on a NUL-terminated copy (rare).
-            std::string token(text_.substr(start, pos_ - start));
-            return std::strtod(token.c_str(), nullptr);
-        }
-        return text_[start] == '-' ? -value : value;
+double
+JsonReader::toDouble(std::size_t start, std::size_t body)
+{
+    const char *first = text_.data() + body;
+    const char *last = text_.data() + pos_;
+    // from_chars takes no '+' and strtod no second sign: a body that
+    // does not start with a digit or '.' converts nothing.
+    if (first == last || !(isDigit(*first) || *first == '.'))
+        return 0.0;
+    double value = 0.0;
+    std::errc ec =
+        std::from_chars(first, last, value, std::chars_format::general).ec;
+    if (ec == std::errc::invalid_argument)
+        return 0.0;
+    if (ec == std::errc::result_out_of_range) {
+        // Overflow and underflow: defer to strtod's HUGE_VAL /
+        // denormal rules on a NUL-terminated copy (rare).
+        std::string token(text_.substr(start, pos_ - start));
+        return std::strtod(token.c_str(), nullptr);
     }
+    return text_[start] == '-' ? -value : value;
+}
 
-    /** Arrays and objects collect their children on the parser's
-     *  scratch stacks and move them into one exactly-sized vector
-     *  when they close, so a container costs one allocation however
-     *  many members it has. */
-    void
-    parseArray(JsonValue &v)
-    {
-        expect('[');
-        auto &items = v.value_.emplace<std::vector<JsonValue>>();
-        if (consume(']'))
-            return;
-        const std::size_t base = items_.size();
-        for (;;) {
-            JsonValue item;
-            parseValue(item);
-            items_.push_back(std::move(item));
-            if (consume(']'))
-                break;
-            expect(',');
-        }
-        items.assign(std::make_move_iterator(items_.begin() + base),
-                      std::make_move_iterator(items_.end()));
-        items_.resize(base);
-    }
-
-    void
-    parseObject(JsonValue &v)
-    {
-        expect('{');
-        auto &members =
-            v.value_.emplace<std::vector<JsonValue::Member>>();
-        if (consume('}'))
-            return;
+/** Arrays and objects collect their children on the reader's scratch
+ *  stacks and move them into one exactly-sized vector when they close,
+ *  so a container costs one allocation however many members it has. */
+void
+JsonReader::value(JsonValue &v)
+{
+    switch (valueStart()) {
+      case '{': {
+        beginObject();
+        auto &members = v.value_.emplace<std::vector<JsonValue::Member>>();
         const std::size_t base = members_.size();
-        for (;;) {
+        for (std::string_view key; nextMember(key);) {
             // Nested containers push onto members_ too: address the
             // slot by index, not by a reference they could move.
             const std::size_t slot = members_.size();
-            parseString(members_.emplace_back().key);
-            expect(':');
-            JsonValue value;
-            parseValue(value);
-            members_[slot].value = std::move(value);
-            if (consume('}'))
-                break;
-            expect(',');
+            members_.emplace_back().key = key;
+            JsonValue child;
+            value(child);
+            members_[slot].value = std::move(child);
         }
         members.assign(std::make_move_iterator(members_.begin() + base),
-                      std::make_move_iterator(members_.end()));
+                       std::make_move_iterator(members_.end()));
         members_.resize(base);
+        return;
+      }
+      case '[': {
+        beginArray();
+        auto &items = v.value_.emplace<std::vector<JsonValue>>();
+        const std::size_t base = items_.size();
+        while (nextItem()) {
+            JsonValue item; // nested arrays may move items_
+            value(item);
+            items_.push_back(std::move(item));
+        }
+        items.assign(std::make_move_iterator(items_.begin() + base),
+                     std::make_move_iterator(items_.end()));
+        items_.resize(base);
+        return;
+      }
+      case '"':
+        string(v.value_.emplace<std::string>());
+        return;
+      case 't':
+        literal("true");
+        v.value_.emplace<bool>(true);
+        return;
+      case 'f':
+        literal("false");
+        v.value_.emplace<bool>(false);
+        return;
+      case 'n':
+        literal("null");
+        v.value_.emplace<std::monostate>();
+        return;
+      default:
+        // A reused scalar slot (FieldReader's) keeps its alternative.
+        if (auto *slot = std::get_if<JsonValue::Number>(&v.value_))
+            *slot = number();
+        else
+            v.value_.emplace<JsonValue::Number>(number());
     }
+}
 
-    std::string_view text_;
-    std::size_t pos_ = 0;
-    int depth_ = 0;
-    /** Children of the containers still open, innermost last. */
-    std::vector<JsonValue> items_;
-    std::vector<JsonValue::Member> members_;
-};
+void
+JsonReader::string(std::string &out)
+{
+    valueStart();
+    if (std::string_view bytes = stringView(out); bytes.data() != out.data())
+        out.assign(bytes);
+}
+
+void
+JsonReader::skip()
+{
+    switch (valueStart()) {
+      case '{':
+        beginObject();
+        for (std::string_view key; nextMember(key);)
+            skip();
+        return;
+      case '[':
+        beginArray();
+        while (nextItem())
+            skip();
+        return;
+      case '"':
+        stringView(key_);
+        return;
+      case 't':
+        literal("true");
+        return;
+      case 'f':
+        literal("false");
+        return;
+      case 'n':
+        literal("null");
+        return;
+      default:
+        number();
+    }
+}
+
+void
+JsonReader::end()
+{
+    skipSpace();
+    if (pos_ != text_.size())
+        fail("trailing garbage after JSON document at byte ", pos_);
+}
 
 JsonValue
 JsonValue::parse(std::string_view text)
 {
     JsonValue out;
-    try {
-        JsonParser(text).document(out);
-    } catch (const JsonParser::Malformed &err) {
-        wbsim_fatal(err.message);
-    }
+    std::string error;
+    if (!tryParse(text, out, error))
+        wbsim_fatal(error);
     return out;
 }
 
@@ -704,12 +827,12 @@ JsonValue::tryParse(std::string_view text, JsonValue &out,
                     std::string &error)
 {
     JsonValue doc;
-    try {
-        JsonParser(text).document(doc);
-    } catch (const JsonParser::Malformed &err) {
-        error = err.message;
+    JsonReader reader(text);
+    if (!reader.read(error, [&] {
+            reader.value(doc);
+            return true;
+        }))
         return false;
-    }
     out = std::move(doc);
     return true;
 }

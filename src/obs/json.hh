@@ -1,8 +1,9 @@
 /**
  * @file
  * Minimal JSON support for the run artifacts and the wbsim-serve
- * wire: a buffered writer with automatic comma/indent management, and
- * a small recursive-descent parser.
+ * wire: a buffered writer with automatic comma/indent management, a
+ * pull reader that is the one tokenizer, a tree built through it, and
+ * strict field extraction over either.
  *
  * Scope is deliberately tiny — just what the exporters and the wire
  * codec need. Doubles are emitted with max_digits10 precision (the
@@ -10,10 +11,9 @@
  * re-parses to the identical bit pattern (the round-trip tests
  * compare SimResults field-for-field with exact equality).
  *
- * Both halves sit on the wbsim-serve hit path, so neither touches
- * iostreams per token nor allocates per node beyond the strings and
- * child vectors the document itself needs (DESIGN.md §13, "JSON and
- * wire codec").
+ * Writer and reader sit on the wbsim-serve hit path, so neither
+ * touches iostreams per token; the wire decoders walk a frame with the
+ * reader and build no tree (DESIGN.md §13, "JSON and wire codec").
  */
 
 #ifndef WBSIM_OBS_JSON_HH
@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <limits>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -191,7 +192,7 @@ class JsonValue
                          std::string &error);
 
   private:
-    friend class JsonParser;
+    friend class JsonReader;
 
     struct Number
     {
@@ -214,6 +215,122 @@ struct JsonValue::Member
 };
 
 /**
+ * Pull reader over one JSON document, and the only tokenizer: every
+ * rule of the format (number and string tokens, escapes, the 64-level
+ * nesting limit, the error texts) lives here once. A caller walks the
+ * document value by value: beginObject()/nextMember() and
+ * beginArray()/nextItem() step through containers, value() builds the
+ * next value as a tree and skip() steps over it. JsonValue::tryParse
+ * is one value() call; the wire decoders walk a frame member by member
+ * and never build a tree.
+ *
+ * Malformed text throws Malformed where it is found; read() runs a
+ * decode and turns that into an error string.
+ */
+class JsonReader
+{
+  public:
+    /** Parse failure carrying the diagnostic. */
+    struct Malformed
+    {
+        std::string message;
+    };
+
+    explicit JsonReader(std::string_view text) : text_(text) {}
+
+    JsonReader(const JsonReader &) = delete;
+    JsonReader &operator=(const JsonReader &) = delete;
+
+    /**
+     * Run @p decode, then require the end of the text. @p decode
+     * reads the document's one value whole, even one it rejects, and
+     * returns false with its error set on a rejection; text that is
+     * malformed anywhere still wins, as when the whole text is parsed
+     * before it is decoded. False with @p error set on either failure.
+     */
+    template <typename Decode>
+    bool
+    read(std::string &error, Decode &&decode)
+    {
+        try {
+            bool ok = decode();
+            end();
+            return ok;
+        } catch (const Malformed &err) {
+            error = err.message;
+            return false;
+        }
+    }
+
+    /** Kind of the next value; nothing is consumed. */
+    JsonValue::Kind peek();
+
+    /** Open the object that is the next value. */
+    void beginObject();
+    /** Step to the next member of the innermost open object: true
+     *  with its key, after which the caller reads or skips its value;
+     *  false once the object has closed. @p key stays valid until the
+     *  next call into the reader. A key spelled exactly @p likely (no
+     *  escapes in either) is matched without being scanned. */
+    bool nextMember(std::string_view &key, std::string_view likely = {});
+
+    /** Open the array that is the next value. */
+    void beginArray();
+    /** True before each item of the innermost open array (the caller
+     *  reads or skips it); false once the array has closed. */
+    bool nextItem();
+
+    /** Read the next value whole, as a tree. */
+    void value(JsonValue &out);
+    /** Read the next value, which must be a string, into @p out. */
+    void string(std::string &out);
+    /** Step over the next value, checking it as value() would. */
+    void skip();
+
+  private:
+    /** Nesting limit: a few KB of '[' must not overflow the
+     *  connection thread's stack. */
+    static constexpr int kMaxDepth = 64;
+
+    template <typename... Args>
+    [[noreturn, gnu::cold, gnu::noinline]] void fail(Args &&...args);
+
+    void skipSpace();
+    /** The next non-space byte; fails at the end of the text. */
+    char peekByte();
+    /** peekByte() for the first byte of a value, after the depth
+     *  check a value at this nesting must pass. */
+    char valueStart();
+    void expect(char c);
+    void open(char bracket);
+    /** The shared tail of nextMember()/nextItem(). */
+    bool nextIn(char close);
+    void literal(std::string_view word);
+    /** The next string's bytes: a view of the text when it holds no
+     *  escape, else unescaped into @p out (replacing its contents). */
+    std::string_view stringView(std::string &out);
+    JsonValue::Number number();
+    /** strtod's value for the number token text_[start, pos_), whose
+     *  body (after any sign) starts at @p body. */
+    double toDouble(std::size_t start, std::size_t body);
+    /** Fail unless only whitespace is left. */
+    void end();
+
+    std::string_view text_;
+    std::size_t pos_ = 0;
+    /** Containers open around the next value. */
+    int open_ = 0;
+    /** Just past a '{' or '[': the next member or item takes no
+     *  comma. */
+    bool first_ = false;
+    /** The last member key read (or a skipped string). */
+    std::string key_;
+    /** Children of the containers value() has open, innermost last. */
+    std::vector<JsonValue> items_;
+    std::vector<JsonValue::Member> members_;
+};
+
+/**
  * Strict member extraction from one JSON object: a member that is
  * present must have the right JSON type and range. By default an
  * absent member keeps its default and finish() rejects keys the
@@ -222,10 +339,18 @@ struct JsonValue::Member
  * requireAll() an absent member is an error too (the sim-results
  * reader, which ignores unknown members).
  *
- * Errors read "where[index].member: what", naming the first failure.
- * Claiming allocates nothing: claimed keys are the schema's string
- * literals, kept in a fixed table, and the location prefix of an
- * error is only rendered when one is reported.
+ * Two ways in, one set of rules. Over a tree (claim mode) the schema
+ * claims its members by key, in schema order. Over a JsonReader
+ * (stream mode) members() hands them over in document order and
+ * steps over repeats (the first wins) and unknown keys. Either way
+ * the typed fields below check each value, and finish() names the
+ * alphabetically first unknown key.
+ *
+ * Errors read "where[index].member: what", naming the first failure
+ * in schema order, in either mode. Claiming allocates nothing:
+ * claimed keys are the schema's string literals, kept in a fixed
+ * table, and the location prefix of an error is only rendered when
+ * one is reported.
  */
 class FieldReader
 {
@@ -233,23 +358,119 @@ class FieldReader
     /** Sentinel for @p index: the location is @p where alone. */
     static constexpr std::size_t kNoIndex = ~std::size_t{0};
 
-    /** @p index and @p member, when given, extend the location:
-     *  "cells[3]", "machine.l1d". */
+    /** Claim mode over the tree @p value. @p index and @p member,
+     *  when given, extend the location: "cells[3]", "machine.l1d". */
     FieldReader(const JsonValue &value, std::string_view where,
                 std::string &error, std::size_t index = kNoIndex,
                 const char *member = nullptr)
-        : value_(value), where_(where), member_(member), index_(index),
+        : value_(&value), where_(where), member_(member), index_(index),
           error_(error)
     {
-        ok_ = value_.isObject();
-        if (!ok_)
-            fail("must be a JSON object");
+        requireObject(value.isObject());
+    }
+
+    /** Stream mode over the object that is @p json's next value (any
+     *  other value is stepped over and rejected). @p keys lists the
+     *  schema in the order writers emit it. */
+    FieldReader(JsonReader &json, std::span<const std::string_view> keys,
+                std::string_view where, std::string &error,
+                std::size_t index = kNoIndex, const char *member = nullptr)
+        : json_(&json), keys_(keys), where_(where), member_(member),
+          index_(index), error_(error)
+    {
+        wbsim_assert(keys.size() <= 64, "FieldReader schema too wide");
+        object_ = json.peek() == JsonValue::Kind::Object;
+        if (object_)
+            json.beginObject();
+        else
+            json.skip();
+        requireObject(object_);
+        if (!object_)
+            failed_ = 0;
     }
 
     bool ok() const { return ok_; }
+    bool streaming() const { return json_ != nullptr; }
+    /** The reader a stream-mode field is read from. */
+    JsonReader &json() { return *json_; }
 
-    /** An absent member is an error from now on. */
+    /** An absent member is an error from now on (claim mode). */
     void requireAll() { required_ = true; }
+
+    /**
+     * Stream mode: read the object's members in document order. Each
+     * member the schema lists goes to @p read(field), its index in the
+     * keys, which reads the value through the typed fields below under
+     * that field's key. A key is first matched against the field after
+     * the last one, as writers emit members in schema order. Repeats
+     * (the first wins) and unknown keys are stepped over. The whole
+     * object is read even after a failure: a member listed before the
+     * failed one is still checked, and its failure is the one
+     * reported, as in claim mode. False once a field has failed.
+     */
+    template <typename Read>
+    bool
+    members(Read &&read)
+    {
+        if (!object_)
+            return false;
+        std::string_view key;
+        while (json_->nextMember(
+            key, next_ < keys_.size() ? keys_[next_] : std::string_view())) {
+            std::size_t at = next_;
+            if (at >= keys_.size() || keys_[at].data() != key.data()) {
+                at = 0;
+                while (at < keys_.size() && keys_[at] != key)
+                    ++at;
+            }
+            if (at == keys_.size()) {
+                noteUnknown(key);
+                json_->skip();
+                continue;
+            }
+            const bool repeat = has(at);
+            seen_ |= std::uint64_t{1} << at;
+            next_ = at + 1;
+            if (repeat || at >= failed_)
+                json_->skip();
+            else
+                attempt(at, [&] { read(at); });
+        }
+        return ok_;
+    }
+
+    /** Stream mode: whether field @p field has appeared. */
+    bool has(std::size_t field) const { return seen_ >> field & 1; }
+
+    /**
+     * Stream mode: run @p check, which reads or judges field @p field,
+     * unless a field listed no later has already failed. Its failure
+     * replaces that of a field listed later. Decoders judge an absent
+     * member through it too.
+     */
+    template <typename Check>
+    void
+    attempt(std::size_t field, Check &&check)
+    {
+        if (field >= failed_)
+            return;
+        if (ok_) {
+            check();
+            if (!ok_)
+                failed_ = field;
+            return;
+        }
+        std::string later = std::move(error_);
+        error_.clear();
+        ok_ = true;
+        check();
+        if (!ok_) {
+            failed_ = field;
+        } else {
+            error_ = std::move(later);
+            ok_ = false;
+        }
+    }
 
     template <typename T>
     bool
@@ -299,6 +520,13 @@ class FieldReader
     bool
     stringField(const char *key, std::string &out)
     {
+        // Stream mode reads a string straight into @p out: a served
+        // result document is a few KB.
+        if (json_ != nullptr && ok_
+            && json_->peek() == JsonValue::Kind::String) {
+            json_->string(out);
+            return true;
+        }
         const JsonValue *v = claim(key);
         if (!v)
             return ok_;
@@ -323,16 +551,21 @@ class FieldReader
         return true;
     }
 
-    /** The raw member, claimed as known (nullptr when absent). */
+    /** The raw member, claimed as known (nullptr when absent). In
+     *  stream mode: the current member's value, read whole. */
     const JsonValue *
     claim(const char *key)
     {
         if (!ok_)
             return nullptr;
+        if (json_ != nullptr) {
+            json_->value(current_);
+            return &current_;
+        }
         wbsim_assert(known_count_ < known_.size(),
                      "FieldReader schema has more keys than its table");
         known_[known_count_++] = key;
-        const JsonValue *member = value_.find(key);
+        const JsonValue *member = value_->find(key);
         found_ += member != nullptr;
         if (member == nullptr && required_)
             fail(std::string(key) + " is missing");
@@ -340,25 +573,22 @@ class FieldReader
     }
 
     /** Reject any member the schema did not claim, naming the
-     *  alphabetically first. */
+     *  alphabetically first. In stream mode, call it after
+     *  members(). */
     bool
     finish()
     {
         if (!ok_)
             return false;
-        const auto &members = value_.object();
-        if (found_ == members.size())
-            return true; // every member claimed (keys are distinct)
-        const std::string *unknown = nullptr;
-        for (const auto &member : members) {
-            if (isKnown(member.key))
-                continue;
-            if (unknown == nullptr || member.key < *unknown)
-                unknown = &member.key;
-        }
-        if (unknown == nullptr)
-            return true; // only repeats of claimed keys
-        return fail("unknown key \"" + *unknown + "\"");
+        // Claim mode: every member claimed when the counts agree
+        // (keys are distinct); repeats of claimed keys are known.
+        if (json_ == nullptr && found_ != value_->object().size())
+            for (const auto &member : value_->object())
+                if (!isKnown(member.key))
+                    noteUnknown(member.key);
+        if (has_unknown_)
+            return fail("unknown key \"" + unknown_ + "\"");
+        return true;
     }
 
     /** Record @p what at this location unless an error is already
@@ -380,25 +610,59 @@ class FieldReader
     }
 
   private:
+    void
+    requireObject(bool object)
+    {
+        ok_ = object;
+        if (!ok_)
+            fail("must be a JSON object");
+    }
+
     bool
     isKnown(std::string_view key) const
     {
         for (std::size_t i = 0; i < known_count_; ++i)
-            if (known_[i] == key)
+            if (std::string_view(known_[i]) == key)
                 return true;
         return false;
     }
 
-    const JsonValue &value_;
+    void
+    noteUnknown(std::string_view key)
+    {
+        if (!has_unknown_ || key < unknown_) {
+            unknown_ = key;
+            has_unknown_ = true;
+        }
+    }
+
+    /** Claim mode: the object. */
+    const JsonValue *value_ = nullptr;
+    /** Stream mode: the reader, the schema, whether the value was an
+     *  object, the fields seen so far, the field expected next, the
+     *  first-listed field that failed (kNoIndex: none), and the
+     *  current member's value. */
+    JsonReader *json_ = nullptr;
+    std::span<const std::string_view> keys_;
+    bool object_ = false;
+    std::uint64_t seen_ = 0;
+    std::size_t next_ = 0;
+    std::size_t failed_ = kNoIndex;
+    JsonValue current_;
+
     std::string_view where_;
     const char *member_;
     std::size_t index_;
     std::string &error_;
-    /** Keys claimed so far; the widest schema (write_buffer) has 17. */
-    std::array<std::string_view, 24> known_;
+    /** Claim mode: keys claimed so far (the first known_count_);
+     *  the widest schema (write_buffer) has 17. */
+    std::array<const char *, 24> known_;
     std::size_t known_count_ = 0;
     /** Claimed keys that were present. */
     std::size_t found_ = 0;
+    /** The alphabetically first unknown key seen. */
+    std::string unknown_;
+    bool has_unknown_ = false;
     bool ok_ = true;
     bool required_ = false;
 };

@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <type_traits>
 
 #include "util/enum_names.hh"
@@ -116,6 +117,34 @@ fieldWriter(obs::JsonWriter &json, const Record &record)
     };
 }
 
+/** Every field a record's wire object may hold, in the order the
+ *  writer emits them: a machine's topology fields follow the rest. */
+template <typename Record, typename Visit>
+void
+forEachWireField(Visit &&visit)
+{
+    Record::forEachField(visit);
+    if constexpr (std::is_same_v<Record, MachineConfig>)
+        Record::forEachTopologyField(visit);
+}
+
+/** The keys of forEachWireField<Record>(), in its order. */
+template <typename Record>
+std::span<const std::string_view>
+wireKeys()
+{
+    static const std::vector<std::string_view> keys = [] {
+        std::vector<std::string_view> out;
+        forEachWireField<Record>(
+            [&out](const char *key, auto...) { out.push_back(key); });
+        return out;
+    }();
+    return keys;
+}
+
+template <typename Record>
+bool readRecord(FieldReader &reader, Record &record, std::string &error);
+
 /** A visitor that reads each listed field of @p record through
  *  @p reader; a nested record's errors name it ("machine.l1d"). */
 template <typename Record>
@@ -127,14 +156,17 @@ fieldReader(FieldReader &reader, Record &record, std::string &error)
         auto &value = record.*member;
         using T = std::decay_t<decltype(value)>;
         if constexpr (std::is_class_v<T>) {
-            const obs::JsonValue *object = reader.claim(key);
-            if (object == nullptr)
-                return;
-            FieldReader nested(*object, "machine", error,
-                               FieldReader::kNoIndex, key);
-            T::forEachField(fieldReader(nested, value, error));
-            if (!nested.finish())
-                reader.fail(error);
+            if (reader.streaming()) {
+                FieldReader nested(reader.json(), wireKeys<T>(), "machine",
+                                   error, FieldReader::kNoIndex, key);
+                if (!readRecord(nested, value, error))
+                    reader.fail(error);
+            } else if (const obs::JsonValue *object = reader.claim(key)) {
+                FieldReader nested(*object, "machine", error,
+                                   FieldReader::kNoIndex, key);
+                if (!readRecord(nested, value, error))
+                    reader.fail(error);
+            }
         } else if constexpr (std::is_enum_v<T>) {
             reader.enumField(key, value, enumParser(enums...));
         } else if constexpr (std::is_same_v<T, bool>) {
@@ -147,24 +179,215 @@ fieldReader(FieldReader &reader, Record &record, std::string &error)
     };
 }
 
+/** Read @p record's fields through @p reader and reject unknown keys:
+ *  in claim mode field by field, in stream mode member by member. */
+template <typename Record>
 bool
-decodeCell(const obs::JsonValue &value, std::size_t index,
-           CellSpec &out, std::string &error)
+readRecord(FieldReader &reader, Record &record, std::string &error)
 {
-    FieldReader reader(value, "cells", error, index);
-    reader.stringField("benchmark", out.benchmark);
-    reader.uintField("seed", out.seed);
-    reader.uintField("instructions", out.instructions);
-    reader.uintField("warmup", out.warmup);
-    if (const obs::JsonValue *machine = reader.claim("machine")) {
-        if (!machineConfigFromJson(*machine, out.machine, error))
-            return reader.fail(error.empty() ? "bad machine" : error);
+    auto visit = fieldReader(reader, record, error);
+    if (!reader.streaming()) {
+        forEachWireField<Record>(visit);
+        return reader.finish();
     }
+    reader.members([&](std::size_t field) {
+        std::size_t index = 0;
+        forEachWireField<Record>(
+            [&](const char *key, auto member, auto... enums) {
+                if (index++ == field)
+                    visit(key, member, enums...);
+            });
+    });
+    return reader.finish();
+}
+
+/** The array member @p key of @p reader's object, item by item:
+ *  @p item(index) reads one, and on false the rest are stepped over
+ *  (the first failing item is the one reported). */
+template <typename Item>
+void
+readArray(FieldReader &reader, const char *key, Item &&item)
+{
+    obs::JsonReader &json = reader.json();
+    if (json.peek() != obs::JsonValue::Kind::Array) {
+        json.skip();
+        reader.fail(std::string(key) + " must be an array");
+        return;
+    }
+    json.beginArray();
+    std::size_t index = 0;
+    while (json.nextItem()) {
+        if (!item(index++)) {
+            while (json.nextItem())
+                json.skip();
+            return;
+        }
+    }
+}
+
+constexpr std::string_view kCellKeys[] = {"benchmark", "seed",
+                                          "instructions", "warmup",
+                                          "machine"};
+
+bool
+readCell(obs::JsonReader &json, std::size_t index, CellSpec &out,
+         std::string &error)
+{
+    FieldReader reader(json, kCellKeys, "cells", error, index);
+    reader.members([&](std::size_t field) {
+        switch (field) {
+          case 0:
+            reader.stringField("benchmark", out.benchmark);
+            break;
+          case 1:
+            reader.uintField("seed", out.seed);
+            break;
+          case 2:
+            reader.uintField("instructions", out.instructions);
+            break;
+          case 3:
+            reader.uintField("warmup", out.warmup);
+            break;
+          case 4:
+            if (!machineConfigFromJson(json, out.machine, error))
+                reader.fail(error);
+            break;
+        }
+    });
     if (!reader.finish())
         return false;
     if (out.benchmark.empty())
         return reader.fail("benchmark is required");
     return true;
+}
+
+constexpr std::string_view kRequestKeys[] = {"schema", "type", "priority",
+                                             "cells"};
+
+bool
+readRequest(obs::JsonReader &json, Request &out, std::string &error)
+{
+    FieldReader reader(json, kRequestKeys, "request", error);
+    std::string schema, type;
+    auto checkSchema = [&] {
+        if (schema != kRequestSchema)
+            reader.fail("unsupported schema \"" + schema
+                        + "\" (this server speaks " + kRequestSchema
+                        + ")");
+    };
+    auto checkType = [&] {
+        if (!tryParseRequestType(type, out.type))
+            reader.fail("unknown request type \"" + type + "\"");
+    };
+    reader.members([&](std::size_t field) {
+        switch (field) {
+          case 0:
+            if (reader.stringField("schema", schema))
+                checkSchema();
+            break;
+          case 1:
+            if (reader.stringField("type", type))
+                checkType();
+            break;
+          case 2:
+            reader.uintField("priority", out.priority);
+            break;
+          case 3:
+            readArray(reader, "cells", [&](std::size_t index) {
+                return readCell(json, index, out.cells.emplace_back(),
+                                error)
+                       || reader.fail(error);
+            });
+            break;
+        }
+    });
+    // An absent schema or type is judged as "".
+    if (!reader.has(0))
+        reader.attempt(0, checkSchema);
+    if (!reader.has(1))
+        reader.attempt(1, checkType);
+    if (!reader.finish())
+        return false;
+    if (out.type == RequestType::Sweep && out.cells.empty())
+        return reader.fail("sweep request with no cells");
+    return true;
+}
+
+constexpr std::string_view kResultCellKeys[] = {"benchmark", "cache_hit",
+                                                "result_json"};
+
+bool
+readResultCell(obs::JsonReader &json, std::size_t index, CellResult &out,
+               std::string &error)
+{
+    FieldReader reader(json, kResultCellKeys, "cells", error, index);
+    reader.members([&](std::size_t field) {
+        switch (field) {
+          case 0:
+            reader.stringField("benchmark", out.benchmark);
+            break;
+          case 1:
+            reader.boolField("cache_hit", out.cacheHit);
+            break;
+          case 2:
+            reader.stringField("result_json", out.resultJson);
+            break;
+        }
+    });
+    return reader.finish();
+}
+
+constexpr std::string_view kResponseKeys[] = {
+    "schema", "type", "retry_after_ms", "error", "stats_json", "cells"};
+
+bool
+readResponse(obs::JsonReader &json, Response &out, std::string &error)
+{
+    FieldReader reader(json, kResponseKeys, "response", error);
+    std::string schema, type;
+    auto checkSchema = [&] {
+        if (schema != kResponseSchema)
+            reader.fail("unsupported schema \"" + schema
+                        + "\" (this client speaks " + kResponseSchema
+                        + ")");
+    };
+    auto checkType = [&] {
+        if (!tryParseResponseType(type, out.type))
+            reader.fail("unknown response type \"" + type + "\"");
+    };
+    reader.members([&](std::size_t field) {
+        switch (field) {
+          case 0:
+            if (reader.stringField("schema", schema))
+                checkSchema();
+            break;
+          case 1:
+            if (reader.stringField("type", type))
+                checkType();
+            break;
+          case 2:
+            reader.uintField("retry_after_ms", out.retryAfterMs);
+            break;
+          case 3:
+            reader.stringField("error", out.error);
+            break;
+          case 4:
+            reader.stringField("stats_json", out.statsJson);
+            break;
+          case 5:
+            readArray(reader, "cells", [&](std::size_t index) {
+                return readResultCell(json, index,
+                                      out.cells.emplace_back(), error)
+                       || reader.fail(error);
+            });
+            break;
+        }
+    });
+    if (!reader.has(0)) // see readRequest
+        reader.attempt(0, checkSchema);
+    if (!reader.has(1))
+        reader.attempt(1, checkType);
+    return reader.finish();
 }
 
 /** Open a response object: its schema and type members. */
@@ -267,15 +490,26 @@ machineConfigFromJson(const obs::JsonValue &value, MachineConfig &out,
                       std::string &error)
 {
     FieldReader reader(value, "machine", error);
-    MachineConfig::forEachField(fieldReader(reader, out, error));
-    MachineConfig::forEachTopologyField(fieldReader(reader, out, error));
-    return reader.finish();
+    return readRecord(reader, out, error);
+}
+
+bool
+machineConfigFromJson(obs::JsonReader &json, MachineConfig &out,
+                      std::string &error)
+{
+    FieldReader reader(json, wireKeys<MachineConfig>(), "machine", error);
+    return readRecord(reader, out, error);
 }
 
 std::string
 encodeRequest(const Request &request)
 {
+    // Sized once: a cell with its machine is about 850 bytes.
+    std::size_t bytes = 128;
+    for (const CellSpec &cell : request.cells)
+        bytes += 1024 + cell.benchmark.size();
     std::string out;
+    out.reserve(bytes);
     obs::JsonWriter json(out, 0);
     json.beginObject();
     json.field("schema", kRequestSchema);
@@ -308,40 +542,8 @@ decodeRequest(const std::string &payload, Request &out,
     // a stale message from the caller's previous decode must not
     // mask this one's.
     error.clear();
-    obs::JsonValue doc;
-    if (!obs::JsonValue::tryParse(payload, doc, error))
-        return false;
-    FieldReader reader(doc, "request", error);
-    std::string schema;
-    if (!reader.stringField("schema", schema))
-        return false;
-    if (schema != kRequestSchema)
-        return reader.fail("unsupported schema \"" + schema
-                           + "\" (this server speaks "
-                           + kRequestSchema + ")");
-    std::string type;
-    if (!reader.stringField("type", type))
-        return false;
-    if (!tryParseRequestType(type, out.type))
-        return reader.fail("unknown request type \"" + type + "\"");
-    reader.uintField("priority", out.priority);
-    if (const obs::JsonValue *cells = reader.claim("cells")) {
-        if (!cells->isArray())
-            return reader.fail("cells must be an array");
-        std::size_t index = 0;
-        for (const obs::JsonValue &cell : cells->array()) {
-            CellSpec spec;
-            if (!decodeCell(cell, index, spec, error))
-                return false;
-            out.cells.push_back(std::move(spec));
-            ++index;
-        }
-    }
-    if (!reader.finish())
-        return false;
-    if (out.type == RequestType::Sweep && out.cells.empty())
-        return reader.fail("sweep request with no cells");
-    return true;
+    obs::JsonReader json(payload);
+    return json.read(error, [&] { return readRequest(json, out, error); });
 }
 
 std::string
@@ -423,42 +625,9 @@ decodeResponse(const std::string &payload, Response &out,
                std::string &error)
 {
     error.clear(); // see decodeRequest
-    obs::JsonValue doc;
-    if (!obs::JsonValue::tryParse(payload, doc, error))
-        return false;
-    FieldReader reader(doc, "response", error);
-    std::string schema;
-    if (!reader.stringField("schema", schema))
-        return false;
-    if (schema != kResponseSchema)
-        return reader.fail("unsupported schema \"" + schema
-                           + "\" (this client speaks "
-                           + kResponseSchema + ")");
-    std::string type;
-    if (!reader.stringField("type", type))
-        return false;
-    if (!tryParseResponseType(type, out.type))
-        return reader.fail("unknown response type \"" + type + "\"");
-    reader.uintField("retry_after_ms", out.retryAfterMs);
-    reader.stringField("error", out.error);
-    reader.stringField("stats_json", out.statsJson);
-    if (const obs::JsonValue *cells = reader.claim("cells")) {
-        if (!cells->isArray())
-            return reader.fail("cells must be an array");
-        std::size_t index = 0;
-        for (const obs::JsonValue &value : cells->array()) {
-            FieldReader cell(value, "cells", error, index);
-            CellResult result;
-            cell.stringField("benchmark", result.benchmark);
-            cell.boolField("cache_hit", result.cacheHit);
-            cell.stringField("result_json", result.resultJson);
-            if (!cell.finish())
-                return false;
-            out.cells.push_back(std::move(result));
-            ++index;
-        }
-    }
-    return reader.finish();
+    obs::JsonReader json(payload);
+    return json.read(error,
+                     [&] { return readResponse(json, out, error); });
 }
 
 } // namespace wbsim::serve

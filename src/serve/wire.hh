@@ -148,16 +148,21 @@ struct Response
  *  Decoding accepts partial objects (absent fields keep the baseline
  *  defaults) but rejects unknown keys and type mismatches, so a
  *  client typo fails loudly instead of silently simulating the wrong
- *  machine. */
+ *  machine. The decoder reads either a parsed tree or, on the wire
+ *  path, the object that is a reader's next value; both apply the
+ *  same field list and checks. */
 /// @{
 void machineConfigToJson(obs::JsonWriter &json,
                          const MachineConfig &machine);
 bool machineConfigFromJson(const obs::JsonValue &value,
                            MachineConfig &out, std::string &error);
+bool machineConfigFromJson(obs::JsonReader &json, MachineConfig &out,
+                           std::string &error);
 /// @}
 
 /** @name Frame payload encode/decode. Decoders are strict and
- *  non-fatal: false + @p error on anything unexpected. Encoders are
+ *  non-fatal: false + @p error on anything unexpected. They read the
+ *  payload in one pass with obs::JsonReader and build no tree. Encoders are
  *  deterministic roots: the on-wire bytes for a given message must
  *  never depend on clocks, RNG, or hash order (WL-DETERMINISM) —
  *  sweep responses are compared byte-for-byte against local runs. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <iterator>
 
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -640,9 +641,11 @@ MaterializedCursor::seek(Count index)
     last_pc_ = s.lastPc;
     run_left_ = 0; // items never span a sync point
     pending_ = -1;
-    TraceRecord scratch;
+    // The rest of the interval through the run decoder: its budget
+    // stops exactly at index, parking a cut item as next() would.
+    TraceRun skipped[256];
     while (index_ < index)
-        decodeOne(scratch);
+        nextRuns(skipped, std::size(skipped), index - index_);
 }
 
 } // namespace wbsim

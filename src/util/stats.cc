@@ -1,6 +1,7 @@
 #include "util/stats.hh"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -24,10 +25,19 @@ percent(Count numerator, Count denominator)
 }
 
 Histogram::Histogram(std::size_t buckets, std::uint64_t bucket_width)
-    : counts_(buckets + 1, 0), width_(bucket_width)
+    : counts_(buckets + 1, 0), width_(bucket_width),
+      shift_(std::has_single_bit(bucket_width)
+                 ? static_cast<unsigned>(std::countr_zero(bucket_width))
+                 : kDivide)
 {
     wbsim_assert(buckets > 0, "histogram needs at least one bucket");
     wbsim_assert(bucket_width > 0, "histogram bucket width must be > 0");
+}
+
+std::uint64_t
+Histogram::divide(std::uint64_t value) const
+{
+    return value / width_;
 }
 
 void
@@ -35,10 +45,7 @@ Histogram::sample(std::uint64_t value, Count count)
 {
     if (count == 0)
         return;
-    std::uint64_t scaled = width_ == 1 ? value : value / width_;
-    std::size_t idx =
-        std::min<std::uint64_t>(scaled, counts_.size() - 1);
-    counts_[idx] += count;
+    counts_[bucketOf(value)] += count;
     samples_ += count;
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);

@@ -77,10 +77,7 @@ class Histogram
     void
     sample(std::uint64_t value)
     {
-        std::uint64_t scaled = width_ == 1 ? value : value / width_;
-        std::size_t idx =
-            std::min<std::uint64_t>(scaled, counts_.size() - 1);
-        ++counts_[idx];
+        ++counts_[bucketOf(value)];
         ++samples_;
         min_ = std::min(min_, value);
         max_ = std::max(max_, value);
@@ -134,8 +131,29 @@ class Histogram
     std::string summary() const;
 
   private:
+    /** Marks a width that is not a power of two in shift_. */
+    static constexpr unsigned kDivide = 64;
+
+    /** The bucket @p value lands in (the last is overflow). A
+     *  power-of-two width, 1 included, shifts: the store path must
+     *  not pay a divide, and a `width == 1 ? v : v / width` select
+     *  compiles to an unconditional one. */
+    std::size_t
+    bucketOf(std::uint64_t value) const
+    {
+        std::uint64_t scaled =
+            shift_ != kDivide ? value >> shift_ : divide(value);
+        return std::min<std::uint64_t>(scaled, counts_.size() - 1);
+    }
+
+    /** Out of line so the divide is never hoisted onto the shift
+     *  path. */
+    [[gnu::noinline]] std::uint64_t divide(std::uint64_t value) const;
+
     std::vector<Count> counts_; // last slot is overflow
     std::uint64_t width_ = 1;
+    /** log2(width_), or kDivide. */
+    unsigned shift_ = 0;
     Count samples_ = 0;
     std::uint64_t min_ = ~std::uint64_t{0};
     std::uint64_t max_ = 0;

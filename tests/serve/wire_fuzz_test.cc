@@ -22,10 +22,7 @@
 #include <vector>
 
 #include "serve/wire.hh"
-
-#ifndef WBSIM_SERVE_GOLDEN_DIR
-#error "WBSIM_SERVE_GOLDEN_DIR must point at tests/serve/golden"
-#endif
+#include "wire_fuzz.hh"
 
 namespace wbsim::serve
 {
@@ -80,84 +77,6 @@ TEST(WireContract, NonFiniteMachineDoublesAreRejected)
         << error;
 }
 
-std::string
-readGolden(const std::string &name)
-{
-    std::ifstream in(std::string(WBSIM_SERVE_GOLDEN_DIR) + "/" + name,
-                     std::ios::binary);
-    EXPECT_TRUE(in.good()) << name;
-    std::stringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
-/** Tokens worth splicing into JSON: structure, escapes, literals and
- *  numbers at and past the edges of uint64 and double. */
-const char *const kDictionary[] = {
-    "{",       "}",        "[",       "]",        ",",
-    ":",       "\"",       "\\",      "\\u0000",  "\\u12",
-    "null",    "true",     "false",   "-",        "+",
-    "0",       "-0",       "1e999",   "-1e999",   "1e-999",
-    "1-2",     "4.9e-324", "18446744073709551615",
-    "18446744073709551616",
-    "99999999999999999999999999999999999999999999",
-    "4294967296", "\"sweep\"", "\"ping\"", "\"cells\"", "\"x\": 1",
-};
-
-/** One seeded mutation of @p frame. */
-std::string
-mutate(const std::string &frame, std::mt19937_64 &rng)
-{
-    std::string text = frame;
-    auto pick = [&rng](std::size_t n) {
-        return n == 0 ? 0 : std::size_t(rng() % n);
-    };
-    int rounds = 1 + int(rng() % 3);
-    for (int round = 0; round < rounds; ++round) {
-        switch (rng() % 7) {
-        case 0: // flip one bit
-            if (!text.empty())
-                text[pick(text.size())] ^= char(1u << (rng() % 8));
-            break;
-        case 1: // overwrite one byte
-            if (!text.empty())
-                text[pick(text.size())] = char(rng() % 256);
-            break;
-        case 2: // insert a random byte
-            text.insert(pick(text.size() + 1), 1, char(rng() % 256));
-            break;
-        case 3: // splice in a dictionary token
-            text.insert(pick(text.size() + 1),
-                        kDictionary[pick(std::size(kDictionary))]);
-            break;
-        case 4: // truncate
-            text.resize(pick(text.size() + 1));
-            break;
-        case 5: { // deep nesting around a random point
-            std::size_t depth = 1 + pick(100);
-            std::size_t at = pick(text.size() + 1);
-            text.insert(at, std::string(depth, rng() % 2 ? '[' : '{'));
-            break;
-        }
-        case 6: { // replace a digit run with a huge number
-            std::size_t at = text.find_first_of("0123456789",
-                                                pick(text.size() + 1));
-            if (at == std::string::npos)
-                break;
-            std::size_t end = text.find_first_not_of("0123456789", at);
-            if (end == std::string::npos)
-                end = text.size();
-            const char *huge[] = {"18446744073709551616",
-                                  "340282366920938463463374607431768211456",
-                                  "1e400", "-1", "4294967296", "1.5"};
-            text.replace(at, end - at, huge[pick(std::size(huge))]);
-            break;
-        }
-        }
-    }
-    return text;
-}
-
 /** Two requests are equal in every field their encoding carries
  *  (non-sweep requests carry only their type). */
 void
@@ -186,17 +105,12 @@ expectSameRequest(const Request &a, const Request &b,
 
 TEST(WireFuzz, MutatedGoldenFramesNeverAbort)
 {
-    const char *frames[] = {
-        "sweep_request.json",   "ping_request.json",
-        "shutdown_request.json", "results_response.json",
-        "retry_after_response.json",
-    };
     std::vector<std::string> seeds;
-    for (const char *name : frames)
+    for (const char *name : kFuzzFrames)
         seeds.push_back(readGolden(name));
 
     constexpr int kIterations = 15000;
-    std::mt19937_64 rng(0x5eed'f422);
+    std::mt19937_64 rng(kFuzzSeed);
     int acceptedRequests = 0;
     int acceptedResponses = 0;
     auto begin = std::chrono::steady_clock::now();

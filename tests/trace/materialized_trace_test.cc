@@ -325,6 +325,51 @@ TEST(MaterializedCursor, EveryRunBudgetCutsItemsExactly)
     }
 }
 
+TEST(MaterializedCursor, SeekLandsAnywhereAndResumesEveryWay)
+{
+    // Every position of a stream with runs past the 255-record prefix
+    // and a sync point inside a run: seek() must leave the state that
+    // decoding up to there one record at a time leaves, whichever way
+    // the stream then goes on.
+    std::vector<TraceRecord> expected = budgetStream();
+    MemoryTrace source(expected);
+    MaterializedTrace trace = MaterializedTrace::build(source);
+    ASSERT_EQ(trace.size(), expected.size());
+    const Count n = trace.size();
+
+    std::vector<TraceRun> items(4);
+    for (Count p = 0; p <= n; ++p) {
+        MaterializedCursor cursor(trace);
+        cursor.seek(p);
+        ASSERT_EQ(cursor.position(), p);
+        // Alternate budgeted run items and single records; the PC the
+        // items count from is the record before p.
+        std::vector<TraceRecord> seen;
+        Addr last_pc = p == 0 ? 0 : expected[p - 1].pc;
+        for (unsigned call = 0; p + seen.size() < n && call < 6; ++call) {
+            if (call % 2 == 0) {
+                Count budget = 1 + (p + call) % 300;
+                std::size_t got = cursor.nextRuns(items.data(),
+                                                  items.size(), budget);
+                expandItems(items.data(), got, last_pc, seen);
+            } else {
+                TraceRecord record;
+                ASSERT_TRUE(cursor.next(record)) << "position " << p;
+                seen.push_back(record);
+                last_pc = record.pc;
+            }
+            ASSERT_EQ(cursor.position(), p + seen.size());
+        }
+        for (std::size_t i = 0; i < seen.size(); ++i)
+            ASSERT_EQ(seen[i], expected[p + i])
+                << "position " << p << " record " << i;
+        if (p == n) {
+            TraceRecord record;
+            EXPECT_FALSE(cursor.next(record));
+        }
+    }
+}
+
 /** Hands out every record of @p inner as its own run item, so
  *  MaterializedTrace::build appends the stream one record at a
  *  time: the record-by-record encoding, for comparison. */

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "util/stats.hh"
 
@@ -64,6 +66,34 @@ TEST(Histogram, BucketsAndOverflow)
     EXPECT_EQ(h.samples(), 4u);
     EXPECT_EQ(h.minValue(), 0u);
     EXPECT_EQ(h.maxValue(), 100u);
+}
+
+TEST(Histogram, BucketOfEveryWidthIsValueOverWidth)
+{
+    // Power-of-two widths shift, others divide: every width must put
+    // each value in bucket value / width, or in the overflow bucket.
+    const std::uint64_t values[] = {0,    1,    2,     3,    4,
+                                    5,    7,    99,    100,  1023,
+                                    1024, 1025, 40959, 40960, 1u << 20,
+                                    ~std::uint64_t{0}};
+    for (std::uint64_t width : {1u, 4u, 1024u, 100u}) {
+        constexpr std::size_t kBuckets = 40;
+        Histogram one(kBuckets, width);
+        Histogram weighted(kBuckets, width);
+        std::vector<Count> expected(kBuckets + 1, 0);
+        for (std::uint64_t value : values) {
+            one.sample(value);
+            weighted.sample(value, 3);
+            ++expected[std::min<std::uint64_t>(value / width, kBuckets)];
+        }
+        for (std::size_t i = 0; i <= kBuckets; ++i) {
+            EXPECT_EQ(expected[i], one.bucket(i))
+                << "width " << width << " bucket " << i;
+            EXPECT_EQ(3 * expected[i], weighted.bucket(i))
+                << "width " << width << " bucket " << i;
+        }
+        EXPECT_GT(expected[kBuckets], 0u) << "width " << width;
+    }
 }
 
 TEST(Histogram, WeightedSamples)
