@@ -326,12 +326,12 @@ decodeLane(double min_seconds)
 
 /**
  * The wbsim-serve hit path's codec work, without sockets or the
- * store: one op decodes an 8-cell sweep request over the paper's
- * depth x hazard-policy space, appends the 8 cells' stored result
- * tokens into a Results payload (what a store hit costs the server),
- * and client-decodes that payload. The cells are simulated, rendered
- * and escaped once, untimed, as a miss does; best of @p reps timed
- * passes of @p ops ops.
+ * store: one op client-encodes an 8-cell sweep request over the
+ * paper's depth x hazard-policy space, server-decodes it, appends the
+ * 8 cells' stored result tokens into a Results payload (what a store
+ * hit costs the server), and client-decodes that payload. The cells
+ * are simulated, rendered and escaped once, untimed, as a miss does;
+ * best of @p reps timed passes of @p ops ops.
  */
 GateResult
 serveCodec(int ops, int reps)
@@ -371,8 +371,6 @@ serveCodec(int ops, int reps)
             request.cells.push_back(std::move(cell));
         }
     }
-    const std::string requestBytes = serve::encodeRequest(request);
-
     std::size_t sink = 0;
     serve::Response back;
     GateResult r = bestOf(static_cast<std::uint64_t>(ops), reps,
@@ -380,7 +378,8 @@ serveCodec(int ops, int reps)
         for (int op = 0; op < ops; ++op) {
             serve::Request decoded;
             std::string error;
-            if (!serve::decodeRequest(requestBytes, decoded, error))
+            if (!serve::decodeRequest(serve::encodeRequest(request), decoded,
+                                      error))
                 wbsim_panic("serve_codec: ", error);
             std::vector<serve::ResultCellView> cells(
                 decoded.cells.size());

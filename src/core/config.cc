@@ -124,35 +124,42 @@ WriteBufferConfig::validate() const
 std::string
 WriteBufferConfig::validationError() const
 {
-    std::ostringstream os;
+    // Plain returns: a valid config (every served cell, every
+    // Simulator) builds no message.
     if (depth == 0)
-        os << "write buffer depth must be at least 1";
-    else if (!isPowerOfTwo(entryBytes) || !isPowerOfTwo(wordBytes))
-        os << "write buffer entry and word sizes must be powers of "
-              "two";
-    else if (wordBytes > entryBytes)
-        os << "write buffer word larger than entry";
-    else if (wordsPerEntry() > 32)
-        os << "write buffer entries support at most 32 words";
-    else if (retirementMode == RetirementMode::Occupancy
-             && (highWaterMark < 1 || highWaterMark > depth))
-        os << "retire-at-" << highWaterMark
-           << " requires 1 <= N <= depth (depth=" << depth << ")";
-    else if (retirementMode == RetirementMode::FixedRate
-             && fixedRatePeriod == 0)
-        os << "fixed-rate retirement needs a non-zero period";
-    else if (retirementMode == RetirementMode::Paced
-             && (highWaterMark < 1 || highWaterMark > depth))
-        os << "paced retirement at " << highWaterMark
-           << " requires 1 <= N <= depth (depth=" << depth << ")";
-    else if (retirementMode == RetirementMode::Paced
-             && pacedRefillPeriod == 0)
-        os << "paced retirement needs a non-zero refill period";
-    else if (retirementMode == RetirementMode::Paced && pacedBurst == 0)
-        os << "paced retirement needs a token bucket of at least 1";
-    else if (writePriorityThreshold > depth)
-        os << "write-priority threshold exceeds buffer depth";
-    return os.str();
+        return "write buffer depth must be at least 1";
+    if (!isPowerOfTwo(entryBytes) || !isPowerOfTwo(wordBytes))
+        return "write buffer entry and word sizes must be powers of two";
+    if (wordBytes > entryBytes)
+        return "write buffer word larger than entry";
+    if (wordsPerEntry() > 32)
+        return "write buffer entries support at most 32 words";
+    const bool thresholdOutOfRange =
+        highWaterMark < 1 || highWaterMark > depth;
+    // Built left to right (GCC 12 -Wrestrict on literal + string).
+    auto thresholdError = [this](const char *what) {
+        std::string error(what);
+        error.append(std::to_string(highWaterMark))
+            .append(" requires 1 <= N <= depth (depth=")
+            .append(std::to_string(depth))
+            .append(")");
+        return error;
+    };
+    if (retirementMode == RetirementMode::Occupancy && thresholdOutOfRange)
+        return thresholdError("retire-at-");
+    if (retirementMode == RetirementMode::FixedRate && fixedRatePeriod == 0)
+        return "fixed-rate retirement needs a non-zero period";
+    if (retirementMode == RetirementMode::Paced) {
+        if (thresholdOutOfRange)
+            return thresholdError("paced retirement at ");
+        if (pacedRefillPeriod == 0)
+            return "paced retirement needs a non-zero refill period";
+        if (pacedBurst == 0)
+            return "paced retirement needs a token bucket of at least 1";
+    }
+    if (writePriorityThreshold > depth)
+        return "write-priority threshold exceeds buffer depth";
+    return "";
 }
 
 std::string

@@ -1,5 +1,6 @@
 #include "obs/export.hh"
 
+#include <array>
 #include <iomanip>
 #include <iterator>
 #include <limits>
@@ -127,64 +128,182 @@ writeSimResultsObject(JsonWriter &json, const SimResults &r,
     json.endObject();
 }
 
+namespace
+{
+
+/** One object of a results document as the reader walks it: its
+ *  location in errors, and its members in the order writers emit
+ *  them. Each member has the rank of a failure reported on it: its
+ *  stored field's place in SimResults::forEachField() (an object: its
+ *  first field's), after the schema (0) and a missing "stalls" (1).
+ *  The first failure by rank is the one reported, as a walk of the
+ *  field list meets them. */
+struct ResultsObject
+{
+    enum class Kind : std::uint8_t
+    {
+        Schema,
+        Object,
+        Field,
+    };
+
+    struct Member
+    {
+        std::size_t rank;
+        Kind kind;
+        /** Object: its index in the schema. */
+        std::size_t object = 0;
+        /** Field: where it is stored (one is set). */
+        std::string SimResults::*text = nullptr;
+        double SimResults::*real = nullptr;
+        Count SimResults::*count = nullptr;
+        Count StallStats::*stall = nullptr;
+    };
+
+    const char *where = "result";
+    const char *member = nullptr;
+    std::vector<std::string_view> keys;
+    std::vector<Member> members;
+
+    Member &
+    add(std::string_view key, std::size_t rank, Kind kind)
+    {
+        keys.push_back(key);
+        return members.emplace_back(Member{rank, kind});
+    }
+};
+
+/** The root (index 0, ResultGroup::Root), each group by its
+ *  ResultGroup, and the "stalls" object last. */
+using ResultsSchema =
+    std::array<ResultsObject, std::size(kResultGroups) + 1>;
+constexpr std::size_t kStallsObject = std::size(kResultGroups);
+
+const ResultsSchema &
+resultsSchema()
+{
+    static const ResultsSchema schema = [] {
+        using Kind = ResultsObject::Kind;
+        ResultsSchema out;
+        out[0].add("schema", 0, Kind::Schema);
+        out[0].add("stalls", 1, Kind::Object).object = kStallsObject;
+        out[kStallsObject].where = "stalls";
+        std::size_t rank = 2;
+        SimResults::forEachField([&](ResultGroup in, const char *key,
+                                     const char *, Combine, auto access) {
+            using Access = decltype(access);
+            if constexpr (std::is_member_object_pointer_v<Access>) {
+                const auto index = std::size_t(in);
+                const ResultGroupKey &group = kResultGroups[index];
+                ResultsObject &object = out[index];
+                if (group.key && object.keys.empty()) {
+                    // A group's first field: the group joins its parent.
+                    object.where = group.inStalls ? "stalls" : group.key;
+                    object.member = group.inStalls ? group.key : nullptr;
+                    out[group.inStalls ? kStallsObject : 0]
+                        .add(group.key, rank, Kind::Object)
+                        .object = index;
+                }
+                ResultsObject::Member &field =
+                    object.add(key, rank++, Kind::Field);
+                if constexpr (std::is_same_v<Access,
+                                             std::string SimResults::*>)
+                    field.text = access;
+                else if constexpr (std::is_same_v<Access,
+                                                  double SimResults::*>)
+                    field.real = access;
+                else if constexpr (std::is_same_v<Access,
+                                                  Count SimResults::*>)
+                    field.count = access;
+                else
+                    field.stall = access;
+            }
+        });
+        return out;
+    }();
+    return schema;
+}
+
+/** The failure reported so far, by rank. */
+struct FirstFailure
+{
+    std::size_t rank = FieldReader::kNoIndex;
+    std::string message;
+};
+
+/** Read the object that is @p json's next value as schema object
+ *  @p index into @p r. Every member it lists is required; unknown and
+ *  derived members are stepped over. */
+void
+readResultsObject(JsonReader &json, std::size_t index, SimResults &r,
+                  FirstFailure &first)
+{
+    using Kind = ResultsObject::Kind;
+    const ResultsObject &object = resultsSchema()[index];
+    std::string error;
+    FieldReader reader(json, object.keys, object.where, error,
+                       FieldReader::kNoIndex, object.member);
+    reader.members([&](std::size_t at) {
+        const ResultsObject::Member &member = object.members[at];
+        const char *key = object.keys[at].data();
+        switch (member.kind) {
+          case Kind::Schema: {
+            std::string schema;
+            if (reader.stringField(key, schema)
+                && schema != kSimResultsSchema)
+                reader.fail("unsupported schema \"" + schema + "\"");
+            break;
+          }
+          case Kind::Object:
+            readResultsObject(json, member.object, r, first);
+            break;
+          case Kind::Field:
+            if (member.text)
+                reader.stringField(key, r.*member.text);
+            else if (member.real)
+                reader.doubleField(key, r.*member.real);
+            else if (member.count)
+                reader.uintField(key, r.*member.count);
+            else
+                reader.uintField(key, r.stalls.*member.stall);
+            break;
+        }
+    });
+    reader.requireAll();
+    if (!reader.ok()) {
+        const std::size_t rank = object.members[reader.failedField()].rank;
+        if (rank < first.rank) {
+            first.rank = rank;
+            first.message = std::move(error);
+        }
+    }
+}
+
+} // namespace
+
 SimResults
 parseSimResultsJson(const std::string &text)
 {
     SimResults r;
     std::string error;
-    if (!simResultsFromJson(JsonValue::parse(text), r, error))
+    if (!simResultsFromJson(text, r, error))
         wbsim_fatal("bad ", kSimResultsSchema, " document: ", error);
     return r;
 }
 
 bool
-simResultsFromJson(const JsonValue &doc, SimResults &out,
+simResultsFromJson(std::string_view text, SimResults &out,
                    std::string &error)
 {
-    error.clear(); // fail() keeps the first message
-    FieldReader root(doc, "result", error);
-    root.requireAll();
-    std::string schema;
-    if (root.stringField("schema", schema) && schema != kSimResultsSchema)
-        root.fail("unsupported schema \"" + schema + "\"");
-    const JsonValue *stalls = root.claim("stalls");
-    // Every stored member is required, each read through a reader on
-    // its group's object; unknown and derived members are ignored.
+    error.clear();
     SimResults r;
-    SimResults::forEachField([&](ResultGroup in, const char *key,
-                                 const char *, Combine, auto access) {
-        if constexpr (std::is_member_object_pointer_v<decltype(access)>) {
-            if (!error.empty())
-                return;
-            const ResultGroupKey &group = kResultGroups[std::size_t(in)];
-            const JsonValue *object = &doc;
-            if (group.key) {
-                FieldReader parent(group.inStalls ? *stalls : doc,
-                                   group.inStalls ? "stalls" : "result",
-                                   error);
-                parent.requireAll();
-                if ((object = parent.claim(group.key)) == nullptr)
-                    return;
-            }
-            // Locations "result", "l1", "stalls.buffer_full".
-            FieldReader reader(*object,
-                               group.inStalls ? "stalls"
-                               : group.key    ? group.key
-                                              : "result",
-                               error, FieldReader::kNoIndex,
-                               group.inStalls ? group.key : nullptr);
-            reader.requireAll();
-            auto &value = resultField(r, access);
-            using T = std::decay_t<decltype(value)>;
-            if constexpr (std::is_same_v<T, std::string>)
-                reader.stringField(key, value);
-            else if constexpr (std::is_floating_point_v<T>)
-                reader.doubleField(key, value);
-            else
-                reader.uintField(key, value);
-        }
-    });
-    if (!error.empty())
+    JsonReader json(text);
+    if (!json.read(error, [&] {
+            FirstFailure first;
+            readResultsObject(json, 0, r, first);
+            error = std::move(first.message);
+            return error.empty();
+        }))
         return false;
     out = std::move(r);
     return true;

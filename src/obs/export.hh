@@ -13,6 +13,7 @@
 
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/json.hh"
@@ -83,12 +84,13 @@ void writeSimResultsObject(JsonWriter &json, const SimResults &results,
 SimResults parseSimResultsJson(const std::string &text);
 
 /**
- * Rebuild a SimResults from an already-parsed wbsim-sim-results-v1
- * object (the serve client's path, so non-fatal). False, with an
- * error naming the member's path, when a stored member is missing or
- * mistyped; unknown members and the derived ones are ignored.
+ * Rebuild a SimResults from the wbsim-sim-results-v1 document @p text
+ * in one pass with JsonReader (the serve client's path, so non-fatal).
+ * False, with an error naming the member's path, when the text is not
+ * JSON or a stored member is missing or mistyped; unknown members and
+ * the derived ones are ignored. @p out is only written on success.
  */
-bool simResultsFromJson(const JsonValue &doc, SimResults &out,
+bool simResultsFromJson(std::string_view text, SimResults &out,
                         std::string &error);
 
 /** The CSV column header shared by all SimResults CSV emitters. */

@@ -7,8 +7,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <memory>
 #include <limits>
 #include <utility>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "util/logging.hh"
 
@@ -77,16 +82,127 @@ appendJsonEscaped(std::string &out, std::string_view s)
     out.resize(static_cast<std::size_t>(p - out.data()));
 }
 
+/** Strings longer than this are escaped by appendJsonEscaped(), which
+ *  sizes room for a few escapes instead of six bytes a byte. */
+constexpr std::size_t kLongString = 64;
+
+/** @p s escaped at @p p, which has room for 6 bytes a byte plus 2;
+ *  returns the end. Each byte's spelling is stored whole (8 bytes)
+ *  and the cursor advances by its length. */
+char *
+putEscaped(char *p, std::string_view s)
+{
+    for (char c : s) {
+        const auto &entry = kEscape[static_cast<unsigned char>(c)];
+        std::memcpy(p, entry.data(), 8);
+        p += entry[7];
+    }
+    return p;
+}
+
+/** Whether any byte of @p word needs an escape: a control byte, '"'
+ *  or '\\' (exact, with no byte-order assumption). */
+template <typename Word>
+bool
+escapes(Word word)
+{
+    constexpr Word kOnes = Word(~Word{0}) / 0xff;
+    constexpr Word kHigh = kOnes * 0x80;
+    auto zeroByte = [](Word v) { return (v - kOnes) & ~v & kHigh; };
+    return ((word - kOnes * 0x20) & ~word & kHigh)
+           | zeroByte(word ^ (kOnes * '"')) | zeroByte(word ^ (kOnes * '\\'));
+}
+
+/** putEscaped() for a name or a key: a string of 4 bytes or more is
+ *  checked and copied a word at a time (4-byte words below 8 bytes;
+ *  the last word overlaps the one before it), and reaches the byte
+ *  table only when it escapes something. */
+char *
+putString(char *p, std::string_view s)
+{
+    const std::size_t n = s.size();
+    auto copied = [&](auto word) {
+        using Word = decltype(word);
+        constexpr std::size_t size = sizeof(Word);
+        Word last{};
+        std::memcpy(&last, s.data() + n - size, size);
+        bool escaped = escapes(last);
+        for (std::size_t i = 0; i + size < n; i += size) {
+            std::memcpy(&word, s.data() + i, size);
+            escaped |= escapes(word);
+            std::memcpy(p + i, &word, size);
+        }
+        std::memcpy(p + n - size, &last, size);
+        return !escaped;
+    };
+    if (n >= 8 ? copied(std::uint64_t{}) : n >= 4 && copied(std::uint32_t{}))
+        return p + n;
+    return putEscaped(p, s);
+}
+
+/** The quoted key and its separator: room 6n + 4. */
+char *
+putKey(char *p, std::string_view name)
+{
+    *p++ = '"';
+    p = putString(p, name);
+    std::memcpy(p, "\": ", 3);
+    return p + 3;
+}
+
+/** Room a scalar's text takes at most. */
+std::size_t
+scalarBytes(const JsonWriter::Scalar &v)
+{
+    return v.kind == JsonWriter::Scalar::Kind::String
+               ? 6 * v.text.size() + 4
+               : 32;
+}
+
+char *
+putScalar(char *p, const JsonWriter::Scalar &v)
+{
+    using Kind = JsonWriter::Scalar::Kind;
+    switch (v.kind) {
+      case Kind::Uint:
+        return std::to_chars(p, p + 24, v.uint).ptr;
+      case Kind::Int:
+        return std::to_chars(p, p + 24, v.sint).ptr;
+      case Kind::Double:
+        // %.17g, the text `ostream << setprecision(max_digits10)`
+        // prints: it re-parses to the identical double (the
+        // round-trip tests rely on this) and keeps every artifact's
+        // bytes unchanged.
+        return std::to_chars(p, p + 32, v.real, std::chars_format::general,
+                             std::numeric_limits<double>::max_digits10)
+            .ptr;
+      case Kind::Bool:
+        std::memcpy(p, v.boolean ? "true" : "false", 5);
+        return p + (v.boolean ? 4 : 5);
+      case Kind::String:
+        *p++ = '"';
+        p = putString(p, v.text);
+        *p++ = '"';
+        return p;
+    }
+    return p;
+}
+
 } // namespace
 
 JsonWriter::JsonWriter(std::ostream &os, int indent)
-    : os_(&os), out_(buffer_), indent_(indent)
+    : os_(&os), indent_(indent)
 {
 }
 
 JsonWriter::JsonWriter(std::string &out, int indent)
-    : out_(out), indent_(indent)
+    : out_(&out), indent_(indent)
 {
+}
+
+JsonWriter::JsonWriter(int indent, std::size_t reserve) : indent_(indent)
+{
+    buffer_.reserve(reserve);
 }
 
 JsonWriter::~JsonWriter()
@@ -94,53 +210,81 @@ JsonWriter::~JsonWriter()
     flush();
 }
 
+std::string
+JsonWriter::take()
+{
+    buffer_.resize(used_);
+    used_ = 0;
+    return std::move(buffer_);
+}
+
 void
 JsonWriter::flush()
 {
-    if (os_ != nullptr && !buffer_.empty()) {
-        os_->write(buffer_.data(),
-                   static_cast<std::streamsize>(buffer_.size()));
-        buffer_.clear();
+    if (os_ != nullptr && used_ > 0) {
+        os_->write(buffer_.data(), static_cast<std::streamsize>(used_));
+        used_ = 0;
     }
 }
 
-void
-JsonWriter::indentLine()
+char *
+JsonWriter::room(std::size_t bytes)
 {
-    if (indent_ <= 0)
-        return;
-    out_ += '\n';
-    out_.append(counts_.size() * static_cast<std::size_t>(indent_), ' ');
+    // Zero-fills the new room once; a resize past the capacity grows
+    // it geometrically.
+    if (buffer_.size() - used_ < bytes)
+        buffer_.resize(std::max(buffer_.capacity(), used_ + bytes));
+    return buffer_.data() + used_;
 }
 
 void
-JsonWriter::beginValue()
+JsonWriter::advance(char *end)
 {
-    if (after_key_) {
-        after_key_ = false;
-        return;
+    used_ = static_cast<std::size_t>(end - buffer_.data());
+    if (out_ != nullptr) {
+        out_->append(buffer_.data(), used_);
+        used_ = 0;
     }
-    if (counts_.empty())
-        return; // root value
-    if (counts_.back() > 0)
-        out_ += ',';
-    ++counts_.back();
-    indentLine();
+}
+
+char *
+JsonWriter::putSeparator(char *p)
+{
+    if (std::exchange(after_key_, false) || counts_.empty())
+        return p; // right after a key, or the root value
+    if (counts_.back()++ > 0)
+        *p++ = ',';
+    if (indent_ > 0) {
+        *p++ = '\n';
+        const std::size_t n = counts_.size() * std::size_t(indent_);
+        std::memset(p, ' ', n);
+        p += n;
+    }
+    return p;
+}
+
+template <typename Put>
+void
+JsonWriter::emit(std::size_t bytes, Put &&put)
+{
+    bytes += 2 + counts_.size() * std::size_t(std::max(indent_, 0));
+    advance(put(putSeparator(room(bytes))));
 }
 
 void
 JsonWriter::endValue()
 {
-    if (os_ != nullptr
-        && (counts_.empty() || buffer_.size() >= kFlushBytes))
+    if (os_ != nullptr && (counts_.empty() || used_ >= kFlushBytes))
         flush();
 }
 
 JsonWriter &
 JsonWriter::beginObject()
 {
-    beginValue();
-    out_ += '{';
+    emit(1, [](char *p) {
+        *p = '{';
+        return p + 1;
+    });
     counts_.push_back(0);
     return *this;
 }
@@ -156,8 +300,10 @@ JsonWriter::endObject()
 JsonWriter &
 JsonWriter::beginArray()
 {
-    beginValue();
-    out_ += '[';
+    emit(1, [](char *p) {
+        *p = '[';
+        return p + 1;
+    });
     counts_.push_back(0);
     return *this;
 }
@@ -175,9 +321,18 @@ JsonWriter::end(char bracket)
 {
     bool had_members = counts_.back() > 0;
     counts_.pop_back();
-    if (had_members)
-        indentLine();
-    out_ += bracket;
+    const std::size_t indent =
+        had_members && indent_ > 0
+            ? counts_.size() * static_cast<std::size_t>(indent_)
+            : 0;
+    char *p = room(indent + 2);
+    if (had_members && indent_ > 0) {
+        *p++ = '\n';
+        std::memset(p, ' ', indent);
+        p += indent;
+    }
+    *p++ = bracket;
+    advance(p);
     endValue();
 }
 
@@ -185,85 +340,37 @@ JsonWriter &
 JsonWriter::key(std::string_view name)
 {
     wbsim_assert(!after_key_, "two keys in a row");
-    beginValue();
-    out_ += '"';
-    appendJsonEscaped(out_, name);
-    out_ += "\": ";
+    emit(6 * name.size() + 4, [&](char *p) { return putKey(p, name); });
     after_key_ = true;
     return *this;
 }
 
 JsonWriter &
-JsonWriter::value(std::string_view v)
+JsonWriter::write(const std::string_view *name, const Scalar &v)
 {
-    beginValue();
-    out_ += '"';
-    appendJsonEscaped(out_, v);
-    out_ += '"';
-    endValue();
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(const char *v)
-{
-    return value(std::string_view(v));
-}
-
-JsonWriter &
-JsonWriter::value(std::uint64_t v)
-{
-    beginValue();
-    char buf[24];
-    out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
-    endValue();
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(std::int64_t v)
-{
-    beginValue();
-    char buf[24];
-    out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
-    endValue();
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(unsigned v)
-{
-    return value(static_cast<std::uint64_t>(v));
-}
-
-JsonWriter &
-JsonWriter::value(int v)
-{
-    return value(static_cast<std::int64_t>(v));
-}
-
-JsonWriter &
-JsonWriter::value(double v)
-{
-    beginValue();
-    // %.17g, the text `ostream << setprecision(max_digits10)` prints:
-    // it re-parses to the identical double (the round-trip tests rely
-    // on this) and keeps every artifact's bytes unchanged.
-    char buf[32];
-    out_.append(buf,
-                std::to_chars(buf, buf + sizeof buf, v,
-                              std::chars_format::general,
-                              std::numeric_limits<double>::max_digits10)
-                    .ptr);
-    endValue();
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(bool v)
-{
-    beginValue();
-    out_ += v ? "true" : "false";
+    wbsim_assert(name == nullptr || !after_key_, "two keys in a row");
+    const std::size_t keyBytes = name ? 6 * name->size() + 4 : 0;
+    if (v.kind == Scalar::Kind::String && v.text.size() > kLongString) {
+        // A result document or a stats text: the key and the opening
+        // quote go through emit(), the string is escaped onto the
+        // buffer's end in room sized for a few escapes.
+        emit(keyBytes + 1, [&](char *p) {
+            if (name)
+                p = putKey(p, *name);
+            *p = '"';
+            return p + 1;
+        });
+        buffer_.resize(used_);
+        appendJsonEscaped(buffer_, v.text);
+        buffer_ += '"';
+        advance(buffer_.data() + buffer_.size());
+    } else {
+        emit(keyBytes + scalarBytes(v), [&](char *p) {
+            if (name)
+                p = putKey(p, *name);
+            return putScalar(p, v);
+        });
+    }
     endValue();
     return *this;
 }
@@ -271,8 +378,10 @@ JsonWriter::value(bool v)
 JsonWriter &
 JsonWriter::rawValue(std::string_view encoded)
 {
-    beginValue();
-    out_.append(encoded);
+    emit(encoded.size(), [&](char *p) {
+        std::memcpy(p, encoded.data(), encoded.size());
+        return p + encoded.size();
+    });
     endValue();
     return *this;
 }
@@ -399,6 +508,30 @@ plainEnd(const char *in, const char *limit)
     return in;
 }
 
+/** Whether the @p n bytes at @p a and @p b agree, in two overlapping
+ *  loads a side (no byte outside either range is read) for the short
+ *  keys of a schema. */
+[[gnu::always_inline]] inline bool
+sameBytes(const char *a, const char *b, std::size_t n)
+{
+    auto differ = [&](auto word) {
+        decltype(word) a0, a1, b0, b1;
+        std::memcpy(&a0, a, sizeof word);
+        std::memcpy(&b0, b, sizeof word);
+        std::memcpy(&a1, a + n - sizeof word, sizeof word);
+        std::memcpy(&b1, b + n - sizeof word, sizeof word);
+        return ((a0 ^ b0) | (a1 ^ b1)) != 0;
+    };
+    if (n >= 8)
+        return n <= 16 ? !differ(std::uint64_t{}) : std::memcmp(a, b, n) == 0;
+    if (n >= 4)
+        return !differ(std::uint32_t{});
+    for (std::size_t i = 0; i < n; ++i)
+        if (a[i] != b[i])
+            return false;
+    return true;
+}
+
 /** The byte each named escape stands for; 0 for the rest. */
 constexpr std::array<char, 256> kUnescape = []() {
     std::array<char, 256> table{};
@@ -408,6 +541,41 @@ constexpr std::array<char, 256> kUnescape = []() {
         table[static_cast<unsigned char>(name)] = c;
     return table;
 }();
+
+/** Bytes the unescape takes as one block. */
+constexpr std::size_t kBlock = 64;
+
+/** Bit i set where in[i] is '"' or '\\', for i in [0, kBlock). */
+std::uint64_t
+stopMask(const char *in)
+{
+    std::uint64_t mask = 0;
+#if defined(__SSE2__)
+    const __m128i quote = _mm_set1_epi8('"');
+    const __m128i slash = _mm_set1_epi8('\\');
+    for (std::size_t i = 0; i < kBlock; i += 16) {
+        const __m128i bytes =
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(in + i));
+        const auto bits = static_cast<std::uint16_t>(_mm_movemask_epi8(
+            _mm_or_si128(_mm_cmpeq_epi8(bytes, quote),
+                         _mm_cmpeq_epi8(bytes, slash))));
+        mask |= std::uint64_t{bits} << i;
+    }
+#else
+    for (std::size_t i = 0; i < kBlock; ++i)
+        mask |= std::uint64_t{in[i] == '"' || in[i] == '\\'} << i;
+#endif
+    return mask;
+}
+
+/** Copy the @p n <= kBlock bytes at @p from to @p to, 16 at a time:
+ *  up to 15 bytes past either end are read or written. */
+void
+copyShort(char *to, const char *from, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; i += 16)
+        std::memcpy(to + i, from + i, 16);
+}
 
 } // namespace
 
@@ -487,6 +655,19 @@ JsonReader::beginObject()
     open('{');
 }
 
+bool
+JsonReader::enterObject()
+{
+    if (valueStart() != '{') {
+        skip();
+        return false;
+    }
+    ++pos_;
+    ++open_;
+    first_ = true;
+    return true;
+}
+
 void
 JsonReader::beginArray()
 {
@@ -516,16 +697,17 @@ JsonReader::nextMember(std::string_view &key, std::string_view likely)
 {
     if (!nextIn('}'))
         return false;
-    // The quoted spelling of likely, byte for byte, is that string.
+    // The writers' spelling of likely: quoted, then the colon.
     const std::size_t size = likely.size();
-    if (size > 0 && peekByte() == '"' && pos_ + size + 2 <= text_.size()
-        && text_[pos_ + size + 1] == '"'
-        && text_.compare(pos_ + 1, size, likely) == 0) {
-        pos_ += size + 2;
+    const char *at = text_.data() + pos_;
+    if (size > 0 && text_.size() - pos_ >= size + 3 && at[0] == '"'
+        && at[size + 1] == '"' && at[size + 2] == ':'
+        && sameBytes(at + 1, likely.data(), size)) {
+        pos_ += size + 3;
         key = likely;
-    } else {
-        key = stringView(key_);
+        return true;
     }
+    key = stringView();
     expect(':');
     return true;
 }
@@ -539,7 +721,8 @@ JsonReader::nextItem()
 void
 JsonReader::literal(std::string_view word)
 {
-    if (text_.substr(pos_, word.size()) == word) {
+    if (text_.size() - pos_ >= word.size()
+        && sameBytes(text_.data() + pos_, word.data(), word.size())) {
         pos_ += word.size();
         return;
     }
@@ -550,39 +733,80 @@ JsonReader::literal(std::string_view word)
     }
 }
 
-/** Unescaped bytes are written through a raw pointer into room that
- *  doubles on demand: result documents embedded in a response carry an
- *  escape every few bytes, and an append per stretch costs more than
- *  the bytes it copies. Plain stretches move 8 bytes at a time. */
+/**
+ * Plain stretches move 8 bytes at a time. Escaped strings (a result
+ * document embedded in a response carries an escape every few bytes)
+ * are unescaped a block at a time: one mask marks the block's quotes
+ * and backslashes, and each named escape in it costs a copy of the
+ * stretch before it and one table lookup; the loop over the mask's
+ * bits ends once a block instead of restarting at every escape. A
+ * quote, a \u escape, a bad escape and the last two blocks of the
+ * text take the word-at-a-time path. Output goes to scratch_, sized
+ * once.
+ */
 std::string_view
-JsonReader::stringView(std::string &out)
+JsonReader::stringView()
 {
     expect('"');
+    const char *const begin = text_.data() + pos_;
     const char *const limit = text_.data() + text_.size();
-    const char *in = text_.data() + pos_;
+    const char *in = plainEnd(begin, limit);
     // Keys and names escape nothing: hand out the text itself.
-    const char *plain = plainEnd(in, limit);
-    if (plain < limit && *plain == '"') {
-        pos_ = static_cast<std::size_t>(plain + 1 - text_.data());
-        return {in, static_cast<std::size_t>(plain - in)};
+    if (in < limit && *in == '"') {
+        pos_ = static_cast<std::size_t>(in + 1 - text_.data());
+        return {begin, static_cast<std::size_t>(in - begin)};
     }
-    out.assign(in, static_cast<std::size_t>(plain - in));
-    in = plain;
-    const std::size_t at = out.size();
-    out.resize(std::max(out.capacity(), at + 8));
+    return unescape(begin, in);
+}
+
+std::string_view
+JsonReader::unescape(const char *begin, const char *in)
+{
+    const char *const limit = text_.data() + text_.size();
+    const auto rest = static_cast<std::size_t>(limit - begin) + kBlock;
+    if (scratchBytes_ < rest) {
+        scratch_ = std::make_unique_for_overwrite<char[]>(rest);
+        scratchBytes_ = rest;
+    }
+    char *const out = scratch_.get();
+    std::memcpy(out, begin, static_cast<std::size_t>(in - begin));
     // Locals, not members: stores through p may alias anything.
-    char *p = out.data() + at;
-    char *room = out.data() + out.size();
-    while (in < limit) {
-        if (room - p < 8) {
-            auto used = static_cast<std::size_t>(p - out.data());
-            out.resize(2 * out.size());
-            p = out.data() + used;
-            room = out.data() + out.size();
-        }
-        // Up to the next quote or backslash: a whole word is stored,
-        // and its plain bytes are kept.
-        if (limit - in >= 8) {
+    char *p = out + (in - begin);
+    for (;;) {
+        if (limit - in >= std::ptrdiff_t(2 * kBlock)) {
+            // copyShort and an escape at the block's last byte read
+            // up to a block past it.
+            std::uint64_t stops = stopMask(in);
+            std::size_t from = 0;
+            bool special = false;
+            while (stops != 0) {
+                const auto at = static_cast<std::size_t>(
+                    std::countr_zero(stops));
+                copyShort(p, in + from, at - from);
+                p += at - from;
+                const char named =
+                    kUnescape[static_cast<unsigned char>(in[at + 1])];
+                if (in[at] == '"' || named == 0) {
+                    in += at;
+                    special = true;
+                    break;
+                }
+                *p++ = named;
+                from = at + 2;
+                // The escaped byte may be a quote or backslash itself.
+                stops &= ~(std::uint64_t{3} << at);
+            }
+            if (!special) {
+                if (from < kBlock) {
+                    copyShort(p, in + from, kBlock - from);
+                    p += kBlock - from;
+                }
+                in += std::max(from, kBlock);
+                continue;
+            }
+        } else if (limit - in >= 8) {
+            // Up to the next quote or backslash: a whole word is
+            // stored, and its plain bytes are kept.
             std::uint64_t word;
             std::memcpy(&word, in, sizeof word);
             std::memcpy(p, &word, sizeof word);
@@ -591,11 +815,11 @@ JsonReader::stringView(std::string &out)
             in += plain;
             if (plain == 8)
                 continue;
-        } else if (*in != '"' && *in != '\\') {
+        } else if (in < limit && *in != '"' && *in != '\\') {
             *p++ = *in++;
             continue;
         }
-        if (*in == '"')
+        if (in >= limit || *in == '"')
             break;
         if (++in >= limit)
             break; // a lone trailing backslash
@@ -615,31 +839,35 @@ JsonReader::stringView(std::string &out)
             fail("unsupported JSON escape '\\", std::string(1, e), "'");
         }
     }
-    out.resize(static_cast<std::size_t>(p - out.data()));
     pos_ = static_cast<std::size_t>(in - text_.data());
     expect('"');
-    return out;
+    return {out, static_cast<std::size_t>(p - out)};
 }
 
 /**
  * A number token is a run of [0-9.eE+-] (an optional leading sign
  * included). Its value is what strtod makes of the token — the
  * longest valid prefix, 0 when there is none — and a token of only an
- * optional '+' and digits is integral, its uint the strtoull value
+ * optional '+' and digits is integral, its integer the strtoull value
  * (saturating at 2^64-1). Both are computed in place; strtod only
  * runs on a copy when from_chars reports the value out of double's
  * range.
  */
-JsonValue::Number
-JsonReader::number()
+[[gnu::always_inline]] inline JsonReader::NumberToken
+JsonReader::numberToken()
 {
     const std::size_t start = pos_;
     const char *const limit = text_.data() + text_.size();
     const char *p = text_.data() + start;
-    bool integral = true;
     if (p < limit && (*p == '-' || *p == '+'))
         ++p;
-    const auto digits = static_cast<std::size_t>(p - text_.data());
+    const char *const body = p;
+    // The leading digits' value, taken in the same pass (it wraps
+    // past 19 digits, where integerOf() recomputes it).
+    std::uint64_t value = 0;
+    for (; p < limit && isDigit(*p); ++p)
+        value = value * 10 + static_cast<std::uint64_t>(*p - '0');
+    bool integral = true;
     for (; p < limit; ++p) {
         char c = *p;
         if (isDigit(c))
@@ -651,38 +879,34 @@ JsonReader::number()
     pos_ = static_cast<std::size_t>(p - text_.data());
     if (pos_ == start)
         fail("malformed JSON number at byte ", pos_);
-    JsonValue::Number number;
-    number.integral = integral && text_[start] != '-';
-    if (number.integral) {
-        // Up to 19 digits nothing overflows; past that, saturate.
-        const bool checked = pos_ - digits > 19;
-        std::uint64_t value = 0;
-        for (std::size_t i = digits; i < pos_; ++i) {
-            auto digit = static_cast<std::uint64_t>(text_[i] - '0');
-            if (checked
-                && value > (std::numeric_limits<std::uint64_t>::max()
-                            - digit) / 10) {
-                value = std::numeric_limits<std::uint64_t>::max();
-                break;
-            }
-            value = value * 10 + digit;
-        }
-        number.uint = value;
-        // Up to 15 digits the integer is exact in a double, which is
-        // then strtod's value too.
-        if (pos_ - digits <= 15) {
-            number.value = static_cast<double>(value);
-            return number;
-        }
+    return {start, static_cast<std::size_t>(body - text_.data()), value,
+            integral && text_[start] != '-'};
+}
+
+std::uint64_t
+JsonReader::integerOf(const NumberToken &token) const
+{
+    // Up to 19 digits nothing overflows; past that, saturate.
+    if (pos_ - token.body <= 19)
+        return token.value;
+    std::uint64_t value = 0;
+    for (std::size_t i = token.body; i < pos_; ++i) {
+        auto digit = static_cast<std::uint64_t>(text_[i] - '0');
+        if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
+            return std::numeric_limits<std::uint64_t>::max();
+        value = value * 10 + digit;
     }
-    number.value = toDouble(start, digits);
-    return number;
+    return value;
 }
 
 double
-JsonReader::toDouble(std::size_t start, std::size_t body)
+JsonReader::doubleOf(const NumberToken &token) const
 {
-    const char *first = text_.data() + body;
+    // Up to 15 digits an integer is exact in a double, which is then
+    // strtod's value too.
+    if (token.integral && pos_ - token.body <= 15)
+        return static_cast<double>(token.value);
+    const char *first = text_.data() + token.body;
     const char *last = text_.data() + pos_;
     // from_chars takes no '+' and strtod no second sign: a body that
     // does not start with a digit or '.' converts nothing.
@@ -696,10 +920,88 @@ JsonReader::toDouble(std::size_t start, std::size_t body)
     if (ec == std::errc::result_out_of_range) {
         // Overflow and underflow: defer to strtod's HUGE_VAL /
         // denormal rules on a NUL-terminated copy (rare).
-        std::string token(text_.substr(start, pos_ - start));
-        return std::strtod(token.c_str(), nullptr);
+        std::string copy(text_.substr(token.start, pos_ - token.start));
+        return std::strtod(copy.c_str(), nullptr);
     }
-    return text_[start] == '-' ? -value : value;
+    return text_[token.start] == '-' ? -value : value;
+}
+
+namespace
+{
+
+/** Whether a value starting with @p c is a number token. */
+bool
+startsNumber(char c)
+{
+    return isDigit(c)
+           || (c != '{' && c != '[' && c != '"' && c != 't' && c != 'f'
+               && c != 'n');
+}
+
+} // namespace
+
+bool
+JsonReader::uint(std::uint64_t &out)
+{
+    if (!startsNumber(valueStart())) {
+        skip();
+        return false;
+    }
+    const NumberToken token = numberToken();
+    if (!token.integral)
+        return false;
+    out = integerOf(token);
+    return true;
+}
+
+bool
+JsonReader::number(double &out)
+{
+    if (!startsNumber(valueStart())) {
+        skip();
+        return false;
+    }
+    out = doubleOf(numberToken());
+    return true;
+}
+
+bool
+JsonReader::boolean(bool &out)
+{
+    switch (valueStart()) {
+      case 't':
+        literal("true");
+        out = true;
+        return true;
+      case 'f':
+        literal("false");
+        out = false;
+        return true;
+      default:
+        skip();
+        return false;
+    }
+}
+
+bool
+JsonReader::string(std::string_view &out)
+{
+    if (valueStart() != '"') {
+        skip();
+        return false;
+    }
+    out = stringView();
+    return true;
+}
+
+bool
+JsonReader::string(std::string &out)
+{
+    std::string_view bytes;
+    if (!string(bytes))
+        return false;
+    out.assign(bytes);
+    return true;
 }
 
 /** Arrays and objects collect their children on the reader's scratch
@@ -742,7 +1044,7 @@ JsonReader::value(JsonValue &v)
         return;
       }
       case '"':
-        string(v.value_.emplace<std::string>());
+        v.value_.emplace<std::string>(stringView());
         return;
       case 't':
         literal("true");
@@ -756,21 +1058,16 @@ JsonReader::value(JsonValue &v)
         literal("null");
         v.value_.emplace<std::monostate>();
         return;
-      default:
-        // A reused scalar slot (FieldReader's) keeps its alternative.
-        if (auto *slot = std::get_if<JsonValue::Number>(&v.value_))
-            *slot = number();
-        else
-            v.value_.emplace<JsonValue::Number>(number());
+      default: {
+        const NumberToken token = numberToken();
+        JsonValue::Number number;
+        number.integral = token.integral;
+        if (token.integral)
+            number.uint = integerOf(token);
+        number.value = doubleOf(token);
+        v.value_.emplace<JsonValue::Number>(number);
+      }
     }
-}
-
-void
-JsonReader::string(std::string &out)
-{
-    valueStart();
-    if (std::string_view bytes = stringView(out); bytes.data() != out.data())
-        out.assign(bytes);
 }
 
 void
@@ -788,7 +1085,7 @@ JsonReader::skip()
             skip();
         return;
       case '"':
-        stringView(key_);
+        stringView();
         return;
       case 't':
         literal("true");
@@ -800,7 +1097,7 @@ JsonReader::skip()
         literal("null");
         return;
       default:
-        number();
+        numberToken();
     }
 }
 

@@ -3,7 +3,7 @@
  * Minimal JSON support for the run artifacts and the wbsim-serve
  * wire: a buffered writer with automatic comma/indent management, a
  * pull reader that is the one tokenizer, a tree built through it, and
- * strict field extraction over either.
+ * strict field extraction over the reader.
  *
  * Scope is deliberately tiny — just what the exporters and the wire
  * codec need. Doubles are emitted with max_digits10 precision (the
@@ -12,17 +12,17 @@
  * compare SimResults field-for-field with exact equality).
  *
  * Writer and reader sit on the wbsim-serve hit path, so neither
- * touches iostreams per token; the wire decoders walk a frame with the
+ * touches iostreams per token; the decoders walk their text with the
  * reader and build no tree (DESIGN.md §13, "JSON and wire codec").
  */
 
 #ifndef WBSIM_OBS_JSON_HH
 #define WBSIM_OBS_JSON_HH
 
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <ostream>
 #include <span>
 #include <string>
@@ -36,10 +36,14 @@ namespace wbsim::obs
 {
 
 /**
- * JSON writer; nesting and commas are managed for you. Text is
- * appended to a string: either the caller's (the string sink) or an
- * internal buffer that is flushed to the stream when the root value
- * closes, when it passes kFlushBytes, and on destruction.
+ * JSON writer; nesting and commas are managed for you. Each call
+ * composes its bytes (separator, key, value) through a raw cursor
+ * into room reserved in the writer's buffer, with no per-piece string
+ * bookkeeping. Three sinks take the text: a stream (the buffer is
+ * flushed when the root value closes, when it passes kFlushBytes, and
+ * on destruction), the caller's string (each call appends its bytes
+ * at once, so the string holds exactly the text written so far), or
+ * the buffer itself, handed over by take() (the wire encoders).
  */
 class JsonWriter
 {
@@ -52,10 +56,51 @@ class JsonWriter
     explicit JsonWriter(std::ostream &os, int indent = 2);
     /** Append to @p out instead of a stream (no flushing needed). */
     explicit JsonWriter(std::string &out, int indent = 2);
+    /** Keep the text; @p reserve sizes the buffer once. */
+    explicit JsonWriter(int indent, std::size_t reserve);
     ~JsonWriter();
 
     JsonWriter(const JsonWriter &) = delete;
     JsonWriter &operator=(const JsonWriter &) = delete;
+
+    /** The text written so far (the buffer sink), emptying the
+     *  writer. */
+    std::string take();
+
+    /** One scalar value (number, boolean or string) as value() and
+     *  field() take it. */
+    struct Scalar
+    {
+        enum class Kind : std::uint8_t
+        {
+            Uint,
+            Int,
+            Double,
+            Bool,
+            String,
+        };
+        Scalar(std::uint64_t v) : kind(Kind::Uint), uint(v) {}
+        Scalar(std::int64_t v) : kind(Kind::Int), sint(v) {}
+        Scalar(unsigned v) : Scalar(std::uint64_t{v}) {}
+        Scalar(int v) : Scalar(std::int64_t{v}) {}
+        Scalar(double v) : kind(Kind::Double), real(v) {}
+        Scalar(bool v) : kind(Kind::Bool), boolean(v) {}
+        Scalar(std::string_view v) : kind(Kind::String), uint(0), text(v)
+        {
+        }
+        Scalar(const char *v) : Scalar(std::string_view(v)) {}
+        Scalar(const std::string &v) : Scalar(std::string_view(v)) {}
+
+        Kind kind;
+        union
+        {
+            std::uint64_t uint;
+            std::int64_t sint;
+            double real;
+            bool boolean;
+        };
+        std::string_view text;
+    };
 
     /** @name Structure. Objects/arrays nest; key() precedes any
      *  value or container opened inside an object. */
@@ -69,14 +114,7 @@ class JsonWriter
 
     /** @name Values. */
     /// @{
-    JsonWriter &value(std::string_view v);
-    JsonWriter &value(const char *v);
-    JsonWriter &value(std::uint64_t v);
-    JsonWriter &value(std::int64_t v);
-    JsonWriter &value(unsigned v);
-    JsonWriter &value(int v);
-    JsonWriter &value(double v);
-    JsonWriter &value(bool v);
+    JsonWriter &value(Scalar v) { return write(nullptr, v); }
     /** A value that is already JSON text, appended verbatim: the
      *  writer places it (comma, indent) but does not look inside.
      *  wbsim-serve stores each cell's result as the string literal
@@ -84,31 +122,40 @@ class JsonWriter
     JsonWriter &rawValue(std::string_view encoded);
     /// @}
 
-    /** key(name) + value(v). */
-    template <typename T>
+    /** key(name) + value(v), composed and appended as one piece. */
     JsonWriter &
-    field(std::string_view name, const T &v)
+    field(std::string_view name, Scalar v)
     {
-        key(name);
-        return value(v);
+        return write(&name, v);
     }
 
   private:
-    /** Comma/newline/indent before a value or container (or nothing
-     *  right after a key). */
-    void beginValue();
+    /** Place @p v, after the member key @p name unless it is null. */
+    JsonWriter &write(const std::string_view *name, const Scalar &v);
+    /** The cursor, with room for @p bytes more. */
+    char *room(std::size_t bytes);
+    /** The text now ends at @p end: the string sink takes it. */
+    void advance(char *end);
+    /** Write the separator (comma, newline, indent; nothing right
+     *  after a key) and up to @p bytes more written by @p put, which
+     *  takes the cursor and returns its end. */
+    template <typename Put>
+    void emit(std::size_t bytes, Put &&put);
+    /** The separator at @p p; returns its end. */
+    char *putSeparator(char *p);
     /** Close the innermost container with @p bracket. */
     void end(char bracket);
     /** A value or container just completed: flush if it was the root
      *  or the buffer is past kFlushBytes. */
     void endValue();
-    void indentLine();
     void flush();
 
     std::ostream *os_ = nullptr;
+    /** The caller's string (string sink). */
+    std::string *out_ = nullptr;
+    /** Sized to its capacity; the text is its first used_ bytes. */
     std::string buffer_;
-    /** buffer_ (stream mode) or the caller's string (string sink). */
-    std::string &out_;
+    std::size_t used_ = 0;
     int indent_;
     /** One frame per open container: counts emitted members. */
     std::vector<std::size_t> counts_;
@@ -219,7 +266,8 @@ struct JsonValue::Member
  * rule of the format (number and string tokens, escapes, the 64-level
  * nesting limit, the error texts) lives here once. A caller walks the
  * document value by value: beginObject()/nextMember() and
- * beginArray()/nextItem() step through containers, value() builds the
+ * beginArray()/nextItem() step through containers, the typed reads
+ * take a scalar straight into its destination, value() builds the
  * next value as a tree and skip() steps over it. JsonValue::tryParse
  * is one value() call; the wire decoders walk a frame member by member
  * and never build a tree.
@@ -267,6 +315,9 @@ class JsonReader
 
     /** Open the object that is the next value. */
     void beginObject();
+    /** Open the next value if it is an object (true); else step over
+     *  it, checking it as skip() does. */
+    bool enterObject();
     /** Step to the next member of the innermost open object: true
      *  with its key, after which the caller reads or skips its value;
      *  false once the object has closed. @p key stays valid until the
@@ -280,10 +331,23 @@ class JsonReader
      *  reads or skips it); false once the array has closed. */
     bool nextItem();
 
+    /** @name Typed reads. Each reads the next value into @p out when
+     *  it is of the named kind and returns true; any other value is
+     *  stepped over (checked as skip() checks it) and false returned.
+     *  A view stays valid until the next call into the reader. */
+    /// @{
+    /** A number written without sign, fraction or exponent; its value
+     *  saturates at 2^64-1 like strtoull. */
+    bool uint(std::uint64_t &out);
+    /** Any number: strtod's value of its token. */
+    bool number(double &out);
+    bool boolean(bool &out);
+    bool string(std::string &out);
+    bool string(std::string_view &out);
+    /// @}
+
     /** Read the next value whole, as a tree. */
     void value(JsonValue &out);
-    /** Read the next value, which must be a string, into @p out. */
-    void string(std::string &out);
     /** Step over the next value, checking it as value() would. */
     void skip();
 
@@ -291,6 +355,18 @@ class JsonReader
     /** Nesting limit: a few KB of '[' must not overflow the
      *  connection thread's stack. */
     static constexpr int kMaxDepth = 64;
+
+    /** A number token's extent: text_[start, pos_), its body (after
+     *  any sign) from @p body, the value of the body's leading digits
+     *  (exact up to 19 of them); integral when it is an optional '+'
+     *  and digits only. */
+    struct NumberToken
+    {
+        std::size_t start;
+        std::size_t body;
+        std::uint64_t value;
+        bool integral;
+    };
 
     template <typename... Args>
     [[noreturn, gnu::cold, gnu::noinline]] void fail(Args &&...args);
@@ -307,12 +383,19 @@ class JsonReader
     bool nextIn(char close);
     void literal(std::string_view word);
     /** The next string's bytes: a view of the text when it holds no
-     *  escape, else unescaped into @p out (replacing its contents). */
-    std::string_view stringView(std::string &out);
-    JsonValue::Number number();
-    /** strtod's value for the number token text_[start, pos_), whose
-     *  body (after any sign) starts at @p body. */
-    double toDouble(std::size_t start, std::size_t body);
+     *  escape, else of the unescaped copy in scratch_. */
+    std::string_view stringView();
+    /** stringView()'s escaped case: the text from @p begin, plain up
+     *  to @p in, unescaped into scratch_. */
+    [[gnu::noinline]] std::string_view unescape(const char *begin,
+                                                const char *in);
+    /** Consume the number token at pos_ (which a value starting with
+     *  any byte but {["tfn starts). */
+    NumberToken numberToken();
+    /** The token's value as an integer, saturating. */
+    std::uint64_t integerOf(const NumberToken &token) const;
+    /** strtod's value for the token. */
+    double doubleOf(const NumberToken &token) const;
     /** Fail unless only whitespace is left. */
     void end();
 
@@ -323,34 +406,31 @@ class JsonReader
     /** Just past a '{' or '[': the next member or item takes no
      *  comma. */
     bool first_ = false;
-    /** The last member key read (or a skipped string). */
-    std::string key_;
+    /** Room for unescaped strings: taken once, at the first string
+     *  with an escape, for the rest of the text (which no unescaped
+     *  string can outgrow) plus one block's overshoot. It is not
+     *  zero-filled, so room no string reaches is never touched. */
+    std::unique_ptr<char[]> scratch_;
+    std::size_t scratchBytes_ = 0;
     /** Children of the containers value() has open, innermost last. */
     std::vector<JsonValue> items_;
     std::vector<JsonValue::Member> members_;
 };
 
 /**
- * Strict member extraction from one JSON object: a member that is
- * present must have the right JSON type and range. By default an
- * absent member keeps its default and finish() rejects keys the
- * schema does not know, so a misspelled knob fails loudly instead of
- * silently simulating the baseline (the wire decoders). After
- * requireAll() an absent member is an error too (the sim-results
- * reader, which ignores unknown members).
- *
- * Two ways in, one set of rules. Over a tree (claim mode) the schema
- * claims its members by key, in schema order. Over a JsonReader
- * (stream mode) members() hands them over in document order and
- * steps over repeats (the first wins) and unknown keys. Either way
- * the typed fields below check each value, and finish() names the
- * alphabetically first unknown key.
+ * Strict member extraction from the JSON object that is a reader's
+ * next value: a member that is present must have the right JSON type
+ * and range. members() hands the object's members over in document
+ * order and steps over repeats (the first wins) and unknown keys; the
+ * typed fields below read each value straight into its destination;
+ * finish() rejects keys the schema does not know, naming the
+ * alphabetically first, so a misspelled knob fails loudly instead of
+ * silently simulating the baseline (the wire decoders). A reader that
+ * ignores unknown keys (the sim-results reader) does not call it.
  *
  * Errors read "where[index].member: what", naming the first failure
- * in schema order, in either mode. Claiming allocates nothing:
- * claimed keys are the schema's string literals, kept in a fixed
- * table, and the location prefix of an error is only rendered when
- * one is reported.
+ * in schema order; the location prefix of an error is only rendered
+ * when one is reported.
  */
 class FieldReader
 {
@@ -358,47 +438,33 @@ class FieldReader
     /** Sentinel for @p index: the location is @p where alone. */
     static constexpr std::size_t kNoIndex = ~std::size_t{0};
 
-    /** Claim mode over the tree @p value. @p index and @p member,
-     *  when given, extend the location: "cells[3]", "machine.l1d". */
-    FieldReader(const JsonValue &value, std::string_view where,
-                std::string &error, std::size_t index = kNoIndex,
-                const char *member = nullptr)
-        : value_(&value), where_(where), member_(member), index_(index),
-          error_(error)
-    {
-        requireObject(value.isObject());
-    }
-
-    /** Stream mode over the object that is @p json's next value (any
-     *  other value is stepped over and rejected). @p keys lists the
-     *  schema in the order writers emit it. */
+    /** Over the object that is @p json's next value (any other value
+     *  is stepped over and rejected). @p keys lists the schema in the
+     *  order writers emit it. @p index and @p member, when given,
+     *  extend the location: "cells[3]", "machine.l1d". */
     FieldReader(JsonReader &json, std::span<const std::string_view> keys,
                 std::string_view where, std::string &error,
                 std::size_t index = kNoIndex, const char *member = nullptr)
-        : json_(&json), keys_(keys), where_(where), member_(member),
+        : json_(json), keys_(keys), where_(where), member_(member),
           index_(index), error_(error)
     {
         wbsim_assert(keys.size() <= 64, "FieldReader schema too wide");
-        object_ = json.peek() == JsonValue::Kind::Object;
-        if (object_)
-            json.beginObject();
-        else
-            json.skip();
-        requireObject(object_);
-        if (!object_)
+        object_ = json.enterObject();
+        if (!object_) {
+            fail("must be a JSON object");
             failed_ = 0;
+        }
     }
 
     bool ok() const { return ok_; }
-    bool streaming() const { return json_ != nullptr; }
-    /** The reader a stream-mode field is read from. */
-    JsonReader &json() { return *json_; }
-
-    /** An absent member is an error from now on (claim mode). */
-    void requireAll() { required_ = true; }
+    /** The reader the fields are read from. */
+    JsonReader &json() { return json_; }
+    /** The schema index of the failure reported (kNoIndex: none, or
+     *  one set by fail() outside attempt()). */
+    std::size_t failedField() const { return failed_; }
 
     /**
-     * Stream mode: read the object's members in document order. Each
+     * Read the object's members in document order. Each
      * member the schema lists goes to @p read(field), its index in the
      * keys, which reads the value through the typed fields below under
      * that field's key. A key is first matched against the field after
@@ -406,7 +472,7 @@ class FieldReader
      * (the first wins) and unknown keys are stepped over. The whole
      * object is read even after a failure: a member listed before the
      * failed one is still checked, and its failure is the one
-     * reported, as in claim mode. False once a field has failed.
+     * reported. False once a field has failed.
      */
     template <typename Read>
     bool
@@ -415,7 +481,7 @@ class FieldReader
         if (!object_)
             return false;
         std::string_view key;
-        while (json_->nextMember(
+        while (json_.nextMember(
             key, next_ < keys_.size() ? keys_[next_] : std::string_view())) {
             std::size_t at = next_;
             if (at >= keys_.size() || keys_[at].data() != key.data()) {
@@ -425,28 +491,28 @@ class FieldReader
             }
             if (at == keys_.size()) {
                 noteUnknown(key);
-                json_->skip();
+                json_.skip();
                 continue;
             }
             const bool repeat = has(at);
             seen_ |= std::uint64_t{1} << at;
             next_ = at + 1;
             if (repeat || at >= failed_)
-                json_->skip();
+                json_.skip();
             else
                 attempt(at, [&] { read(at); });
         }
         return ok_;
     }
 
-    /** Stream mode: whether field @p field has appeared. */
+    /** Whether field @p field has appeared. */
     bool has(std::size_t field) const { return seen_ >> field & 1; }
 
     /**
-     * Stream mode: run @p check, which reads or judges field @p field,
-     * unless a field listed no later has already failed. Its failure
-     * replaces that of a field listed later. Decoders judge an absent
-     * member through it too.
+     * Run @p check, which reads or judges field @p field, unless a
+     * field listed no later has already failed. Its failure replaces
+     * that of a field listed later. Decoders judge an absent member
+     * through it too.
      */
     template <typename Check>
     void
@@ -472,18 +538,27 @@ class FieldReader
         }
     }
 
+    /** After members(): fail every listed field the object lacked,
+     *  as "key is missing", ranked like any other failure. */
+    void
+    requireAll()
+    {
+        for (std::size_t field = 0; field < keys_.size(); ++field)
+            if (!has(field))
+                attempt(field, [&] {
+                    fail(std::string(keys_[field]) + " is missing");
+                });
+    }
+
     template <typename T>
     bool
     uintField(const char *key, T &out,
               std::uint64_t max = std::numeric_limits<T>::max())
     {
-        const JsonValue *v = claim(key);
-        if (!v)
-            return ok_;
-        if (!v->isUint())
+        std::uint64_t raw = 0;
+        if (!json_.uint(raw))
             return fail(std::string(key)
                         + " must be an unsigned integer");
-        std::uint64_t raw = v->uint();
         if (raw > max)
             return fail(std::string(key) + " out of range");
         out = static_cast<T>(raw);
@@ -493,46 +568,29 @@ class FieldReader
     bool
     boolField(const char *key, bool &out)
     {
-        const JsonValue *v = claim(key);
-        if (!v)
-            return ok_;
-        if (!v->isBool())
+        if (!json_.boolean(out))
             return fail(std::string(key) + " must be a boolean");
-        out = v->boolean();
         return true;
     }
 
     bool
     doubleField(const char *key, double &out)
     {
-        const JsonValue *v = claim(key);
-        if (!v)
-            return ok_;
-        if (!v->isNumber())
+        double v = 0.0;
+        if (!json_.number(v))
             return fail(std::string(key) + " must be a number");
         // 1e999 parses to infinity, which JSON cannot carry back.
-        if (!std::isfinite(v->number()))
+        if (!std::isfinite(v))
             return fail(std::string(key) + " must be finite");
-        out = v->number();
+        out = v;
         return true;
     }
 
     bool
     stringField(const char *key, std::string &out)
     {
-        // Stream mode reads a string straight into @p out: a served
-        // result document is a few KB.
-        if (json_ != nullptr && ok_
-            && json_->peek() == JsonValue::Kind::String) {
-            json_->string(out);
-            return true;
-        }
-        const JsonValue *v = claim(key);
-        if (!v)
-            return ok_;
-        if (!v->isString())
+        if (!json_.string(out))
             return fail(std::string(key) + " must be a string");
-        out = v->string();
         return true;
     }
 
@@ -540,52 +598,22 @@ class FieldReader
     bool
     enumField(const char *key, Enum &out, TryParse tryParse)
     {
-        const JsonValue *v = claim(key);
-        if (!v)
-            return ok_;
-        if (!v->isString())
+        std::string_view name;
+        if (!json_.string(name))
             return fail(std::string(key) + " must be a string");
-        if (!tryParse(v->string(), out))
+        if (!tryParse(name, out))
             return fail(std::string(key) + ": unknown name \""
-                        + v->string() + "\"");
+                        + std::string(name) + "\"");
         return true;
     }
 
-    /** The raw member, claimed as known (nullptr when absent). In
-     *  stream mode: the current member's value, read whole. */
-    const JsonValue *
-    claim(const char *key)
-    {
-        if (!ok_)
-            return nullptr;
-        if (json_ != nullptr) {
-            json_->value(current_);
-            return &current_;
-        }
-        wbsim_assert(known_count_ < known_.size(),
-                     "FieldReader schema has more keys than its table");
-        known_[known_count_++] = key;
-        const JsonValue *member = value_->find(key);
-        found_ += member != nullptr;
-        if (member == nullptr && required_)
-            fail(std::string(key) + " is missing");
-        return member;
-    }
-
-    /** Reject any member the schema did not claim, naming the
-     *  alphabetically first. In stream mode, call it after
-     *  members(). */
+    /** Reject any member the schema does not list, naming the
+     *  alphabetically first. Call it after members(). */
     bool
     finish()
     {
         if (!ok_)
             return false;
-        // Claim mode: every member claimed when the counts agree
-        // (keys are distinct); repeats of claimed keys are known.
-        if (json_ == nullptr && found_ != value_->object().size())
-            for (const auto &member : value_->object())
-                if (!isKnown(member.key))
-                    noteUnknown(member.key);
         if (has_unknown_)
             return fail("unknown key \"" + unknown_ + "\"");
         return true;
@@ -611,23 +639,6 @@ class FieldReader
 
   private:
     void
-    requireObject(bool object)
-    {
-        ok_ = object;
-        if (!ok_)
-            fail("must be a JSON object");
-    }
-
-    bool
-    isKnown(std::string_view key) const
-    {
-        for (std::size_t i = 0; i < known_count_; ++i)
-            if (std::string_view(known_[i]) == key)
-                return true;
-        return false;
-    }
-
-    void
     noteUnknown(std::string_view key)
     {
         if (!has_unknown_ || key < unknown_) {
@@ -636,35 +647,24 @@ class FieldReader
         }
     }
 
-    /** Claim mode: the object. */
-    const JsonValue *value_ = nullptr;
-    /** Stream mode: the reader, the schema, whether the value was an
-     *  object, the fields seen so far, the field expected next, the
-     *  first-listed field that failed (kNoIndex: none), and the
-     *  current member's value. */
-    JsonReader *json_ = nullptr;
+    /** The reader, the schema, whether the value was an object, the
+     *  fields seen so far, the field expected next and the
+     *  first-listed field that failed (kNoIndex: none). */
+    JsonReader &json_;
     std::span<const std::string_view> keys_;
     bool object_ = false;
     std::uint64_t seen_ = 0;
     std::size_t next_ = 0;
     std::size_t failed_ = kNoIndex;
-    JsonValue current_;
 
     std::string_view where_;
     const char *member_;
     std::size_t index_;
     std::string &error_;
-    /** Claim mode: keys claimed so far (the first known_count_);
-     *  the widest schema (write_buffer) has 17. */
-    std::array<const char *, 24> known_;
-    std::size_t known_count_ = 0;
-    /** Claimed keys that were present. */
-    std::size_t found_ = 0;
     /** The alphabetically first unknown key seen. */
     std::string unknown_;
     bool has_unknown_ = false;
     bool ok_ = true;
-    bool required_ = false;
 };
 
 } // namespace wbsim::obs

@@ -49,6 +49,7 @@ ServeClient::close()
         ::close(fd_);
         fd_ = -1;
     }
+    frames_.reset();
 }
 
 bool
@@ -115,8 +116,7 @@ ServeClient::roundTrip(const Request &request, Response &response,
         close();
         return false;
     }
-    std::string payload;
-    FrameResult got = readFrame(fd_, payload);
+    FrameResult got = frames_.next(fd_);
     if (got != FrameResult::Ok) {
         error = std::string("failed to read response frame: ")
                 + frameResultName(got);
@@ -124,7 +124,7 @@ ServeClient::roundTrip(const Request &request, Response &response,
         return false;
     }
     response = Response{};
-    return decodeResponse(payload, response, error);
+    return decodeResponse(frames_.payload(), response, error);
 }
 
 bool
@@ -212,9 +212,7 @@ bool
 ServeClient::cellToResults(const CellResult &cell, SimResults &out,
                            std::string &error)
 {
-    obs::JsonValue doc;
-    return obs::JsonValue::tryParse(cell.resultJson, doc, error)
-           && obs::simResultsFromJson(doc, out, error);
+    return obs::simResultsFromJson(cell.resultJson, out, error);
 }
 
 } // namespace wbsim::serve

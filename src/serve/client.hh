@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/wire.hh"
@@ -33,17 +34,18 @@ class ServeClient
 
     ServeClient(const ServeClient &) = delete;
     ServeClient &operator=(const ServeClient &) = delete;
-    ServeClient(ServeClient &&other) noexcept : fd_(other.fd_)
+    ServeClient(ServeClient &&other) noexcept
+        : fd_(std::exchange(other.fd_, -1)),
+          frames_(std::move(other.frames_))
     {
-        other.fd_ = -1;
     }
     ServeClient &
     operator=(ServeClient &&other) noexcept
     {
         if (this != &other) {
             close();
-            fd_ = other.fd_;
-            other.fd_ = -1;
+            fd_ = std::exchange(other.fd_, -1);
+            frames_ = std::move(other.frames_);
         }
         return *this;
     }
@@ -101,6 +103,8 @@ class ServeClient
 
   private:
     int fd_ = -1;
+    /** Response frames; the buffer is kept across round trips. */
+    FrameReader frames_;
 };
 
 } // namespace wbsim::serve

@@ -202,10 +202,9 @@ ServeServer::connectionMain(int fd)
 void
 ServeServer::handleConnection(int fd)
 {
-    std::string payload;
+    FrameReader frames(config_.maxFrameBytes);
     for (;;) {
-        FrameResult got =
-            readFrame(fd, payload, config_.maxFrameBytes);
+        FrameResult got = frames.next(fd);
         if (got == FrameResult::Eof || got == FrameResult::Error)
             return;
         if (got != FrameResult::Ok) {
@@ -227,7 +226,7 @@ ServeServer::handleConnection(int fd)
         }
         Request request;
         std::string error;
-        if (!decodeRequest(payload, request, error)) {
+        if (!decodeRequest(frames.payload(), request, error)) {
             requestErrors_.fetch_add(1, std::memory_order_relaxed);
             Response response;
             response.type = ResponseType::Error;
@@ -640,7 +639,7 @@ ServeServer::stop()
     queue_.close();
     workers_.join();
 
-    // 3. Unblock connections waiting in readFrame and wait for the
+    // 3. Unblock connections waiting for a frame and wait for the
     //    last one to bow out.
     {
         std::lock_guard<std::mutex> lock(mutex_);

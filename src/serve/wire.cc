@@ -1,12 +1,16 @@
 #include "serve/wire.hh"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <limits>
 #include <span>
 #include <type_traits>
+#include <utility>
 
 #include "util/enum_names.hh"
 
@@ -68,24 +72,23 @@ readFully(int fd, char *data, std::size_t size)
     return IoResult::Ok;
 }
 
-/** Blocking write of exactly @p size bytes. MSG_NOSIGNAL: a peer
- *  that hangs up must produce an error return, not SIGPIPE. */
-bool
-writeFully(int fd, const char *data, std::size_t size)
+/** The frame header's verdict: Ok with the payload's @p length, or
+ *  BadMagic or TooLarge. */
+FrameResult
+frameLength(const char *header, std::size_t maxBytes, std::size_t &length)
 {
-    std::size_t done = 0;
-    while (done < size) {
-        ssize_t n =
-            ::send(fd, data + done, size - done, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        done += std::size_t(n);
-    }
-    return true;
+    if (std::memcmp(header, kFrameMagic, sizeof kFrameMagic) != 0)
+        return FrameResult::BadMagic;
+    length = (std::size_t(std::uint8_t(header[4])) << 24)
+             | (std::size_t(std::uint8_t(header[5])) << 16)
+             | (std::size_t(std::uint8_t(header[6])) << 8)
+             | std::size_t(std::uint8_t(header[7]));
+    return length > maxBytes ? FrameResult::TooLarge : FrameResult::Ok;
 }
+
+constexpr std::size_t kHeaderBytes = 8;
+/** A frame reader's first buffer. */
+constexpr std::size_t kMinFrameBuffer = 4096;
 
 using obs::FieldReader;
 
@@ -104,15 +107,14 @@ fieldWriter(obs::JsonWriter &json, const Record &record)
     return [&json, &record](const char *key, auto member, auto... enums) {
         const auto &value = record.*member;
         using T = std::decay_t<decltype(value)>;
-        json.key(key);
         if constexpr (std::is_class_v<T>) {
-            json.beginObject();
+            json.key(key).beginObject();
             T::forEachField(fieldWriter(json, value));
             json.endObject();
         } else if constexpr (std::is_enum_v<T>) {
-            json.value(enumName(enums...)(value));
+            json.field(key, enumName(enums...)(value));
         } else {
-            json.value(value);
+            json.field(key, value);
         }
     };
 }
@@ -128,6 +130,9 @@ forEachWireField(Visit &&visit)
         Record::forEachTopologyField(visit);
 }
 
+/** Most fields a record's wire object lists (MachineConfig has 19). */
+constexpr std::size_t kMaxWireFields = 24;
+
 /** The keys of forEachWireField<Record>(), in its order. */
 template <typename Record>
 std::span<const std::string_view>
@@ -137,6 +142,8 @@ wireKeys()
         std::vector<std::string_view> out;
         forEachWireField<Record>(
             [&out](const char *key, auto...) { out.push_back(key); });
+        wbsim_assert(out.size() <= kMaxWireFields,
+                     "a wire record lists more fields than its table");
         return out;
     }();
     return keys;
@@ -156,17 +163,10 @@ fieldReader(FieldReader &reader, Record &record, std::string &error)
         auto &value = record.*member;
         using T = std::decay_t<decltype(value)>;
         if constexpr (std::is_class_v<T>) {
-            if (reader.streaming()) {
-                FieldReader nested(reader.json(), wireKeys<T>(), "machine",
-                                   error, FieldReader::kNoIndex, key);
-                if (!readRecord(nested, value, error))
-                    reader.fail(error);
-            } else if (const obs::JsonValue *object = reader.claim(key)) {
-                FieldReader nested(*object, "machine", error,
-                                   FieldReader::kNoIndex, key);
-                if (!readRecord(nested, value, error))
-                    reader.fail(error);
-            }
+            FieldReader nested(reader.json(), wireKeys<T>(), "machine",
+                               error, FieldReader::kNoIndex, key);
+            if (!readRecord(nested, value, error))
+                reader.fail(error);
         } else if constexpr (std::is_enum_v<T>) {
             reader.enumField(key, value, enumParser(enums...));
         } else if constexpr (std::is_same_v<T, bool>) {
@@ -179,25 +179,38 @@ fieldReader(FieldReader &reader, Record &record, std::string &error)
     };
 }
 
-/** Read @p record's fields through @p reader and reject unknown keys:
- *  in claim mode field by field, in stream mode member by member. */
+/** Read field @p I of forEachWireField<Record>() through @p reader;
+ *  the index folds at compile time, so this holds that field's code
+ *  alone (and nothing when @p I is past the list). */
+template <typename Record, std::size_t I>
+void
+readField(FieldReader &reader, Record &record, std::string &error)
+{
+    std::size_t index = 0;
+    forEachWireField<Record>(
+        [&](const char *key, auto member, auto... enums) {
+            if (index++ == I)
+                fieldReader(reader, record, error)(key, member, enums...);
+        });
+}
+
+template <typename Record, std::size_t... I>
+constexpr auto
+fieldReaders(std::index_sequence<I...>)
+{
+    return std::array{&readField<Record, I>...};
+}
+
+/** Read @p record's fields through @p reader member by member, each
+ *  through its entry in a table, and reject unknown keys. */
 template <typename Record>
 bool
 readRecord(FieldReader &reader, Record &record, std::string &error)
 {
-    auto visit = fieldReader(reader, record, error);
-    if (!reader.streaming()) {
-        forEachWireField<Record>(visit);
-        return reader.finish();
-    }
-    reader.members([&](std::size_t field) {
-        std::size_t index = 0;
-        forEachWireField<Record>(
-            [&](const char *key, auto member, auto... enums) {
-                if (index++ == field)
-                    visit(key, member, enums...);
-            });
-    });
+    static constexpr auto kReaders =
+        fieldReaders<Record>(std::make_index_sequence<kMaxWireFields>{});
+    reader.members(
+        [&](std::size_t field) { kReaders[field](reader, record, error); });
     return reader.finish();
 }
 
@@ -434,24 +447,76 @@ tryParseResponseType(std::string_view name, ResponseType &out)
 FrameResult
 readFrame(int fd, std::string &payload, std::size_t maxBytes)
 {
-    char header[8];
+    char header[kHeaderBytes];
     IoResult got = readFully(fd, header, sizeof header);
     if (got == IoResult::Eof)
         return FrameResult::Eof;
     if (got != IoResult::Ok)
         return FrameResult::Error;
-    if (std::memcmp(header, kFrameMagic, sizeof kFrameMagic) != 0)
-        return FrameResult::BadMagic;
-    std::uint32_t length = (std::uint32_t(std::uint8_t(header[4])) << 24)
-                           | (std::uint32_t(std::uint8_t(header[5])) << 16)
-                           | (std::uint32_t(std::uint8_t(header[6])) << 8)
-                           | std::uint32_t(std::uint8_t(header[7]));
-    if (length > maxBytes)
-        return FrameResult::TooLarge;
+    std::size_t length = 0;
+    if (FrameResult verdict = frameLength(header, maxBytes, length);
+        verdict != FrameResult::Ok)
+        return verdict;
     payload.resize(length);
     if (length > 0
         && readFully(fd, payload.data(), length) != IoResult::Ok)
         return FrameResult::Error;
+    return FrameResult::Ok;
+}
+
+FrameResult
+FrameReader::fill(int fd, std::size_t bytes)
+{
+    while (end_ - begin_ < bytes) {
+        if (capacity_ - begin_ < bytes) {
+            // Move the unread bytes to the front of a buffer that
+            // holds the frame, growing it at most to the frame cap.
+            const std::size_t unread = end_ - begin_;
+            if (capacity_ < bytes) {
+                const std::size_t size = std::max(
+                    {bytes, kMinFrameBuffer,
+                     std::min(2 * capacity_, kHeaderBytes + maxBytes_)});
+                auto grown = std::make_unique_for_overwrite<char[]>(size);
+                if (unread > 0)
+                    std::memcpy(grown.get(), buffer_.get() + begin_, unread);
+                buffer_ = std::move(grown);
+                capacity_ = size;
+            } else if (unread > 0) {
+                std::memmove(buffer_.get(), buffer_.get() + begin_, unread);
+            }
+            begin_ = 0;
+            end_ = unread;
+        }
+        ssize_t n = ::recv(fd, buffer_.get() + end_, capacity_ - end_, 0);
+        if (n == 0)
+            return end_ == begin_ ? FrameResult::Eof : FrameResult::Error;
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return FrameResult::Error;
+        }
+        end_ += std::size_t(n);
+    }
+    return FrameResult::Ok;
+}
+
+FrameResult
+FrameReader::next(int fd)
+{
+    payload_ = {};
+    if (begin_ == end_)
+        begin_ = end_ = 0;
+    if (FrameResult got = fill(fd, kHeaderBytes); got != FrameResult::Ok)
+        return got;
+    std::size_t length = 0;
+    if (FrameResult verdict =
+            frameLength(buffer_.get() + begin_, maxBytes_, length);
+        verdict != FrameResult::Ok)
+        return verdict;
+    if (fill(fd, kHeaderBytes + length) != FrameResult::Ok)
+        return FrameResult::Error;
+    payload_ = {buffer_.get() + begin_ + kHeaderBytes, length};
+    begin_ += kHeaderBytes + length;
     return FrameResult::Ok;
 }
 
@@ -460,16 +525,39 @@ writeFrame(int fd, std::string_view payload)
 {
     if (payload.size() > std::numeric_limits<std::uint32_t>::max())
         return false;
-    std::uint32_t length = std::uint32_t(payload.size());
-    std::string frame;
-    frame.reserve(sizeof kFrameMagic + 4 + payload.size());
-    frame.append(kFrameMagic, sizeof kFrameMagic);
-    frame.push_back(char(length >> 24));
-    frame.push_back(char(length >> 16));
-    frame.push_back(char(length >> 8));
-    frame.push_back(char(length));
-    frame.append(payload);
-    return writeFully(fd, frame.data(), frame.size());
+    const auto length = std::uint32_t(payload.size());
+    char header[kHeaderBytes] = {
+        kFrameMagic[0],     kFrameMagic[1],     kFrameMagic[2],
+        kFrameMagic[3],     char(length >> 24), char(length >> 16),
+        char(length >> 8),  char(length)};
+    iovec parts[2] = {{header, sizeof header},
+                      {const_cast<char *>(payload.data()), payload.size()}};
+    msghdr message{};
+    message.msg_iov = parts;
+    message.msg_iovlen = payload.empty() ? 1 : 2;
+    while (message.msg_iovlen > 0) {
+        // MSG_NOSIGNAL: a peer that hangs up must produce an error
+        // return, not SIGPIPE.
+        ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        // Step past what was sent: all of it, or a short write.
+        auto sent = std::size_t(n);
+        while (message.msg_iovlen > 0 && sent >= message.msg_iov->iov_len) {
+            sent -= message.msg_iov->iov_len;
+            ++message.msg_iov;
+            --message.msg_iovlen;
+        }
+        if (message.msg_iovlen > 0) {
+            message.msg_iov->iov_base =
+                static_cast<char *>(message.msg_iov->iov_base) + sent;
+            message.msg_iov->iov_len -= sent;
+        }
+    }
+    return true;
 }
 
 void
@@ -483,14 +571,6 @@ machineConfigToJson(obs::JsonWriter &json, const MachineConfig &machine)
     if (machine.cores != 1)
         MachineConfig::forEachTopologyField(fieldWriter(json, machine));
     json.endObject();
-}
-
-bool
-machineConfigFromJson(const obs::JsonValue &value, MachineConfig &out,
-                      std::string &error)
-{
-    FieldReader reader(value, "machine", error);
-    return readRecord(reader, out, error);
 }
 
 bool
@@ -508,9 +588,7 @@ encodeRequest(const Request &request)
     std::size_t bytes = 128;
     for (const CellSpec &cell : request.cells)
         bytes += 1024 + cell.benchmark.size();
-    std::string out;
-    out.reserve(bytes);
-    obs::JsonWriter json(out, 0);
+    obs::JsonWriter json(0, bytes);
     json.beginObject();
     json.field("schema", kRequestSchema);
     json.field("type", requestTypeName(request.type));
@@ -531,11 +609,11 @@ encodeRequest(const Request &request)
         json.endArray();
     }
     json.endObject();
-    return out;
+    return json.take();
 }
 
 bool
-decodeRequest(const std::string &payload, Request &out,
+decodeRequest(std::string_view payload, Request &out,
               std::string &error)
 {
     // fail() keeps the innermost (first) message, so start clean —
@@ -550,10 +628,9 @@ std::string
 encodeResultToken(std::string_view resultJson)
 {
     // A root string value: value()'s quoting and escaper, alone.
-    std::string token;
-    token.reserve(resultJson.size() * 5 / 4 + 8);
-    obs::JsonWriter(token, 0).value(resultJson);
-    return token;
+    obs::JsonWriter json(0, resultJson.size() * 5 / 4 + 8);
+    json.value(resultJson);
+    return json.take();
 }
 
 std::string
@@ -562,9 +639,7 @@ encodeResults(const std::vector<ResultCellView> &cells)
     std::size_t bytes = 128;
     for (const ResultCellView &cell : cells)
         bytes += 64 + cell.benchmark.size() + cell.token.size();
-    std::string out;
-    out.reserve(bytes);
-    obs::JsonWriter json(out, 0);
+    obs::JsonWriter json(0, bytes);
     beginResponse(json, ResponseType::Results);
     json.key("cells");
     json.beginArray();
@@ -577,7 +652,7 @@ encodeResults(const std::vector<ResultCellView> &cells)
     }
     json.endArray();
     json.endObject();
-    return out;
+    return json.take();
 }
 
 std::string
@@ -595,10 +670,8 @@ encodeResponse(const Response &response)
         }
         return encodeResults(cells);
     }
-    std::string out;
-    out.reserve(256 + response.error.size()
-                + response.statsJson.size() * 5 / 4);
-    obs::JsonWriter json(out, 0);
+    obs::JsonWriter json(0, 256 + response.error.size()
+                                + response.statsJson.size() * 5 / 4);
     beginResponse(json, response.type);
     switch (response.type) {
     case ResponseType::RetryAfter:
@@ -617,11 +690,11 @@ encodeResponse(const Response &response)
         break;
     }
     json.endObject();
-    return out;
+    return json.take();
 }
 
 bool
-decodeResponse(const std::string &payload, Response &out,
+decodeResponse(std::string_view payload, Response &out,
                std::string &error)
 {
     error.clear(); // see decodeRequest

@@ -22,8 +22,10 @@
 #define WBSIM_SERVE_WIRE_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hh"
@@ -68,9 +70,59 @@ const char *frameResultName(FrameResult result);
 FrameResult readFrame(int fd, std::string &payload,
                       std::size_t maxBytes = kDefaultMaxFrameBytes);
 
-/** Write one frame to @p fd. Blocks; retries EINTR. False on any
- *  socket error (the peer has gone; there is nobody to tell). */
+/** Write one frame to @p fd: header and payload in one sendmsg, no
+ *  copy. Blocks; retries EINTR and short writes. False on any socket
+ *  error (the peer has gone; there is nobody to tell). */
 bool writeFrame(int fd, std::string_view payload);
+
+/**
+ * The frames of one connection, read through a buffer that keeps its
+ * capacity: a frame that has arrived whole is taken with one recv,
+ * and bytes of the next frame that came with it wait for the next
+ * call. Results as readFrame(); the connection's reader (server) or
+ * the client's owns one.
+ */
+class FrameReader
+{
+  public:
+    explicit FrameReader(std::size_t maxBytes = kDefaultMaxFrameBytes)
+        : maxBytes_(maxBytes)
+    {
+    }
+    /** A moved-from reader is empty (its buffer went with the move). */
+    FrameReader(FrameReader &&other) noexcept { *this = std::move(other); }
+    FrameReader &
+    operator=(FrameReader &&other) noexcept
+    {
+        maxBytes_ = other.maxBytes_;
+        buffer_ = std::move(other.buffer_);
+        capacity_ = std::exchange(other.capacity_, 0);
+        begin_ = std::exchange(other.begin_, 0);
+        end_ = std::exchange(other.end_, 0);
+        payload_ = std::exchange(other.payload_, {});
+        return *this;
+    }
+
+    /** Read the next frame from @p fd. Blocks; retries EINTR. On Ok,
+     *  payload() views its body until the next call. */
+    FrameResult next(int fd);
+    std::string_view payload() const { return payload_; }
+    /** Drop buffered bytes (the connection changed). */
+    void reset() { begin_ = end_ = 0; }
+
+  private:
+    /** Receive until @p bytes are buffered past begin_: Ok, Eof (the
+     *  peer closed with nothing buffered) or Error. */
+    FrameResult fill(int fd, std::size_t bytes);
+
+    std::size_t maxBytes_;
+    std::unique_ptr<char[]> buffer_;
+    std::size_t capacity_ = 0;
+    /** Unread bytes are buffer_[begin_, end_). */
+    std::size_t begin_ = 0;
+    std::size_t end_ = 0;
+    std::string_view payload_;
+};
 
 /** What a request asks the server to do. */
 enum class RequestType : std::uint8_t
@@ -148,14 +200,11 @@ struct Response
  *  Decoding accepts partial objects (absent fields keep the baseline
  *  defaults) but rejects unknown keys and type mismatches, so a
  *  client typo fails loudly instead of silently simulating the wrong
- *  machine. The decoder reads either a parsed tree or, on the wire
- *  path, the object that is a reader's next value; both apply the
- *  same field list and checks. */
+ *  machine. The decoder reads the object that is a reader's next
+ *  value. */
 /// @{
 void machineConfigToJson(obs::JsonWriter &json,
                          const MachineConfig &machine);
-bool machineConfigFromJson(const obs::JsonValue &value,
-                           MachineConfig &out, std::string &error);
 bool machineConfigFromJson(obs::JsonReader &json, MachineConfig &out,
                            std::string &error);
 /// @}
@@ -168,11 +217,11 @@ bool machineConfigFromJson(obs::JsonReader &json, MachineConfig &out,
  *  sweep responses are compared byte-for-byte against local runs. */
 /// @{
 WBSIM_DETERMINISTIC std::string encodeRequest(const Request &request);
-bool decodeRequest(const std::string &payload, Request &out,
+bool decodeRequest(std::string_view payload, Request &out,
                    std::string &error);
 WBSIM_DETERMINISTIC std::string
 encodeResponse(const Response &response);
-bool decodeResponse(const std::string &payload, Response &out,
+bool decodeResponse(std::string_view payload, Response &out,
                     std::string &error);
 /// @}
 

@@ -18,12 +18,13 @@
 namespace wbsim
 {
 
-/** One row of an enum's name table. */
+/** One row of an enum's name table. The name is a string literal;
+ *  its length is kept so a parse compares sizes before bytes. */
 template <typename Enum>
 struct EnumName
 {
     Enum value;
-    const char *name;
+    std::string_view name;
 };
 
 /** The name of @p value, or "?" when the table lacks it. */
@@ -33,7 +34,7 @@ nameOf(const EnumName<Enum> (&table)[N], Enum value)
 {
     for (const auto &row : table)
         if (row.value == value)
-            return row.name;
+            return row.name.data();
     return "?";
 }
 

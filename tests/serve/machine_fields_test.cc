@@ -104,11 +104,12 @@ roundTrip(const MachineConfig &machine)
     std::string text;
     obs::JsonWriter json(text, 0);
     machineConfigToJson(json, machine);
-    obs::JsonValue doc;
+    obs::JsonReader reader(text);
     std::string error;
-    EXPECT_TRUE(obs::JsonValue::tryParse(text, doc, error)) << error;
     MachineConfig back;
-    EXPECT_TRUE(machineConfigFromJson(doc, back, error)) << error;
+    EXPECT_TRUE(reader.read(error, [&] {
+        return machineConfigFromJson(reader, back, error);
+    })) << error;
     return back;
 }
 
