@@ -17,22 +17,26 @@ constexpr EnumName<LoadHazardPolicy> kHazardNames[] = {
     {LoadHazardPolicy::FlushItemOnly, "flush-item-only"},
     {LoadHazardPolicy::ReadFromWB, "read-from-WB"},
 };
+static_assert(namesEvery(kHazardNames, LoadHazardPolicy::ReadFromWB));
 
 constexpr EnumName<RetirementMode> kModeNames[] = {
     {RetirementMode::Occupancy, "occupancy"},
     {RetirementMode::FixedRate, "fixed-rate"},
     {RetirementMode::Paced, "paced"},
 };
+static_assert(namesEvery(kModeNames, RetirementMode::Paced));
 
 constexpr EnumName<RetirementOrder> kOrderNames[] = {
     {RetirementOrder::Fifo, "fifo"},
     {RetirementOrder::FullestFirst, "fullest-first"},
 };
+static_assert(namesEvery(kOrderNames, RetirementOrder::FullestFirst));
 
 constexpr EnumName<BufferKind> kKindNames[] = {
     {BufferKind::WriteBuffer, "write-buffer"},
     {BufferKind::WriteCache, "write-cache"},
 };
+static_assert(namesEvery(kKindNames, BufferKind::WriteCache));
 
 } // namespace
 

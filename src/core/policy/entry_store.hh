@@ -25,7 +25,6 @@
 #include "core/store_buffer.hh"
 #include "obs/metrics.hh"
 #include "util/bits.hh"
-#include "util/lint.hh"
 #include "util/simd.hh"
 
 namespace wbsim
@@ -131,7 +130,7 @@ class EntryStore
      * exists.
      * @return the slot index.
      */
-    WBSIM_HOT std::size_t
+    std::size_t
     allocate(Addr base, std::uint32_t mask, Cycle at)
     {
         wbsim_assert(!free_stack_.empty(),
@@ -150,7 +149,7 @@ class EntryStore
 
     /** Invalidate the entry at @p index and drop it from every
      *  index (retirement, flush, eviction). */
-    WBSIM_HOT void
+    void
     release(std::size_t index)
     {
         wbsim_assert(validAt(index), "detaching an invalid entry");
@@ -182,7 +181,7 @@ class EntryStore
 
     /** Fold @p mask into the entry at @p index (coalescing); in
      *  recency order the merge is also a use. */
-    WBSIM_HOT void
+    void
     merge(std::size_t index, std::uint32_t mask)
     {
         wbsim_assert(validAt(index), "merging into an invalid entry");
@@ -196,7 +195,7 @@ class EntryStore
     }
 
     /** Move the entry to the most-recent end (recency order only). */
-    WBSIM_HOT void
+    void
     touch(std::size_t index)
     {
         wbsim_assert(order_ == EntryOrder::Recency,
@@ -230,7 +229,7 @@ class EntryStore
      * (exact-negative, as for probeLoad: a valid entry at @p base
      * covers that line, so its bucket is non-zero).
      */
-    WBSIM_HOT int
+    int
     findMergeTarget(Addr base, int exclude) const
     {
         if (naive_scan_ || cross_check_)
@@ -250,7 +249,7 @@ class EntryStore
     int oldestOverlapping(Addr line_base, Addr line_end) const;
 
     /** Probe for a load; kernel/naive/cross-checked per config. */
-    WBSIM_HOT LoadProbe probeLoad(Addr addr, unsigned size) const;
+    LoadProbe probeLoad(Addr addr, unsigned size) const;
 
     /**
      * Exact-negative residency filter for the probed L1 line: the
@@ -268,7 +267,7 @@ class EntryStore
     }
 
     /** Word-valid mask an access covers within its entry. */
-    WBSIM_HOT std::uint32_t
+    std::uint32_t
     wordMask(Addr addr, unsigned size) const
     {
         Addr offset = addr & (entry_bytes_ - 1);
@@ -308,7 +307,7 @@ class EntryStore
      * Panic unless every incremental index agrees with a
      * from-scratch recomputation over the lane arrays.
      */
-    WBSIM_COLD void verifyIntegrity() const;
+    void verifyIntegrity() const;
 
   private:
     LoadProbe naiveProbeLoad(Addr addr, unsigned size) const;
@@ -316,9 +315,9 @@ class EntryStore
     int naiveMergeTarget(Addr base, int exclude) const;
     int findMergeTargetSlow(Addr base, int exclude) const;
 
-    /** The one publish site for the occupancy-gauge handle
-     *  (WL-PUB-UNIQUE): attach and release both report through it. */
-    WBSIM_HOT void
+    /** The one publish site for the occupancy-gauge handle: attach
+     *  and release both report through it. */
+    void
     publishOccupancy()
     {
         if (metrics_ != nullptr)
@@ -326,7 +325,7 @@ class EntryStore
     }
 
     /** Register a just-filled entry with every index. */
-    WBSIM_HOT void
+    void
     attachEntry(std::size_t index)
     {
         wbsim_assert(validAt(index), "attaching an invalid entry");
@@ -359,7 +358,7 @@ class EntryStore
 
     /** Count the entry at @p index in (or out of) the residency
      *  filter, once per L1 line its footprint touches. */
-    WBSIM_HOT void
+    void
     lineFilterAdjust(std::size_t index, int delta)
     {
         Addr first = base_[index] >> line_shift_;

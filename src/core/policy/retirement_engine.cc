@@ -1,11 +1,19 @@
 #include "core/policy/retirement_engine.hh"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "util/logging.hh"
 
 namespace wbsim
 {
+
+// The fast paths call these two targets directly once
+// cachePolicyShortcuts() has found them; `final` is what lets those
+// calls inline instead of dispatching. Any other policy pays its
+// virtual call, which perf_gate's sim_policy_layer lane measures.
+static_assert(std::is_final_v<OccupancyTrigger>);
+static_assert(std::is_final_v<ListHeadSelector>);
 
 RetirementEngine::RetirementEngine(
     EntryStore &store, L2Port &port, const L2WriteHook &hook,

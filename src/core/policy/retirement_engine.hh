@@ -24,7 +24,6 @@
 #include "core/policy/retirement_trigger.hh"
 #include "core/policy/victim_selector.hh"
 #include "mem/l2_port.hh"
-#include "util/lint.hh"
 
 namespace wbsim
 {
@@ -58,7 +57,7 @@ class RetirementEngine
                      StoreBufferStats &stats, VictimSelector &selector);
 
     /** Replay retirement activity up to @p now. */
-    WBSIM_HOT void
+    void
     advanceTo(Cycle now)
     {
         if (!retire_in_flight_ && trigger_idle_ && fast_when_idle_) {
@@ -74,7 +73,7 @@ class RetirementEngine
      * drops below @p target (checkpoints, quiesce). @return the
      * cycle the last write completes.
      */
-    WBSIM_HOT Cycle drainBelow(unsigned target, Cycle now);
+    Cycle drainBelow(unsigned target, Cycle now);
 
     /**
      * The store path's full-buffer handling; call advanceTo(now)
@@ -84,7 +83,7 @@ class RetirementEngine
      * it (waitForFreeEntry). Stalls are charged to @p stalls.
      * @return the cycle a slot is free (@p now if one already is).
      */
-    WBSIM_HOT Cycle
+    Cycle
     makeRoom(Cycle now, StallStats &stalls)
     {
         if (store_.hasFree())
@@ -95,19 +94,19 @@ class RetirementEngine
     }
 
     /** Begin retiring @p index at @p start (must match the port). */
-    WBSIM_HOT void startRetirement(std::size_t index, Cycle start,
-                                   L2Txn kind);
+    void startRetirement(std::size_t index, Cycle start,
+                         L2Txn kind);
 
     /** Free the in-flight entry once its write has completed. */
-    WBSIM_HOT void completeRetirement();
+    void completeRetirement();
 
     /** Write entry @p index to L2 beginning no earlier than
      *  @p earliest; frees the entry. @return completion cycle. */
-    WBSIM_HOT Cycle writeEntryNow(std::size_t index, Cycle earliest,
-                                  L2Txn kind);
+    Cycle writeEntryNow(std::size_t index, Cycle earliest,
+                        L2Txn kind);
 
     /** Re-arm the triggers after an occupancy change at @p at. */
-    WBSIM_HOT void
+    void
     noteOccupancyChange(Cycle at)
     {
         // Monomorphic fast path: retire-at-N with no age timeout is
@@ -121,7 +120,7 @@ class RetirementEngine
     }
 
     /** Entry the victim policy picks next (cross-checked). */
-    WBSIM_HOT int
+    int
     retirementVictim() const
     {
         if (list_head_victim_ && !scan_or_check_)
@@ -130,7 +129,7 @@ class RetirementEngine
     }
 
     /** Earliest cycle any trigger wants a retirement, or kNoCycle. */
-    WBSIM_HOT Cycle
+    Cycle
     nextTrigger() const
     {
         if (store_.validCount() == 0)
@@ -176,7 +175,7 @@ class RetirementEngine
     }
 
     /** Index + selector integrity (the cross-check entry point). */
-    WBSIM_COLD void verifyAll() const { store_.verifyIntegrity(); }
+    void verifyAll() const { store_.verifyIntegrity(); }
 
   private:
     /**
@@ -184,7 +183,7 @@ class RetirementEngine
      * (starting one on the spot if none is underway) and charge the
      * stall. @return the cycle the freed slot is available.
      */
-    WBSIM_HOT Cycle waitForFreeEntry(Cycle now, StallStats &stalls);
+    Cycle waitForFreeEntry(Cycle now, StallStats &stalls);
 
     /**
      * The write cache's eviction register: move the victim's data to
@@ -192,11 +191,11 @@ class RetirementEngine
      * while the write drains in the background; stall only when the
      * register is still busy. @return the cycle the slot is free.
      */
-    WBSIM_HOT Cycle evictVictim(Cycle now, StallStats &stalls);
+    Cycle evictVictim(Cycle now, StallStats &stalls);
 
-    /** The one publish site for the retire-words handle
-     *  (WL-PUB-UNIQUE): every write path samples through it. */
-    WBSIM_HOT void
+    /** The one publish site for the retire-words handle: every
+     *  write path samples through it. */
+    void
     publishRetireWords(unsigned valid_words)
     {
         if (metrics_ != nullptr)

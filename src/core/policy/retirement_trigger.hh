@@ -15,19 +15,18 @@
 #include <memory>
 
 #include "core/policy/entry_store.hh"
-#include "util/lint.hh"
 
 namespace wbsim
 {
 
 /**
- * When the retirement engine should start a background write.
- * WBSIM_DEVIRT_OK: the engine's fast paths monomorphise the common
- * compositions (sole final OccupancyTrigger), and the replay loop's
- * residual dispatch through this interface is the documented
- * trigger escape hatch (DESIGN.md §10).
+ * When the retirement engine should start a background write. The
+ * engine's fast paths monomorphise the common compositions (sole
+ * final OccupancyTrigger), and the replay loop's residual dispatch
+ * through this interface is the documented trigger escape hatch
+ * (DESIGN.md §10).
  */
-class WBSIM_DEVIRT_OK RetirementTrigger
+class RetirementTrigger
 {
   public:
     virtual ~RetirementTrigger() = default;

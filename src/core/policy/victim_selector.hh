@@ -14,19 +14,18 @@
 #include <memory>
 
 #include "core/policy/entry_store.hh"
-#include "util/lint.hh"
 
 namespace wbsim
 {
 
 /**
- * Which entry retires (or evicts) next.
- * WBSIM_DEVIRT_OK: list-head selection is devirtualized on the
- * engine's fast path; the residual dispatch through this interface
- * (fullest-first, naive cross-checks, entry-tracking callbacks) is
- * the documented victim escape hatch (DESIGN.md §10).
+ * Which entry retires (or evicts) next. List-head selection is
+ * devirtualized on the engine's fast path; the residual dispatch
+ * through this interface (fullest-first, naive cross-checks,
+ * entry-tracking callbacks) is the documented victim escape hatch
+ * (DESIGN.md §10).
  */
-class WBSIM_DEVIRT_OK VictimSelector
+class VictimSelector
 {
   public:
     virtual ~VictimSelector() = default;

@@ -38,7 +38,6 @@
 #include "core/policy/retirement_engine.hh"
 #include "core/store_buffer.hh"
 #include "mem/l2_port.hh"
-#include "util/lint.hh"
 
 namespace wbsim
 {
@@ -59,7 +58,7 @@ class WriteBuffer final
                 L2WriteHook hook, unsigned line_bytes = 32);
 
     /** Replay retirement activity up to (strictly before) @p now. */
-    WBSIM_HOT void advanceTo(Cycle now) { engine_.advanceTo(now); }
+    void advanceTo(Cycle now) { engine_.advanceTo(now); }
 
     /**
      * Present a store at @p now. Merges or allocates; on buffer-full
@@ -67,8 +66,8 @@ class WriteBuffer final
      * @return cycle at which the store completes (== now unless the
      *         store stalled).
      */
-    WBSIM_HOT Cycle store(Addr addr, unsigned size, Cycle now,
-                          StallStats &stalls);
+    Cycle store(Addr addr, unsigned size, Cycle now,
+                StallStats &stalls);
 
     /** Probe for a load; call advanceTo(now) first. */
     LoadProbe

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -16,6 +15,7 @@
 #include "trace/materialized_trace.hh"
 #include "util/logging.hh"
 #include "util/lru_cache.hh"
+#include "util/mutex.hh"
 #include "util/options.hh"
 #include "util/random.hh"
 #include "util/thread_pool.hh"
@@ -180,7 +180,7 @@ class GridCache
 
     GridCacheStats stats()
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        MutexLock lock(mutex_);
         GridCacheStats out = stats_;
         LruCacheStats resident = resolved_.stats();
         out.cachedBytes = resident.bytes;
@@ -190,13 +190,13 @@ class GridCache
 
     void setByteBudget(std::size_t bytes)
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        MutexLock lock(mutex_);
         resolved_.setBudget(bytes, EvictionCounter{stats_});
     }
 
     void clear()
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        MutexLock lock(mutex_);
         resolved_.clear();
         building_.clear();
         recent_ = {};
@@ -214,7 +214,7 @@ class GridCache
     static constexpr std::size_t kRecentTraceKeys = 64;
 
     /** Whether @p key was sighted recently; if not, remember it. */
-    WBSIM_REQUIRES(mutex_) bool sightedBefore(const GridKey &key)
+    bool sightedBefore(const GridKey &key) WBSIM_REQUIRES(mutex_)
     {
         const std::uint64_t hash = GridKeyHash{}(key);
         const auto seen = recent_.begin()
@@ -248,7 +248,7 @@ class GridCache
         std::promise<Value> promise;
         std::shared_future<Value> future;
         {
-            std::lock_guard<std::mutex> lock(mutex_);
+            MutexLock lock(mutex_);
             if (std::optional<Value> hit = resolved_.find(key)) {
                 ++(isTrace ? stats_.traceHits : stats_.checkpointHits);
                 return std::get<Ptr>(*hit);
@@ -271,7 +271,7 @@ class GridCache
 
         Ptr value = build();
         promise.set_value(value);
-        std::lock_guard<std::mutex> lock(mutex_);
+        MutexLock lock(mutex_);
         // Publish only while the key is still in flight. A builder
         // that outlived a clear() may publish for a newer build of
         // its key instead: both values are the same function of the
@@ -282,19 +282,21 @@ class GridCache
         return value;
     }
 
-    WBSIM_ACQUIRES_BEFORE(Shard::mutex) std::mutex mutex_;
+    /** Taken before the resolved_ cache's shard locks, which are
+     *  private to LruCache and so cannot be named in an
+     *  WBSIM_ACQUIRES_BEFORE here; TSan checks the order. */
+    Mutex mutex_;
     /** Resolved entries of both kinds. */
-    WBSIM_GUARDED_BY(mutex_)
-    LruCache<GridKey, Value, GridKeyHash> resolved_{0};
-    WBSIM_GUARDED_BY(mutex_)
+    LruCache<GridKey, Value, GridKeyHash> resolved_
+        WBSIM_GUARDED_BY(mutex_){0};
     std::unordered_map<GridKey, std::shared_future<Value>, GridKeyHash>
-        building_;
-    WBSIM_GUARDED_BY(mutex_) GridCacheStats stats_;
-    WBSIM_GUARDED_BY(mutex_)
-    std::array<std::uint64_t, kRecentTraceKeys> recent_{};
+        building_ WBSIM_GUARDED_BY(mutex_);
+    GridCacheStats stats_ WBSIM_GUARDED_BY(mutex_);
+    std::array<std::uint64_t, kRecentTraceKeys> recent_
+        WBSIM_GUARDED_BY(mutex_){};
     /** Keys ever written to recent_ (the ring's next slot, mod its
      *  size). */
-    WBSIM_GUARDED_BY(mutex_) std::size_t recentCount_ = 0;
+    std::size_t recentCount_ WBSIM_GUARDED_BY(mutex_) = 0;
 };
 
 GridCache &

@@ -17,7 +17,6 @@
 #include "sim/machine_config.hh"
 #include "sim/multicore.hh"
 #include "sim/results.hh"
-#include "util/lint.hh"
 #include "workloads/profile.hh"
 
 namespace wbsim
@@ -106,7 +105,7 @@ struct RunnerOptions
  * bit-identical to runReference of its own machine; debug builds
  * verify each one. @p seed overrides options.seed.
  */
-WBSIM_DETERMINISTIC std::vector<SimResults>
+std::vector<SimResults>
 runCells(const BenchmarkProfile &profile,
          std::span<const MachineConfig> machines,
          const RunnerOptions &options, std::uint64_t seed);
@@ -114,7 +113,7 @@ runCells(const BenchmarkProfile &profile,
 /** Run one benchmark on one machine (uncached path: the
  *  trace is generated in place and warmup is always simulated).
  *  @p obs sinks, if any, attach after warmup. */
-WBSIM_DETERMINISTIC SimResults
+SimResults
 runOne(const BenchmarkProfile &profile, const MachineConfig &machine,
        Count instructions, std::uint64_t seed = 1, Count warmup = 0,
        const obs::ObsSink &obs = {});
@@ -125,7 +124,7 @@ runOne(const BenchmarkProfile &profile, const MachineConfig &machine,
  * warmup included, with no trace cache, checkpoint or run item
  * involved. Debug builds diff every runCells cell against it.
  */
-WBSIM_DETERMINISTIC SimResults
+SimResults
 runReference(const BenchmarkProfile &profile, const MachineConfig &machine,
              Count instructions, std::uint64_t seed, Count warmup);
 
@@ -137,7 +136,7 @@ runReference(const BenchmarkProfile &profile, const MachineConfig &machine,
  * call). @p seed overrides options.seed so replicated runs can share
  * the cache.
  */
-WBSIM_DETERMINISTIC SimResults
+SimResults
 runOne(const BenchmarkProfile &profile, const MachineConfig &machine,
        const RunnerOptions &options, std::uint64_t seed);
 
@@ -161,7 +160,7 @@ runOne(const BenchmarkProfile &profile, const MachineConfig &machine,
  * replication, serve cells, and caching treat topology like any
  * other machine axis.
  */
-WBSIM_DETERMINISTIC MultiCoreResults
+MultiCoreResults
 runMultiCore(const BenchmarkProfile &profile,
              const MachineConfig &machine,
              const RunnerOptions &options, std::uint64_t seed);

@@ -11,12 +11,13 @@ namespace wbsim
 namespace
 {
 
-/** The one name table (WL-ENUM-TABLE): busDisciplineName(), both
+/** The one name table: busDisciplineName(), both
  *  parsers, and the CLI help derive from it and can never disagree. */
 constexpr EnumName<BusDiscipline> kDisciplineNames[] = {
     {BusDiscipline::Fcfs, "fcfs"},
     {BusDiscipline::Priority, "priority"},
 };
+static_assert(namesEvery(kDisciplineNames, BusDiscipline::Priority));
 
 } // namespace
 

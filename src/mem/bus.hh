@@ -33,7 +33,6 @@
 
 #include "mem/l2_port.hh"
 #include "obs/timeline.hh"
-#include "util/lint.hh"
 #include "util/types.hh"
 
 namespace wbsim
@@ -77,12 +76,13 @@ struct BusCoreStats
  * one core. MultiCoreSystem implements it (final); unit tests script
  * rivals with it.
  *
- * WBSIM_DEVIRT_OK: one dispatch per scheduling step, and a step runs
- * at least one whole trace record, so the indirection is amortised
- * over the record work it triggers. The per-core clock reads that
- * dominate a causality pass are plain loads from clocks().
+ * The one virtual call the grant path keeps: one dispatch per
+ * scheduling step, and a step runs at least one whole trace record,
+ * so the indirection is amortised over the record work it triggers.
+ * The per-core clock reads that dominate a causality pass are plain
+ * loads from clocks().
  */
-class WBSIM_DEVIRT_OK BusScheduler
+class BusScheduler
 {
   public:
     /** The clock a core reports once its source is exhausted: it
@@ -124,9 +124,9 @@ class BusArbiter
     /** Attach (or replace) the co-simulation scheduler. Without one
      *  the arbiter still serialises, but cannot advance lagging
      *  cores — fine for single-core use and direct unit tests. */
-    WBSIM_REQUIRES(bus_driver) void setScheduler(BusScheduler *scheduler);
+    void setScheduler(BusScheduler *scheduler);
 
-    WBSIM_REQUIRES(bus_driver) unsigned cores() const
+    unsigned cores() const
     {
         return static_cast<unsigned>(pending_.size());
     }
@@ -152,7 +152,7 @@ class BusArbiter
      * through the scheduler until the grant is causally safe, then
      * returns the granted start cycle (>= earliest).
      */
-    WBSIM_REQUIRES(bus_driver) Cycle
+    Cycle
     acquire(unsigned core, L2Txn kind, Cycle earliest,
             Cycle duration);
 
@@ -189,11 +189,11 @@ class BusArbiter
 
     /** Capture the book. Only between scheduling steps: panics while
      *  a request is pending. */
-    WBSIM_REQUIRES(bus_driver) State state() const;
+    State state() const;
 
     /** Adopt @p state, captured from an arbiter with as many cores,
      *  with no request pending here. */
-    WBSIM_REQUIRES(bus_driver) void restore(const State &state);
+    void restore(const State &state);
 
   private:
     /** One core's outstanding request. */
@@ -211,40 +211,36 @@ class BusArbiter
     /**
      * Commit one grant: advance the global busy interval and book
      * the per-core accounting. The hot bookkeeping kernel of the
-     * grant path — no allocation, no virtual dispatch (WL-HOT-*).
+     * grant path — no allocation, no virtual dispatch.
      */
-    WBSIM_HOT Cycle bookGrant(unsigned core, L2Txn kind,
-                              Cycle earliest, Cycle duration);
+    Cycle bookGrant(unsigned core, L2Txn kind, Cycle earliest,
+                    Cycle duration);
 
     /** Requester the discipline picks among pending, or -1. */
-    WBSIM_REQUIRES(bus_driver) int winner() const;
+    int winner() const;
 
     /** Step free cores until none lags the prospective grant.
      *  @return the request that grant goes to (winner()), or -1
      *  once a nested pass has drained the pending set. */
-    WBSIM_REQUIRES(bus_driver) int advanceOthers();
+    int advanceOthers();
 
-    /* The request book below is guarded by `bus_driver`, a *virtual*
-     * capability (no mutex exists): exactly one thread — the one
-     * running the multi-core scheduling loop — may drive the arbiter
-     * at a time. runMultiCore() upholds this by construction (each
-     * cell owns its arbiter; cores interleave on one thread), so the
-     * guard documents and fences the single-driver discipline rather
-     * than a lock. The analyzer gates the member touches; call sites
-     * are not lock-checkable and are not checked (WL-LOCK-GUARD). */
-    WBSIM_GUARDED_BY(bus_driver)
+    /* No mutex guards the request book below: one thread drives the
+     * arbiter, the one running the multi-core scheduling loop.
+     * runMultiCore() upholds this by construction (each cell owns its
+     * arbiter; cores interleave on one thread), and the tsan job runs
+     * the multi-core cells inside threaded grid workers. */
     std::vector<Pending> pending_;     //!< slot per core, no realloc
     std::vector<BusCoreStats> stats_;  //!< slot per core
-    WBSIM_GUARDED_BY(bus_driver) BusScheduler *scheduler_ = nullptr;
+    BusScheduler *scheduler_ = nullptr;
     /** scheduler_->clocks(), cached at attach. */
-    WBSIM_GUARDED_BY(bus_driver) const Cycle *clocks_ = nullptr;
+    const Cycle *clocks_ = nullptr;
     BusDiscipline discipline_;
 
     Cycle busy_from_ = 0;
     Cycle free_at_ = 0;
     L2Txn current_ = L2Txn::None;
     unsigned owner_ = 0;
-    WBSIM_GUARDED_BY(bus_driver) std::uint64_t seq_ = 0;
+    std::uint64_t seq_ = 0;
 
     obs::Timeline *timeline_ = nullptr;
 };

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "util/bits.hh"
-#include "util/lint.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
 
@@ -122,7 +121,7 @@ class Cache
      * allocating nothing).
      * @return true on hit.
      */
-    WBSIM_HOT bool
+    bool
     touchRepeat(Addr addr, Count n)
     {
         Addr *set = setOf(addr);

@@ -11,7 +11,6 @@
 #include <optional>
 
 #include "mem/cache.hh"
-#include "util/lint.hh"
 
 namespace wbsim
 {
@@ -49,7 +48,7 @@ class L1ICache
      * the hit counters end as n fetches would leave them. Charges
      * the rest of a sequential run inside one line.
      */
-    WBSIM_HOT void fetchRepeat(Addr pc, Count n);
+    void fetchRepeat(Addr pc, Count n);
 
     /** Fill after a fetch miss (real mode only). */
     void fill(Addr pc);

@@ -14,7 +14,6 @@
 #define WBSIM_MEM_L2_PORT_HH
 
 #include "obs/metrics.hh"
-#include "util/lint.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
 
@@ -77,7 +76,7 @@ class L2Port
      * @p duration cycles.
      * @return the actual start cycle (>= earliest).
      */
-    WBSIM_HOT Cycle begin(L2Txn kind, Cycle earliest, Cycle duration);
+    Cycle begin(L2Txn kind, Cycle earliest, Cycle duration);
 
     /** @name Utilisation statistics. */
     /// @{

@@ -19,7 +19,6 @@
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "sim/results.hh"
-#include "util/lint.hh"
 #include "util/types.hh"
 
 namespace wbsim::obs
@@ -54,15 +53,15 @@ void writeProvenance(JsonWriter &json, const Provenance &provenance);
 /** @name SimResults artifacts. */
 /// @{
 /** One run as a JSON document (schema wbsim-sim-results-v1). The
- *  figure pipeline pins these bytes, so the writer is a
- *  deterministic root (WL-DETERMINISM). */
-WBSIM_DETERMINISTIC void
+ *  figure pipeline pins these bytes (the obs goldens), so the writer
+ *  reads no clock, RNG or hash order. */
+void
 writeSimResultsJson(std::ostream &os, const SimResults &results,
                     const Provenance &provenance);
 
 /** The same document appended to @p out (the wbsim-serve per-cell
  *  payloads, which skip the stream). */
-WBSIM_DETERMINISTIC void
+void
 writeSimResultsJson(std::string &out, const SimResults &results,
                     const Provenance &provenance);
 

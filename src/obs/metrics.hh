@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "util/lint.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
 
@@ -86,19 +85,19 @@ class MetricsRegistry
 
     /** @name Hot-path publish operations (handles must be valid). */
     /// @{
-    WBSIM_HOT void
+    void
     add(MetricId id, Count n = 1)
     {
         counters_[id] += n;
     }
 
-    WBSIM_HOT void
+    void
     set(MetricId id, std::int64_t value)
     {
         gauges_[id] = value;
     }
 
-    WBSIM_HOT void
+    void
     sample(MetricId id, std::uint64_t value)
     {
         histograms_[id].sample(value);

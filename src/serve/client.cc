@@ -107,11 +107,18 @@ bool
 ServeClient::roundTrip(const Request &request, Response &response,
                        std::string &error)
 {
+    return exchange(encodeRequest(request), response, error);
+}
+
+bool
+ServeClient::exchange(std::string_view payload, Response &response,
+                      std::string &error)
+{
     if (fd_ < 0) {
         error = "not connected";
         return false;
     }
-    if (!writeFrame(fd_, encodeRequest(request))) {
+    if (!writeFrame(fd_, payload)) {
         error = "failed to send request frame";
         close();
         return false;
@@ -181,11 +188,7 @@ ServeClient::sweep(const std::vector<CellSpec> &cells,
                    std::uint32_t priority, Response &response,
                    std::string &error)
 {
-    Request request;
-    request.type = RequestType::Sweep;
-    request.priority = priority;
-    request.cells = cells;
-    return roundTrip(request, response, error);
+    return exchange(encodeSweepRequest(priority, cells), response, error);
 }
 
 bool

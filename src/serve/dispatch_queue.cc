@@ -14,6 +14,7 @@ constexpr EnumName<DispatchDiscipline> kDisciplineNames[] = {
     {DispatchDiscipline::Fcfs, "fcfs"},
     {DispatchDiscipline::Priority, "priority"},
 };
+static_assert(namesEvery(kDisciplineNames, DispatchDiscipline::Priority));
 
 } // namespace
 
@@ -52,7 +53,7 @@ DispatchQueue::tryPushBatch(std::vector<DispatchJob> jobs)
     for (const DispatchJob &job : jobs)
         cells += job.cells;
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        MutexLock lock(mutex_);
         if (closed_ || cells_ + cells > capacity_) {
             ++rejected_;
             return false;
@@ -86,9 +87,9 @@ DispatchQueue::tryPush(DispatchJob job)
 bool
 DispatchQueue::pop(DispatchJob &out)
 {
-    std::unique_lock<std::mutex> lock(mutex_);
-    notEmpty_.wait(lock,
-                   [&]() { return closed_ || !entries_.empty(); });
+    MutexLock lock(mutex_);
+    while (!closed_ && entries_.empty())
+        lock.wait(notEmpty_);
     if (entries_.empty())
         return false; // closed and drained
     Entry entry = takeLocked();
@@ -126,7 +127,7 @@ void
 DispatchQueue::close()
 {
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        MutexLock lock(mutex_);
         closed_ = true;
     }
     notEmpty_.notify_all();
@@ -135,7 +136,7 @@ DispatchQueue::close()
 DispatchQueueStats
 DispatchQueue::stats() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    MutexLock lock(mutex_);
     DispatchQueueStats out;
     out.pushed = pushed_;
     out.rejected = rejected_;

@@ -22,11 +22,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <mutex>
 #include <string_view>
 #include <vector>
 
-#include "util/lint.hh"
+#include "util/mutex.hh"
 
 namespace wbsim::serve
 {
@@ -87,9 +86,9 @@ class DispatchQueue
 
     /** Block until a job is available (true) or the queue is closed
      *  and drained (false). Hot: the serve worker loop's entire
-     *  per-job overhead is this call — it must not allocate
-     *  (WL-HOT-ALLOC), only move the admitted closure out. */
-    WBSIM_HOT bool pop(DispatchJob &out);
+     *  per-job overhead is this call — it must not allocate, only
+     *  move the admitted closure out (alloc_free_test). */
+    bool pop(DispatchJob &out);
 
     /** Wake all waiting workers; pops drain what is queued, pushes
      *  fail from now on. Idempotent. */
@@ -111,21 +110,21 @@ class DispatchQueue
 
     /** Pick and remove the next entry per the discipline. Hot: this
      *  is the scheduling decision made once per job. */
-    WBSIM_HOT WBSIM_REQUIRES(mutex_) Entry takeLocked();
+    Entry takeLocked() WBSIM_REQUIRES(mutex_);
 
-    mutable std::mutex mutex_;
+    mutable Mutex mutex_;
     std::condition_variable notEmpty_;
-    WBSIM_GUARDED_BY(mutex_) std::deque<Entry> entries_;
+    std::deque<Entry> entries_ WBSIM_GUARDED_BY(mutex_);
     /** Cells of every queued entry. */
-    WBSIM_GUARDED_BY(mutex_) std::size_t cells_ = 0;
+    std::size_t cells_ WBSIM_GUARDED_BY(mutex_) = 0;
     std::size_t capacity_;
     DispatchDiscipline discipline_;
-    WBSIM_GUARDED_BY(mutex_) bool closed_ = false;
-    WBSIM_GUARDED_BY(mutex_) std::uint64_t nextSeq_ = 0;
-    WBSIM_GUARDED_BY(mutex_) std::uint64_t pushed_ = 0;
-    WBSIM_GUARDED_BY(mutex_) std::uint64_t rejected_ = 0;
-    WBSIM_GUARDED_BY(mutex_) std::uint64_t popped_ = 0;
-    WBSIM_GUARDED_BY(mutex_) std::uint64_t highWater_ = 0;
+    bool closed_ WBSIM_GUARDED_BY(mutex_) = false;
+    std::uint64_t nextSeq_ WBSIM_GUARDED_BY(mutex_) = 0;
+    std::uint64_t pushed_ WBSIM_GUARDED_BY(mutex_) = 0;
+    std::uint64_t rejected_ WBSIM_GUARDED_BY(mutex_) = 0;
+    std::uint64_t popped_ WBSIM_GUARDED_BY(mutex_) = 0;
+    std::uint64_t highWater_ WBSIM_GUARDED_BY(mutex_) = 0;
 };
 
 } // namespace wbsim::serve

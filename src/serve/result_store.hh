@@ -24,7 +24,6 @@
 #include <memory>
 #include <string>
 
-#include "util/lint.hh"
 #include "util/lru_cache.hh"
 #include "util/types.hh"
 
@@ -69,7 +68,7 @@ class ResultStore
 
     /** The cached token, or nullptr. A hit refreshes LRU. Hot: one
      *  mutex, one hash probe, no allocation. */
-    WBSIM_HOT TokenPtr
+    TokenPtr
     find(const CellKey &key)
     {
         return cache_.find(key).value_or(nullptr);

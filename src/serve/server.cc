@@ -148,9 +148,9 @@ ServeServer::start(std::string &error)
         {
             // No worker exists yet, but metrics is guarded state and
             // the registration writes it; take the shard lock so the
-            // access is covered by the same discipline as every
-            // other touch (WL-LOCK-GUARD).
-            std::lock_guard<std::mutex> lock(shard->mutex);
+            // access follows the same discipline as every other
+            // touch.
+            MutexLock lock(shard->mutex);
             registerWorkerMetrics(shard->metrics);
         }
         shards_.push_back(std::move(shard));
@@ -173,7 +173,7 @@ ServeServer::acceptLoop()
             return; // listener shut down by stop()
         }
         {
-            std::lock_guard<std::mutex> lock(mutex_);
+            MutexLock lock(mutex_);
             if (stopping_) {
                 ::close(fd);
                 return;
@@ -192,7 +192,7 @@ ServeServer::connectionMain(int fd)
     handleConnection(fd);
     // Last touch of server state: after the notify below, this
     // detached thread references nothing of *this.
-    std::lock_guard<std::mutex> lock(mutex_);
+    MutexLock lock(mutex_);
     connectionFds_.erase(fd);
     ::close(fd);
     --activeConnections_;
@@ -501,7 +501,7 @@ ServeServer::runMissPass(const std::vector<CellSpec> &cells,
     }
 
     WorkerShard &shard = *shards_[worker];
-    std::lock_guard<std::mutex> lock(shard.mutex);
+    MutexLock lock(shard.mutex);
     obs::MetricsRegistry &metrics = shard.metrics;
     metrics.add(metrics.counter("serve.cells_simulated"), pass.size());
     metrics.add(metrics.counter("serve.sim_micros"), micros);
@@ -530,7 +530,7 @@ ServeServer::statsJson()
     obs::MetricsRegistry merged;
     registerWorkerMetrics(merged);
     for (auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
+        MutexLock lock(shard->mutex);
         merged.merge(shard->metrics);
     }
     ResultStoreStats store = store_.stats();
@@ -600,7 +600,7 @@ void
 ServeServer::requestShutdown()
 {
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        MutexLock lock(mutex_);
         shutdownAsked_ = true;
     }
     shutdownRequested_.notify_all();
@@ -609,16 +609,16 @@ ServeServer::requestShutdown()
 void
 ServeServer::waitForShutdownRequest()
 {
-    std::unique_lock<std::mutex> lock(mutex_);
-    shutdownRequested_.wait(
-        lock, [&]() { return shutdownAsked_ || stopping_; });
+    MutexLock lock(mutex_);
+    while (!shutdownAsked_ && !stopping_)
+        lock.wait(shutdownRequested_);
 }
 
 void
 ServeServer::stop()
 {
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        MutexLock lock(mutex_);
         stopping_ = true;
     }
     shutdownRequested_.notify_all();
@@ -642,14 +642,14 @@ ServeServer::stop()
     // 3. Unblock connections waiting for a frame and wait for the
     //    last one to bow out.
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        MutexLock lock(mutex_);
         for (int fd : connectionFds_)
             ::shutdown(fd, SHUT_RDWR);
     }
     {
-        std::unique_lock<std::mutex> lock(mutex_);
-        connectionsDrained_.wait(
-            lock, [&]() { return activeConnections_ == 0; });
+        MutexLock lock(mutex_);
+        while (activeConnections_ != 0)
+            lock.wait(connectionsDrained_);
     }
 
     if (!config_.unixPath.empty())

@@ -49,7 +49,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -60,7 +59,7 @@
 #include "serve/result_store.hh"
 #include "serve/wire.hh"
 #include "sim/results.hh"
-#include "util/lint.hh"
+#include "util/mutex.hh"
 #include "util/thread_pool.hh"
 
 namespace wbsim::serve
@@ -154,8 +153,8 @@ class ServeServer
      *  merge while workers publish). */
     struct WorkerShard
     {
-        std::mutex mutex;
-        WBSIM_GUARDED_BY(mutex) obs::MetricsRegistry metrics;
+        Mutex mutex;
+        obs::MetricsRegistry metrics WBSIM_GUARDED_BY(mutex);
     };
 
     void acceptLoop();
@@ -163,10 +162,10 @@ class ServeServer
     void handleConnection(int fd);
     /** The encoded response payload for @p request. */
     std::string handleRequest(const Request &request);
-    /** The response bytes for a sweep must be a pure function of the
-     *  request (WL-DETERMINISM); latency stats are the one exempted
-     *  side channel (see runMissPass). */
-    WBSIM_DETERMINISTIC std::string handleSweep(const Request &request);
+    /** The response bytes for a sweep are a pure function of the
+     *  request; latency stats are the one side channel that reads a
+     *  clock (see runMissPass). */
+    std::string handleSweep(const Request &request);
     void workerLoop(unsigned index);
 
     /** One uncached cell of a sweep: its index in the request and
@@ -184,12 +183,10 @@ class ServeServer
     /** Simulate @p pass's cells of @p cells in one runCells pass on
      *  worker @p worker, then render each cell's token, insert it in
      *  the store and put it in @p tokens at the cell's index.
-     *  WBSIM_NONDET_OK: the steady_clock reads here time the worker
-     *  for the latency histograms only — the SimResults bytes come
-     *  entirely from runCells(), which stays inside the checked
-     *  deterministic closure (the exemption covers this body, not
-     *  its callees). */
-    WBSIM_NONDET_OK void
+     *  The steady_clock reads here time the worker for the latency
+     *  histograms only: the SimResults bytes come entirely from
+     *  runCells(), which reads no clock. */
+    void
     runMissPass(const std::vector<CellSpec> &cells,
                 const MissGroup &pass,
                 std::vector<ResultStore::TokenPtr> &tokens,
@@ -197,7 +194,7 @@ class ServeServer
     /** The result_json token of @p results with @p spec's
      *  provenance (@p fingerprint is its machine's). A function of
      *  the cell's CellKey alone. */
-    WBSIM_DETERMINISTIC static std::string
+    static std::string
     resultToken(const CellSpec &spec, std::uint64_t fingerprint,
                 const SimResults &results);
     /** The store key of @p spec. */
@@ -228,13 +225,13 @@ class ServeServer
      *  future nesting must keep the server lock outermost — workers
      *  publish under a shard lock from inside queue closures and
      *  must never be able to wait on connection state. */
-    WBSIM_ACQUIRES_BEFORE(WorkerShard::mutex) std::mutex mutex_;
+    Mutex mutex_ WBSIM_ACQUIRES_BEFORE(WorkerShard::mutex);
     std::condition_variable connectionsDrained_;
     std::condition_variable shutdownRequested_;
-    WBSIM_GUARDED_BY(mutex_) std::set<int> connectionFds_;
-    WBSIM_GUARDED_BY(mutex_) std::size_t activeConnections_ = 0;
-    WBSIM_GUARDED_BY(mutex_) bool stopping_ = false;
-    WBSIM_GUARDED_BY(mutex_) bool shutdownAsked_ = false;
+    std::set<int> connectionFds_ WBSIM_GUARDED_BY(mutex_);
+    std::size_t activeConnections_ WBSIM_GUARDED_BY(mutex_) = 0;
+    bool stopping_ WBSIM_GUARDED_BY(mutex_) = false;
+    bool shutdownAsked_ WBSIM_GUARDED_BY(mutex_) = false;
 
     std::atomic<std::uint64_t> connections_{0};
     std::atomic<std::uint64_t> requests_{0};

@@ -28,6 +28,7 @@ constexpr EnumName<FrameResult> kFrameResultNames[] = {
     {FrameResult::TooLarge, "too-large"},
     {FrameResult::Error, "error"},
 };
+static_assert(namesEvery(kFrameResultNames, FrameResult::Error));
 
 constexpr EnumName<RequestType> kRequestTypeNames[] = {
     {RequestType::Sweep, "sweep"},
@@ -35,6 +36,7 @@ constexpr EnumName<RequestType> kRequestTypeNames[] = {
     {RequestType::Stats, "stats"},
     {RequestType::Shutdown, "shutdown"},
 };
+static_assert(namesEvery(kRequestTypeNames, RequestType::Shutdown));
 
 constexpr EnumName<ResponseType> kResponseTypeNames[] = {
     {ResponseType::Results, "results"},
@@ -44,33 +46,7 @@ constexpr EnumName<ResponseType> kResponseTypeNames[] = {
     {ResponseType::Error, "error"},
     {ResponseType::Bye, "bye"},
 };
-
-enum class IoResult : std::uint8_t
-{
-    Ok,
-    Eof,
-    Error,
-};
-
-/** Blocking read of exactly @p size bytes; Eof only when the peer
- *  closed cleanly before the first byte. */
-IoResult
-readFully(int fd, char *data, std::size_t size)
-{
-    std::size_t done = 0;
-    while (done < size) {
-        ssize_t n = ::recv(fd, data + done, size - done, 0);
-        if (n == 0)
-            return done == 0 ? IoResult::Eof : IoResult::Error;
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return IoResult::Error;
-        }
-        done += std::size_t(n);
-    }
-    return IoResult::Ok;
-}
+static_assert(namesEvery(kResponseTypeNames, ResponseType::Bye));
 
 /** The frame header's verdict: Ok with the payload's @p length, or
  *  BadMagic or TooLarge. */
@@ -445,26 +421,6 @@ tryParseResponseType(std::string_view name, ResponseType &out)
 }
 
 FrameResult
-readFrame(int fd, std::string &payload, std::size_t maxBytes)
-{
-    char header[kHeaderBytes];
-    IoResult got = readFully(fd, header, sizeof header);
-    if (got == IoResult::Eof)
-        return FrameResult::Eof;
-    if (got != IoResult::Ok)
-        return FrameResult::Error;
-    std::size_t length = 0;
-    if (FrameResult verdict = frameLength(header, maxBytes, length);
-        verdict != FrameResult::Ok)
-        return verdict;
-    payload.resize(length);
-    if (length > 0
-        && readFully(fd, payload.data(), length) != IoResult::Ok)
-        return FrameResult::Error;
-    return FrameResult::Ok;
-}
-
-FrameResult
 FrameReader::fill(int fd, std::size_t bytes)
 {
     while (end_ - begin_ < bytes) {
@@ -581,22 +537,28 @@ machineConfigFromJson(obs::JsonReader &json, MachineConfig &out,
     return readRecord(reader, out, error);
 }
 
+namespace
+{
+
+/** A request of @p type; @p priority and @p cells go on the wire
+ *  for a sweep only. */
 std::string
-encodeRequest(const Request &request)
+encodeRequestOf(RequestType type, std::uint32_t priority,
+                const std::vector<CellSpec> &cells)
 {
     // Sized once: a cell with its machine is about 850 bytes.
     std::size_t bytes = 128;
-    for (const CellSpec &cell : request.cells)
+    for (const CellSpec &cell : cells)
         bytes += 1024 + cell.benchmark.size();
     obs::JsonWriter json(0, bytes);
     json.beginObject();
     json.field("schema", kRequestSchema);
-    json.field("type", requestTypeName(request.type));
-    if (request.type == RequestType::Sweep) {
-        json.field("priority", std::uint64_t(request.priority));
+    json.field("type", requestTypeName(type));
+    if (type == RequestType::Sweep) {
+        json.field("priority", std::uint64_t(priority));
         json.key("cells");
         json.beginArray();
-        for (const CellSpec &cell : request.cells) {
+        for (const CellSpec &cell : cells) {
             json.beginObject();
             json.field("benchmark", cell.benchmark);
             json.field("seed", cell.seed);
@@ -610,6 +572,21 @@ encodeRequest(const Request &request)
     }
     json.endObject();
     return json.take();
+}
+
+} // namespace
+
+std::string
+encodeRequest(const Request &request)
+{
+    return encodeRequestOf(request.type, request.priority, request.cells);
+}
+
+std::string
+encodeSweepRequest(std::uint32_t priority,
+                   const std::vector<CellSpec> &cells)
+{
+    return encodeRequestOf(RequestType::Sweep, priority, cells);
 }
 
 bool

@@ -30,7 +30,6 @@
 
 #include "obs/json.hh"
 #include "sim/machine_config.hh"
-#include "util/lint.hh"
 #include "util/types.hh"
 
 namespace wbsim::serve
@@ -61,15 +60,6 @@ enum class FrameResult : std::uint8_t
 
 const char *frameResultName(FrameResult result);
 
-/**
- * Read one frame from @p fd into @p payload. Blocks; retries EINTR.
- * On BadMagic/TooLarge the connection is poisoned (the stream can no
- * longer be re-synchronised) — the caller should answer with an
- * error frame and close.
- */
-FrameResult readFrame(int fd, std::string &payload,
-                      std::size_t maxBytes = kDefaultMaxFrameBytes);
-
 /** Write one frame to @p fd: header and payload in one sendmsg, no
  *  copy. Blocks; retries EINTR and short writes. False on any socket
  *  error (the peer has gone; there is nobody to tell). */
@@ -79,8 +69,10 @@ bool writeFrame(int fd, std::string_view payload);
  * The frames of one connection, read through a buffer that keeps its
  * capacity: a frame that has arrived whole is taken with one recv,
  * and bytes of the next frame that came with it wait for the next
- * call. Results as readFrame(); the connection's reader (server) or
- * the client's owns one.
+ * call. On BadMagic/TooLarge the connection is poisoned (the stream
+ * can no longer be re-synchronised): the caller should answer with an
+ * error frame and close. The connection's reader (server) or the
+ * client's owns one.
  */
 class FrameReader
 {
@@ -211,15 +203,19 @@ bool machineConfigFromJson(obs::JsonReader &json, MachineConfig &out,
 
 /** @name Frame payload encode/decode. Decoders are strict and
  *  non-fatal: false + @p error on anything unexpected. They read the
- *  payload in one pass with obs::JsonReader and build no tree. Encoders are
- *  deterministic roots: the on-wire bytes for a given message must
- *  never depend on clocks, RNG, or hash order (WL-DETERMINISM) —
- *  sweep responses are compared byte-for-byte against local runs. */
+ *  payload in one pass with obs::JsonReader and build no tree. The
+ *  on-wire bytes for a given message never depend on clocks, RNG,
+ *  or hash order: the serve goldens pin them, and sweep responses
+ *  are compared byte-for-byte against local runs. */
 /// @{
-WBSIM_DETERMINISTIC std::string encodeRequest(const Request &request);
+std::string encodeRequest(const Request &request);
+/** encodeRequest() of a sweep of @p cells, without copying them into
+ *  a Request. */
+std::string encodeSweepRequest(std::uint32_t priority,
+                               const std::vector<CellSpec> &cells);
 bool decodeRequest(std::string_view payload, Request &out,
                    std::string &error);
-WBSIM_DETERMINISTIC std::string
+std::string
 encodeResponse(const Response &response);
 bool decodeResponse(std::string_view payload, Response &out,
                     std::string &error);
@@ -244,11 +240,11 @@ struct ResultCellView
 };
 
 /** The token of the document @p resultJson. */
-WBSIM_DETERMINISTIC std::string
+std::string
 encodeResultToken(std::string_view resultJson);
 
 /** A Results payload carrying @p cells in order. */
-WBSIM_DETERMINISTIC std::string
+std::string
 encodeResults(const std::vector<ResultCellView> &cells);
 /// @}
 

@@ -100,10 +100,6 @@ MachineConfig::validationError() const
     if (std::string error = writeBuffer.validationError();
         !error.empty())
         return error;
-    if (writeBuffer.entryBytes > l1d.lineBytes
-        && writeBuffer.entryBytes % l1d.lineBytes != 0)
-        return "write buffer entries wider than a line must be a "
-               "multiple of the line size";
     if (cores == 0)
         return "core count must be positive";
     if (cores > 64)

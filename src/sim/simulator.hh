@@ -27,7 +27,6 @@
 #include "sim/machine_config.hh"
 #include "sim/results.hh"
 #include "trace/source.hh"
-#include "util/lint.hh"
 #include "util/random.hh"
 
 namespace wbsim
@@ -145,9 +144,9 @@ class Simulator
      * item is shortened in place. Requires no attached event log.
      * @return items fully consumed.
      */
-    WBSIM_HOT std::size_t runPrivatePrefix(TraceRun *items,
-                                           std::size_t count,
-                                           Count limit);
+    std::size_t runPrivatePrefix(TraceRun *items,
+                                 std::size_t count,
+                                 Count limit);
 
     /** step() the front record of @p item: its run's next NonMem
      *  record (at last_pc_ + 4), else its own record.
@@ -413,10 +412,10 @@ class Simulator
                        obs::Channel channel
                        = obs::Channel::ReadAccessStall);
 
-    /** The one publish site for the read-access-stall handle
-     *  (WL-PUB-UNIQUE): port waits and write-priority drains both
-     *  report through it, attributing the wait to @p channel. */
-    WBSIM_HOT void
+    /** The one publish site for the read-access-stall handle: port
+     *  waits and write-priority drains both report through it,
+     *  attributing the wait to @p channel. */
+    void
     publishReadStall(Cycle at, Cycle wait, obs::Channel channel)
     {
         if (metrics_ != nullptr)

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "trace/source.hh"
-#include "util/lint.hh"
 
 namespace wbsim
 {
@@ -144,8 +143,8 @@ class MaterializedCursor final : public TraceSource
      * batch-cut item does.
      * @return items produced; 0 at end of trace.
      */
-    WBSIM_HOT std::size_t nextRuns(TraceRun *out, std::size_t max,
-                                   Count budget = kNoBudget) override;
+    std::size_t nextRuns(TraceRun *out, std::size_t max,
+                         Count budget = kNoBudget) override;
 
     /** Jump so the next record returned is record @p index. */
     void seek(Count index);

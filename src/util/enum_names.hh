@@ -1,9 +1,10 @@
 /**
  * @file
  * Enum name tables: one file-scope table per enum names every
- * enumerator once (WL-ENUM-TABLE), and its *Name() helper and both
- * parsers derive from it, so a CLI spelling, describe() and the wire
- * can never disagree.
+ * enumerator once, and its *Name() helper and both parsers derive
+ * from it, so a CLI spelling, describe() and the wire can never
+ * disagree. A static_assert(namesEvery(...)) beside each table
+ * fails the build when the table misses an enumerator.
  */
 
 #ifndef WBSIM_UTIL_ENUM_NAMES_HH
@@ -26,6 +27,27 @@ struct EnumName
     Enum value;
     std::string_view name;
 };
+
+/** Whether @p table names every enumerator from 0 through @p last
+ *  exactly once. Each table states it in a static_assert, so a row
+ *  dropped, doubled or never added fails the build; naming the last
+ *  enumerator there means appending one to the enum must update the
+ *  assert too. */
+template <typename Enum, std::size_t N>
+constexpr bool
+namesEvery(const EnumName<Enum> (&table)[N], Enum last)
+{
+    if (N != std::size_t(last) + 1)
+        return false;
+    for (std::size_t value = 0; value < N; ++value) {
+        std::size_t rows = 0;
+        for (const auto &row : table)
+            rows += std::size_t(row.value) == value;
+        if (rows != 1)
+            return false;
+    }
+    return true;
+}
 
 /** The name of @p value, or "?" when the table lacks it. */
 template <typename Enum, std::size_t N>

@@ -16,7 +16,6 @@
 #include <sstream>
 #include <string>
 
-#include "util/lint.hh"
 
 namespace wbsim
 {
@@ -38,20 +37,19 @@ void setLogLevel(LogLevel level);
 namespace detail
 {
 
-/* All diagnostic sinks are WBSIM_COLD: they allocate and stream
- * freely, and the hot-path analyzer (tools/wbsim_lint) stops its
- * traversal here. Reaching them from a hot path is fine — they only
- * execute when the simulation is already dying or narrating. */
+/* The diagnostic sinks allocate and stream freely. Reaching them
+ * from a hot path is fine — they only execute when the simulation
+ * is already dying or narrating. */
 
-[[noreturn]] WBSIM_COLD void
+[[noreturn]] void
 terminate(const char *kind, const char *file, int line,
           const std::string &message, int exit_code);
 
-WBSIM_COLD void report(const char *kind, const std::string &message);
+void report(const char *kind, const std::string &message);
 
 /** Fold a variadic pack into one string via operator<<. */
 template <typename... Args>
-WBSIM_COLD std::string
+std::string
 concat(Args &&...args)
 {
     std::ostringstream os;
@@ -63,7 +61,7 @@ concat(Args &&...args)
 
 /** Informational message, suppressed under LogLevel::Quiet. */
 template <typename... Args>
-WBSIM_COLD void
+void
 inform(Args &&...args)
 {
     if (logLevel() >= LogLevel::Normal)
@@ -72,7 +70,7 @@ inform(Args &&...args)
 
 /** Debug message, shown only under LogLevel::Debug. */
 template <typename... Args>
-WBSIM_COLD void
+void
 debugLog(Args &&...args)
 {
     if (logLevel() >= LogLevel::Debug)
@@ -81,7 +79,7 @@ debugLog(Args &&...args)
 
 /** Warning about suspicious but survivable conditions. */
 template <typename... Args>
-WBSIM_COLD void
+void
 warn(Args &&...args)
 {
     detail::report("warn", detail::concat(std::forward<Args>(args)...));

@@ -30,14 +30,13 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "util/lint.hh"
 #include "util/logging.hh"
+#include "util/mutex.hh"
 #include "util/random.hh"
 
 namespace wbsim
@@ -79,7 +78,7 @@ class LruCache
 
     /** A copy of @p key's value, or nullopt; a hit becomes the MRU
      *  entry. Hot: one mutex, one hash probe, no allocation. */
-    WBSIM_HOT std::optional<Value> find(const Key &key)
+    std::optional<Value> find(const Key &key)
     {
         return shardFor(key).find(key);
     }
@@ -130,15 +129,12 @@ class LruCache
         std::size_t bytes = 0;
     };
 
-    /** One shard. Only its own members touch its guarded state, by
-     *  implicit member access: inside a template, wbsim-lint's
-     *  WL-LOCK-GUARD resolves those, but not an access through a
-     *  reference to a dependent type such as `shard.map`. */
+    /** One shard. Only its own members touch its guarded state. */
     struct Shard
     {
         std::optional<Value> find(const Key &key)
         {
-            std::lock_guard<std::mutex> lock(mutex);
+            MutexLock lock(mutex);
             auto it = map.find(key);
             if (it == map.end()) {
                 ++counts.misses;
@@ -151,7 +147,7 @@ class LruCache
 
         void insert(const Key &key, Value value, std::size_t charge)
         {
-            std::lock_guard<std::mutex> lock(mutex);
+            MutexLock lock(mutex);
             lru.push_back(Node{key, std::move(value), charge});
             auto [it, fresh] = map.try_emplace(key, std::prev(lru.end()));
             if (fresh) {
@@ -167,7 +163,7 @@ class LruCache
          *  @p slice (0 = unbounded). */
         void evict(std::size_t slice, std::list<Node> &victims)
         {
-            std::lock_guard<std::mutex> lock(mutex);
+            MutexLock lock(mutex);
             while (slice != 0 && counts.bytes > slice && !lru.empty()) {
                 counts.bytes -= lru.front().bytes;
                 ++counts.evictions;
@@ -180,7 +176,7 @@ class LruCache
         void clear()
         {
             std::list<Node> dropped; // destroyed after the unlock
-            std::lock_guard<std::mutex> lock(mutex);
+            MutexLock lock(mutex);
             map.clear();
             dropped.swap(lru);
             counts.bytes = 0;
@@ -188,7 +184,7 @@ class LruCache
 
         void addTo(LruCacheStats &out)
         {
-            std::lock_guard<std::mutex> lock(mutex);
+            MutexLock lock(mutex);
             out.hits += counts.hits;
             out.misses += counts.misses;
             out.inserts += counts.inserts;
@@ -197,14 +193,13 @@ class LruCache
             out.entries += map.size();
         }
 
-        std::mutex mutex;
+        Mutex mutex;
         /** MRU at the back. */
-        WBSIM_GUARDED_BY(mutex) std::list<Node> lru;
-        WBSIM_GUARDED_BY(mutex)
+        std::list<Node> lru WBSIM_GUARDED_BY(mutex);
         std::unordered_map<Key, typename std::list<Node>::iterator,
-                           Hash> map;
+                           Hash> map WBSIM_GUARDED_BY(mutex);
         /** This shard's counters and bytes. */
-        WBSIM_GUARDED_BY(mutex) LruCacheStats counts;
+        LruCacheStats counts WBSIM_GUARDED_BY(mutex);
     };
 
     Shard &shardFor(const Key &key)

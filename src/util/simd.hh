@@ -34,7 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "util/lint.hh"
 #include "util/types.hh"
 
 namespace wbsim::simd
@@ -80,7 +79,7 @@ laneBit(const std::uint64_t *occ, std::size_t i)
 // same instructions and the loops auto-vectorize.
 // -------------------------------------------------------------------
 
-WBSIM_HOT inline ProbeHit
+inline ProbeHit
 probeSweep(const Lanes &l, Addr line_base, Addr line_end,
            Addr entry_base, Addr entry_bytes)
 {
@@ -104,7 +103,7 @@ probeSweep(const Lanes &l, Addr line_base, Addr line_end,
     return {block != 0, hit_seq, found};
 }
 
-WBSIM_HOT inline int
+inline int
 newestMatch(const Lanes &l, Addr base, int exclude)
 {
     std::uint64_t best_key = 0;
@@ -120,7 +119,7 @@ newestMatch(const Lanes &l, Addr base, int exclude)
     return best;
 }
 
-WBSIM_HOT inline int
+inline int
 oldestValid(const Lanes &l)
 {
     std::uint64_t best_key = ~std::uint64_t{0};
@@ -136,7 +135,7 @@ oldestValid(const Lanes &l)
     return best;
 }
 
-WBSIM_HOT inline int
+inline int
 oldestOverlapping(const Lanes &l, Addr line_base, Addr line_end,
                   Addr entry_bytes)
 {
@@ -154,7 +153,7 @@ oldestOverlapping(const Lanes &l, Addr line_base, Addr line_end,
     return best;
 }
 
-WBSIM_HOT inline unsigned
+inline unsigned
 countValid(const Lanes &l)
 {
     unsigned count = 0;

@@ -307,14 +307,17 @@ rawRoundTrip(std::uint16_t port, const Request &request)
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = htons(port);
+    FrameReader frames;
     std::string payload;
     if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
                   sizeof addr)
             == 0
-        && writeFrame(fd, encodeRequest(request)))
-        EXPECT_EQ(FrameResult::Ok, readFrame(fd, payload));
-    else
+        && writeFrame(fd, encodeRequest(request))) {
+        EXPECT_EQ(FrameResult::Ok, frames.next(fd));
+        payload = frames.payload();
+    } else {
         ADD_FAILURE() << "raw loopback connection failed";
+    }
     ::close(fd);
     return payload;
 }
